@@ -33,6 +33,7 @@ from .errors import (
     BallotError,
     DuplicateCandidate,
     Infeasible,
+    LawViolation,
     LlullError,
     MalformedSyntax,
     MatrixFormatError,

@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 2 input could not be parsed, 3 the turnout program
 was infeasible, 4 the candidate order was not admissible, 5 a verification
-suite reported failures.
+suite reported failures, 6 the floating-point step failed: the turnout solver
+hit its iteration cap, or the projected intervals or scores broke a law.
 """
 
 from __future__ import annotations
@@ -13,7 +14,15 @@ from fractions import Fraction
 from pathlib import Path
 
 from .ballots import read_ballot_file
-from .errors import BallotError, Infeasible, LlullError, MatrixFormatError, NotAdmissible
+from .errors import (
+    BallotError,
+    Infeasible,
+    LawViolation,
+    LlullError,
+    MatrixFormatError,
+    MaxIterations,
+    NotAdmissible,
+)
 from .pipeline import RunConfig, parse_formula, parse_rules, parse_variant, run
 from .verify import SUITES, run_all, run_suite
 
@@ -22,6 +31,7 @@ EXIT_PARSE = 2
 EXIT_INFEASIBLE = 3
 EXIT_NOT_ADMISSIBLE = 4
 EXIT_VERIFY = 5
+EXIT_NUMERICAL = 6
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -108,6 +118,12 @@ def _cmd_run(args) -> int:
     except NotAdmissible as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NOT_ADMISSIBLE
+    except MaxIterations as exc:
+        print(f"error: turnout program failed to converge: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
+    except LawViolation as exc:
+        print(f"error: projection check failed: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
     except LlullError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

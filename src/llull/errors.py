@@ -63,3 +63,11 @@ class Infeasible(LlullError):
 
 class MaxIterations(LlullError):
     """An iterative solver hit its iteration bound before converging."""
+
+
+class LawViolation(LlullError):
+    """A law the projected intervals or scores must obey failed to hold.
+
+    Raised by the structural checks after the floating-point step; the
+    message names the law.
+    """

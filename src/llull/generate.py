@@ -20,7 +20,15 @@ WEIGHT_CHOICES = (
 
 
 def candidate_names(n: int) -> CandidateSet:
-    return CandidateSet(string.ascii_lowercase[:n])
+    """Names a, b, ..., z, then aa, ab, ..., zz, aaa, ... in that order."""
+    names = []
+    for k in range(1, n + 1):
+        name = ""
+        while k:
+            k, digit = divmod(k - 1, 26)
+            name = string.ascii_lowercase[digit] + name
+        names.append(name)
+    return CandidateSet(names)
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator
 
@@ -36,10 +36,14 @@ class AdmissibleOrder:
 
     sequence: tuple[int, ...]
     rank: dict[int, int]  # candidate index -> 1-based position
+    # The Copeland ranks the order was sorted by, when it was built from them.
+    copeland: tuple[Fraction, ...] = field(default=(), compare=False)
 
     @classmethod
-    def from_sequence(cls, sequence: tuple[int, ...]) -> "AdmissibleOrder":
-        return cls(sequence, {c: i + 1 for i, c in enumerate(sequence)})
+    def from_sequence(
+        cls, sequence: tuple[int, ...], copeland: tuple[Fraction, ...] = ()
+    ) -> "AdmissibleOrder":
+        return cls(sequence, {c: i + 1 for i, c in enumerate(sequence)}, copeland)
 
 
 def copeland_ranks(vm: VariantMargins) -> tuple[Fraction, ...]:
@@ -75,7 +79,7 @@ def admissible_order(vm: VariantMargins, candidates: CandidateSet) -> Admissible
     ranks = copeland_ranks(vm)
     sequence = tuple(sorted(range(len(ranks)), key=lambda x: (ranks[x], x)))
     _check_admissible(sequence, vm, candidates)
-    return AdmissibleOrder.from_sequence(sequence)
+    return AdmissibleOrder.from_sequence(sequence, ranks)
 
 
 def enumerate_admissible_orders(

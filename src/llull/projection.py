@@ -21,9 +21,9 @@ from .closures import (
     margin_completion,
     variant_margins,
 )
-from .errors import LlullError
+from .errors import LawViolation
 from .matrix import Grid, LlullMatrix, TurnoutMatrix, turnouts
-from .ordering import AdmissibleOrder, admissible_order, copeland_ranks
+from .ordering import AdmissibleOrder, admissible_order
 from .qp import QpProblem, QpSolution, solve_active_set
 
 
@@ -149,11 +149,13 @@ def build_intervals(
         out.append(ScoreInterval((tau - m) / 2.0, (tau + m) / 2.0))
     for i, gamma in enumerate(out):
         if gamma.lo < -tol or gamma.hi > 1 + tol or gamma.lo > gamma.hi + tol:
-            raise LlullError(f"interval {i} out of range: [{gamma.lo}, {gamma.hi}]")
+            raise LawViolation(
+                f"interval range law fails: interval {i} is [{gamma.lo}, {gamma.hi}]"
+            )
         if i > 0:
             prev = out[i - 1]
             if gamma.hi < prev.lo - tol or gamma.center > prev.center + tol:
-                raise LlullError(f"intervals {i - 1} and {i} violate the overlap law")
+                raise LawViolation(f"intervals {i - 1} and {i} violate the overlap law")
     return tuple(out)
 
 
@@ -184,23 +186,27 @@ class ProjectedMatrix:
             for j in range(i + 1, n):
                 x, y = seq[i], seq[j]
                 if pi[x][y] < pi[y][x] - tol:
-                    raise LlullError("projected scores disagree with the order")
+                    raise LawViolation(
+                        "order law fails: projected scores disagree with the order"
+                    )
                 if not (-tol <= pi[x][y] <= 1 + tol) or to(x, y) > 1 + tol:
-                    raise LlullError("projected scores left the admissible set")
+                    raise LawViolation(
+                        "admissibility law fails: projected scores left the admissible set"
+                    )
         for i in range(n):
             for j in range(i + 1, n):
                 for k in range(j + 1, n):
                     x, y, z = seq[i], seq[j], seq[k]
                     if abs(pi[x][z] - max(pi[x][y], pi[y][z])) > tol:
-                        raise LlullError("chain maximum law fails")
+                        raise LawViolation("chain maximum law fails")
                     if abs(pi[z][x] - min(pi[z][y], pi[y][x])) > tol:
-                        raise LlullError("chain minimum law fails")
+                        raise LawViolation("chain minimum law fails")
                     if mg(x, z) > mg(x, y) + mg(y, z) + tol:
-                        raise LlullError("margin subadditivity fails")
+                        raise LawViolation("margin subadditivity law fails")
                     if to(x, z) - to(y, z) > mg(x, y) + tol:
-                        raise LlullError("turnout increment law fails")
+                        raise LawViolation("turnout increment law fails")
                     if to(x, y) - to(x, z) > mg(y, z) + tol:
-                        raise LlullError("turnout increment law fails")
+                        raise LawViolation("turnout increment law fails")
         for i in range(n):
             for j in range(i + 1, n):
                 x, y = seq[i], seq[j]
@@ -217,15 +223,15 @@ class ProjectedMatrix:
                         to(z, x) - to(z, y),
                     ]
                     if any(c < -tol for c in checks):
-                        raise LlullError("row or column monotonicity fails")
+                        raise LawViolation("row or column monotonicity law fails")
                     if tied and any(abs(c) > tol for c in checks):
-                        raise LlullError("tie does not propagate equality")
+                        raise LawViolation("tie propagation law fails")
         for x in range(n):
             for y in range(n):
                 for z in range(n):
                     if len({x, y, z}) == 3:
                         if abs(mg(x, z)) > abs(mg(x, y)) + abs(mg(y, z)) + tol:
-                            raise LlullError("absolute margins break the triangle law")
+                            raise LawViolation("absolute margins break the triangle law")
 
 
 def projected_scores(
@@ -276,14 +282,20 @@ def project_with_order(
     vm: VariantMargins,
     xi: AdmissibleOrder,
     qp_tol: float = 1e-10,
-) -> tuple[IntermediateMargins, ProjectedTurnouts, tuple[ScoreInterval, ...], ProjectedMatrix]:
+) -> tuple[
+    TurnoutMatrix,
+    IntermediateMargins,
+    ProjectedTurnouts,
+    tuple[ScoreInterval, ...],
+    ProjectedMatrix,
+]:
     """Run steps 3 to 5 for one fixed admissible order."""
     im = intermediate_margins(vm, xi)
     t = turnouts(effective)
     pt = project_turnouts(t, im, tol=qp_tol)
     intervals = build_intervals(pt, im)
     pm = projected_scores(intervals, xi, effective.candidates)
-    return im, pt, intervals, pm
+    return t, im, pt, intervals, pm
 
 
 def project_details(
@@ -293,7 +305,7 @@ def project_details(
     scores = indirect_scores(matrix, variant)
     vm = variant_margins(scores, variant)
     xi = admissible_order(vm, matrix.candidates)
-    im, pt, intervals, pm = project_with_order(effective, vm, xi)
+    t, im, pt, intervals, pm = project_with_order(effective, vm, xi)
     if validate:
         pm.check_structure()
     return ProjectionDetails(
@@ -302,10 +314,10 @@ def project_details(
         variant=variant,
         scores=scores,
         vm=vm,
-        copeland=copeland_ranks(vm),
+        copeland=xi.copeland,
         xi=xi,
         im=im,
-        t=turnouts(effective),
+        t=t,
         pt=pt,
         intervals=intervals,
         pm=pm,

@@ -7,7 +7,12 @@ constraints on differences x_i - x_j.  Two independent solvers are provided:
 * ``solve_active_set``: a dual active-set iteration.  Starting from the
   unconstrained optimum it adds the most violated constraint at a time,
   dropping blocking ones along the way; an unbounded dual step certifies
-  infeasibility.
+  infeasibility (``Infeasible``) and a defensive step cap ends a run that
+  does not converge (``MaxIterations``).  Rows are held as index arrays, so
+  pricing every row is one vectorized expression, and the inverse of the
+  working set's Gram matrix is updated as rows enter and leave, in the
+  manner of Goldfarb and Idnani (Math. Programming 27, 1983), so no step
+  factorizes a matrix.
 * ``solve_dykstra``: Dykstra's alternating projections onto the individual
   boxes and slabs.  Slower, but an entirely separate route to the same
   projection, kept for cross-validation.
@@ -58,6 +63,63 @@ class QpSolution:
     multipliers: tuple[float, ...] = ()  # aligned with active_set
 
 
+@dataclass(frozen=True)
+class _Rows:
+    """The constraint rows as parallel arrays, in ``constraint_rows`` order.
+
+    Row r reads ``sign[r] * (x[i[r]] - x[j[r]]) >= rhs[r]``, an equality when
+    ``eq[r]``.  Bound rows have ``j[r] == d``, a padding variable that
+    callers hold at zero in slot d of a length d + 1 point.
+    """
+
+    i: np.ndarray
+    j: np.ndarray
+    sign: np.ndarray
+    rhs: np.ndarray
+    eq: np.ndarray
+
+    def slacks(self, x: np.ndarray) -> np.ndarray:
+        return self.sign * (x[self.i] - x[self.j]) - self.rhs
+
+
+def _row_arrays(problem: QpProblem) -> _Rows:
+    """Flatten the problem into rows; the single definition of row order.
+
+    A two-sided constraint with lo < hi yields a lower row and then a
+    negated upper row; lo == hi yields a single equality row.
+    """
+    d = len(problem.center)
+    rows: list[tuple[int, int, float, float, bool]] = []
+    for k, (lo, hi) in enumerate(problem.bounds):
+        if lo is not None and hi is not None and lo == hi:
+            rows.append((k, d, 1.0, float(lo), True))
+            continue
+        if lo is not None:
+            rows.append((k, d, 1.0, float(lo), False))
+        if hi is not None:
+            rows.append((k, d, -1.0, 0.0 - float(hi), False))
+    for i, j, lo, hi in problem.difference_constraints:
+        if lo == hi:
+            rows.append((i, j, 1.0, float(lo), True))
+            continue
+        rows.append((i, j, 1.0, float(lo), False))
+        rows.append((i, j, -1.0, 0.0 - float(hi), False))
+    i, j, sign, rhs, eq = zip(*rows) if rows else ((),) * 5
+    return _Rows(
+        np.array(i, dtype=np.intp),
+        np.array(j, dtype=np.intp),
+        np.array(sign, dtype=float),
+        np.array(rhs, dtype=float),
+        np.array(eq, dtype=bool),
+    )
+
+
+def _padded(point, d: int) -> np.ndarray:
+    x = np.zeros(d + 1)
+    x[:d] = point
+    return x
+
+
 def constraint_rows(problem: QpProblem):
     """Flatten the problem into rows (normal, rhs, is_equality).
 
@@ -65,39 +127,73 @@ def constraint_rows(problem: QpProblem):
     yields two rows; lo == hi yields a single equality row.  Row order is
     the public indexing used in ``QpSolution.active_set``.
     """
+    rows = _row_arrays(problem)
     d = len(problem.center)
-    rows: list[tuple[np.ndarray, float, bool]] = []
-
-    def unit(k: int, sign: float) -> np.ndarray:
-        a = np.zeros(d)
-        a[k] = sign
-        return a
-
-    def diff(i: int, j: int, sign: float) -> np.ndarray:
-        a = np.zeros(d)
-        a[i] = sign
-        a[j] = -sign
-        return a
-
-    for k, (lo, hi) in enumerate(problem.bounds):
-        if lo is not None and hi is not None and lo == hi:
-            rows.append((unit(k, 1.0), float(lo), True))
-            continue
-        if lo is not None:
-            rows.append((unit(k, 1.0), float(lo), False))
-        if hi is not None:
-            rows.append((unit(k, -1.0), float(-hi), False))
-    for i, j, lo, hi in problem.difference_constraints:
-        if lo == hi:
-            rows.append((diff(i, j, 1.0), float(lo), True))
-            continue
-        rows.append((diff(i, j, 1.0), float(lo), False))
-        rows.append((diff(i, j, -1.0), float(-hi), False))
-    return rows
+    normals = np.zeros((len(rows.rhs), d + 1))
+    at = np.arange(len(rows.rhs))
+    normals[at, rows.i] = rows.sign
+    normals[at, rows.j] = 0.0 - rows.sign
+    return list(zip(normals[:, :d], rows.rhs.tolist(), rows.eq.tolist()))
 
 
-def _slack(a: np.ndarray, b: float, x: np.ndarray) -> float:
-    return float(a @ x - b)
+class _WorkingSet:
+    """Working rows with their oriented normals N and the inverse of N Nᵀ.
+
+    Rows keep the order they entered in.  They stay linearly independent,
+    so at most min(d, rows) are ever held and every buffer is sized once.
+    """
+
+    def __init__(self, capacity: int, width: int):
+        self.size = 0
+        self.rows = np.empty(capacity, dtype=np.intp)  # indices into the rows
+        self.mults = np.empty(capacity)  # for the working orientation, kept >= 0
+        self.normals = np.zeros((capacity, width))
+        self.inverse = np.empty((capacity, capacity))
+        self._outer = np.empty((capacity, capacity))
+
+    def project(self, a: np.ndarray, i: int, j: int, sign: float):
+        """r = (N Nᵀ)⁻¹ N a and the residual z = a - Nᵀ r of the row
+        a = sign (e_i - e_j), whose product with N reads off two columns."""
+        k = self.size
+        normals = self.normals[:k]
+        r = self.inverse[:k, :k] @ (sign * (normals[:, i] - normals[:, j]))
+        return r, a - normals.T @ r
+
+    def add(self, row: int, a: np.ndarray, r: np.ndarray, schur: float, mult: float):
+        """Append row a; ``schur`` = |z|² is the Schur complement of the new
+        Gram matrix, so the inverse grows by the block formula."""
+        k = self.size
+        inverse = self.inverse
+        inverse[:k, :k] += np.outer(r, r / schur, out=self._outer[:k, :k])
+        inverse[:k, k] = inverse[k, :k] = (0.0 - r) / schur
+        inverse[k, k] = 1.0 / schur
+        self.normals[k] = a
+        self.rows[k] = row
+        self.mults[k] = mult
+        self.size = k + 1
+
+    def drop(self, p: int):
+        """Delete working row p; the inverse takes a rank-one downdate."""
+        k = self.size
+        inverse = self.inverse[:k, :k]
+        col = inverse[:, p].copy()
+        inverse -= np.outer(col, col / col[p], out=self._outer[:k, :k])
+        self.inverse[p : k - 1, :k] = self.inverse[p + 1 : k, :k]
+        self.inverse[: k - 1, p : k - 1] = self.inverse[: k - 1, p + 1 : k]
+        for buf in (self.normals, self.rows, self.mults):
+            buf[p : k - 1] = buf[p + 1 : k]
+        self.size = k - 1
+
+
+def _first_blocking(ratios: np.ndarray) -> int:
+    """The ratio a scan in working-set order settles on, when a later ratio
+    replaces the current one only if smaller by more than 1e-15."""
+    pick = 0
+    while True:
+        later = np.flatnonzero(ratios[pick + 1 :] < ratios[pick] - 1e-15)
+        if not later.size:
+            return pick
+        pick += 1 + int(later[0])
 
 
 def solve_active_set(
@@ -108,17 +204,20 @@ def solve_active_set(
     Returns the unique minimizer with KKT multipliers nonnegative up to
     ``tol``.  Raises ``Infeasible`` when a violated constraint admits no
     bounded dual step, ``MaxIterations`` past the defensive iteration cap.
-    """
-    rows = constraint_rows(problem)
-    x = np.asarray(problem.center, dtype=float).copy()
-    if max_iter is None:
-        max_iter = max(100, 10 * len(rows) ** 2)
 
-    work: list[int] = []  # indices into rows
-    normals: list[np.ndarray] = []  # working orientation (equalities may flip)
-    mults: list[float] = []  # for the working orientation, all kept >= 0
-    flipped: dict[int, bool] = {}
-    is_eq = [eq for _, _, eq in rows]
+    The working normals N stay linearly independent, and the inverse of
+    their Gram matrix N Nᵀ is updated per added or dropped row, so a step
+    costs matrix-vector products only.
+    """
+    rows = _row_arrays(problem)
+    d = len(problem.center)
+    x = _padded(problem.center, d)
+    if max_iter is None:
+        max_iter = max(100, 10 * len(rows.rhs) ** 2)
+
+    ws = _WorkingSet(min(d, len(rows.rhs)), d + 1)
+    priced_out = rows.eq.copy()  # equalities and working rows
+    flipped = np.zeros(len(rows.rhs), dtype=bool)
     iterations = 0
 
     def steps_onto(target: int) -> None:
@@ -126,24 +225,23 @@ def solve_active_set(
         # along the way.  Equalities with positive slack are approached from
         # the other side by flipping the normal, so steps stay nonnegative.
         nonlocal iterations
-        a, b, eq = rows[target]
-        if eq and _slack(a, b, x) > 0:
-            a, b = -a, -b
+        i, j = rows.i[target], rows.j[target]
+        sign, b, eq = rows.sign[target], rows.rhs[target], rows.eq[target]
+        if eq and sign * (x[i] - x[j]) - b > 0:
+            sign, b = 0.0 - sign, 0.0 - b
             flipped[target] = True
+        a = np.zeros(d + 1)
+        a[i] = sign
+        a[j] = 0.0 - sign
+        a[d] = 0.0  # the padding variable of a bound row
         accumulated = 0.0
         while True:
             iterations += 1
             if iterations > max_iter:
                 raise MaxIterations(f"no convergence within {max_iter} active-set steps")
-            if normals:
-                N = np.stack(normals)
-                r, *_ = np.linalg.lstsq(N.T, a, rcond=None)
-                z = a - N.T @ r
-            else:
-                r = np.zeros(0)
-                z = a.copy()
+            r, z = ws.project(a, i, j, sign)
             znorm2 = float(z @ z)
-            slack = _slack(a, b, x)
+            slack = float(sign * (x[i] - x[j]) - b)
             if eq and znorm2 <= _DEP_TOL:
                 # Dependent equality: consistent exactly when already tight.
                 # Consistent ones can be skipped for good, because at this
@@ -154,80 +252,74 @@ def solve_active_set(
                 raise Infeasible("inconsistent equality constraints")
 
             # Longest step before some inequality multiplier turns negative.
+            mults = ws.mults[: ws.size]
             t_dual = math.inf
             drop = -1
-            for pos, row_idx in enumerate(work):
-                if is_eq[row_idx] or r[pos] <= tol:
-                    continue
-                ratio = mults[pos] / float(r[pos])
-                if ratio < t_dual - 1e-15:
-                    t_dual = ratio
-                    drop = pos
+            blocking = np.flatnonzero((r > tol) & ~rows.eq[ws.rows[: ws.size]])
+            if blocking.size:
+                ratios = mults[blocking] / r[blocking]
+                pick = _first_blocking(ratios)
+                t_dual = float(ratios[pick])
+                drop = int(blocking[pick])
             t_full = -slack / znorm2 if znorm2 > _DEP_TOL else math.inf
             step = min(t_dual, t_full)
             if step == math.inf:
                 raise Infeasible("constraint cannot be reached: empty feasible set")
             if znorm2 > _DEP_TOL:
                 x[:] = x + step * z
-            for pos in range(len(mults)):
-                mults[pos] -= step * float(r[pos])
+            mults -= step * r
             accumulated += step
             if t_full <= t_dual:
-                work.append(target)
-                normals.append(a)
-                mults.append(accumulated)
+                ws.add(target, a, r, znorm2, accumulated)
+                priced_out[target] = True
                 return
-            del work[drop], normals[drop], mults[drop]
+            priced_out[ws.rows[drop]] = False
+            ws.drop(drop)
 
     # Install equality rows first.  Dual steps never drop them, so any
     # dependencies found later cannot disturb rows skipped here.
-    for idx, (_, _, eq) in enumerate(rows):
-        if eq:
-            steps_onto(idx)
+    for idx in np.flatnonzero(rows.eq):
+        steps_onto(int(idx))
 
-    while True:
-        worst = -1
-        worst_violation = -tol
-        for idx, (a, b, eq) in enumerate(rows):
-            if eq or idx in work:
-                continue
-            s = _slack(a, b, x)
-            if s < worst_violation:
-                worst_violation = s
-                worst = idx
-        if worst < 0:
+    while not priced_out.all():
+        slacks = np.where(priced_out, math.inf, rows.slacks(x))
+        worst = int(np.argmin(slacks))  # the lowest index among ties
+        if not slacks[worst] < -tol:
             break
         steps_onto(worst)
         # A dropped row may have drifted back out; the loop re-checks all.
 
+    work = ws.rows[: ws.size]
     order = np.argsort(work, kind="stable")
+    active, mults = work[order], ws.mults[: ws.size][order]
     return QpSolution(
-        point=tuple(float(v) for v in x),
-        active_set=tuple(int(work[i]) for i in order),
+        point=tuple(x[:d].tolist()),
+        active_set=tuple(active.tolist()),
         iterations=iterations,
-        multipliers=tuple(
-            float(-mults[i] if flipped.get(work[i]) else mults[i]) for i in order
-        ),
+        multipliers=tuple(np.where(flipped[active], 0.0 - mults, mults).tolist()),
     )
 
 
 def kkt_residual(problem: QpProblem, solution: QpSolution) -> float:
     """Worst violation among feasibility, stationarity and multiplier signs."""
-    rows = constraint_rows(problem)
-    x = np.asarray(solution.point)
-    c = np.asarray(problem.center)
-    worst = 0.0
-    for a, b, eq in rows:
-        s = _slack(a, b, x)
-        worst = max(worst, -s if not eq else abs(s))
-    grad = x - c
-    for idx, mult in zip(solution.active_set, solution.multipliers):
-        a, b, eq = rows[idx]
-        grad -= mult * a
-        if not eq:
-            worst = max(worst, -mult)
-    worst = max(worst, float(np.max(np.abs(grad))) if len(grad) else 0.0)
-    return worst
+    rows = _row_arrays(problem)
+    d = len(problem.center)
+    x = _padded(solution.point, d)
+    slacks = rows.slacks(x)
+    infeasible = np.where(rows.eq, np.abs(slacks), 0.0 - slacks)
+    mults = np.asarray(solution.multipliers, dtype=float)
+    active = np.asarray(solution.active_set, dtype=np.intp)[: len(mults)]
+    mults = mults[: len(active)]
+    pull = mults * rows.sign[active]
+    grad = x - _padded(problem.center, d)
+    np.subtract.at(grad, rows.i[active], pull)
+    np.add.at(grad, rows.j[active], pull)
+    return max(
+        0.0,
+        float(infeasible.max(initial=0.0)),
+        float((0.0 - mults[~rows.eq[active]]).max(initial=0.0)),
+        float(np.abs(grad[:d]).max(initial=0.0)),
+    )
 
 
 def solve_dykstra(
@@ -279,7 +371,7 @@ def solve_dykstra(
     active = tuple(
         idx
         for idx, (a, b, eq) in enumerate(rows)
-        if eq or abs(_slack(a, b, x)) <= 1e-8
+        if eq or abs(float(a @ x - b)) <= 1e-8
     )
     return QpSolution(tuple(float(v) for v in x), active, sweeps)
 

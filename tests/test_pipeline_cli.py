@@ -3,7 +3,10 @@ import json
 import pytest
 
 from conftest import FIXTURES, run_cli
-from llull.cli import EXIT_NOT_ADMISSIBLE, EXIT_PARSE, EXIT_VERIFY
+from llull.cli import EXIT_NOT_ADMISSIBLE, EXIT_NUMERICAL, EXIT_PARSE, EXIT_VERIFY
+from llull.matrix import read_matrix
+from llull.projection import project_details, turnout_qp
+from llull.qp import kkt_residual
 
 
 class TestRunCommand:
@@ -120,6 +123,45 @@ class TestRunCommand:
         monkeypatch.setattr(cli_mod, "run", raiser(NotAdmissible("boom")))
         code = cli_mod.main(["run", "tests/fixtures/royal1652.ballots"])
         assert code == EXIT_NOT_ADMISSIBLE
+
+
+    def test_numerical_failures_exit_code(self, monkeypatch, capsys):
+        import llull.cli as cli_mod
+        import llull.projection as projection_mod
+        from llull.errors import MaxIterations
+        from llull.qp import QpSolution
+
+        solve = projection_mod.solve_active_set
+
+        def no_convergence(problem, tol=1e-10):
+            raise MaxIterations("no convergence within 3 active-set steps")
+
+        monkeypatch.setattr(projection_mod, "solve_active_set", no_convergence)
+        code = cli_mod.main(["run", "tests/fixtures/royal1652.ballots"])
+        assert code == EXIT_NUMERICAL
+        assert "failed to converge" in capsys.readouterr().err
+
+        def overshoot(problem, tol=1e-10):
+            # pushes every turnout past 1, out of the intervals' range
+            solution = solve(problem, tol)
+            point = tuple(v + 2.0 for v in solution.point)
+            return QpSolution(point, solution.active_set, solution.iterations)
+
+        monkeypatch.setattr(projection_mod, "solve_active_set", overshoot)
+        code = cli_mod.main(["run", "tests/fixtures/royal1652.ballots"])
+        assert code == EXIT_NUMERICAL
+        assert "interval range law fails" in capsys.readouterr().err
+
+    def test_wide_matrix_that_broke_least_squares(self):
+        # A 20-candidate matrix on which a solver built on SVD least squares
+        # raised "SVD did not converge" (negative zeros in the working set).
+        path = "tests/fixtures/wide20_lstsq.csv"
+        r = run_cli("run", "--matrix", "--json", path)
+        assert r.returncode == 0, r.stderr
+        assert len(json.loads(r.stdout)["candidates"]) == 20
+        details = project_details(read_matrix((FIXTURES / "wide20_lstsq.csv").read_text()))
+        problem = turnout_qp(details.t, details.im)
+        assert kkt_residual(problem, details.pt.solution) <= 1e-9
 
 
 class TestVerifyCommand:

@@ -7,11 +7,15 @@ import pytest
 from llull.ballots import InterpretationRules, read_ballot_file
 from llull.closures import Variant, indirect_scores, variant_margins
 from llull.errors import Infeasible
+from llull.generate import random_matrix
 from llull.matrix import aggregate, turnouts
 from llull.ordering import admissible_order
 from llull.projection import intermediate_margins, turnout_qp
 from llull.qp import (
     QpProblem,
+    QpSolution,
+    _row_arrays,
+    constraint_rows,
     kkt_residual,
     problem_from_json,
     problem_to_json,
@@ -50,12 +54,73 @@ def random_feasible_problem(rng: random.Random, max_vars: int = 15) -> QpProblem
     return QpProblem(center, tuple(bounds), tuple(diffs))
 
 
+def matrix_problem(matrix) -> QpProblem:
+    vm = variant_margins(indirect_scores(matrix, Variant.MAIN), Variant.MAIN)
+    xi = admissible_order(vm, matrix.candidates)
+    return turnout_qp(turnouts(matrix), intermediate_margins(vm, xi))
+
+
 def royal_problem(royal_text) -> QpProblem:
     cands, ballots = read_ballot_file(royal_text)
-    matrix = aggregate(ballots, InterpretationRules(), cands)
-    vm = variant_margins(indirect_scores(matrix, Variant.MAIN), Variant.MAIN)
-    xi = admissible_order(vm, cands)
-    return turnout_qp(turnouts(matrix), intermediate_margins(vm, xi))
+    return matrix_problem(aggregate(ballots, InterpretationRules(), cands))
+
+
+def reference_rows(problem: QpProblem) -> list[tuple[list[float], float, bool]]:
+    """Dense rows (normal, rhs, is_equality), built one constraint at a time."""
+    d = len(problem.center)
+    rows = []
+
+    def normal(i, j, sign):
+        a = [0.0] * d
+        a[i] = sign
+        if j is not None:
+            a[j] = -sign
+        return a
+
+    for k, (lo, hi) in enumerate(problem.bounds):
+        if lo is not None and hi is not None and lo == hi:
+            rows.append((normal(k, None, 1.0), float(lo), True))
+            continue
+        if lo is not None:
+            rows.append((normal(k, None, 1.0), float(lo), False))
+        if hi is not None:
+            rows.append((normal(k, None, -1.0), -float(hi), False))
+    for i, j, lo, hi in problem.difference_constraints:
+        if lo == hi:
+            rows.append((normal(i, j, 1.0), float(lo), True))
+            continue
+        rows.append((normal(i, j, 1.0), float(lo), False))
+        rows.append((normal(i, j, -1.0), -float(hi), False))
+    return rows
+
+
+def reference_kkt_residual(problem: QpProblem, solution) -> float:
+    rows = reference_rows(problem)
+    x = solution.point
+    worst = 0.0
+    for a, b, eq in rows:
+        s = sum(ak * xk for ak, xk in zip(a, x)) - b
+        worst = max(worst, abs(s) if eq else -s)
+    grad = [xk - ck for xk, ck in zip(x, problem.center)]
+    for idx, mult in zip(solution.active_set, solution.multipliers):
+        a, _, eq = rows[idx]
+        grad = [g - mult * ak for g, ak in zip(grad, a)]
+        if not eq:
+            worst = max(worst, -mult)
+    return max([worst, *map(abs, grad)])
+
+
+def dense_row_arrays(problem: QpProblem) -> list[tuple[list[float], float, bool]]:
+    """The solver's row arrays, expanded to dense rows."""
+    rows = _row_arrays(problem)
+    d = len(problem.center)
+    out = []
+    for i, j, sign, rhs, eq in zip(rows.i, rows.j, rows.sign, rows.rhs, rows.eq):
+        a = [0.0] * (d + 1)
+        a[i] = float(sign)
+        a[j] = -float(sign)
+        out.append((a[:d], float(rhs), bool(eq)))
+    return out
 
 
 class TestActiveSet:
@@ -175,6 +240,53 @@ class TestActiveSet:
         moved = solve_active_set(permuted).point
         for k in range(d):
             assert moved[sigma[k]] == pytest.approx(base[k], abs=1e-9)
+
+
+class TestTallyScale:
+    """Turnout programs of the size a 20- or 30-candidate tally solves."""
+
+    @pytest.mark.parametrize("n, seed", [(20, 0), (20, 1), (30, 2)])
+    def test_random_matrix_programs(self, n, seed):
+        problem = matrix_problem(random_matrix(random.Random(seed), n))
+        assert len(problem.center) == n * (n - 1) // 2
+        first = solve_active_set(problem)
+        assert kkt_residual(problem, first) <= 1e-9
+        assert solve_active_set(problem) == first
+        reference = reference_rows(problem)
+        assert dense_row_arrays(problem) == reference
+        assert [
+            (a.tolist(), b, eq) for a, b, eq in constraint_rows(problem)
+        ] == reference
+
+
+class TestRows:
+    @pytest.mark.parametrize("seed", range(10))
+    def test_row_order_and_residual_match_loop_reference(self, seed):
+        problem = random_feasible_problem(random.Random(seed))
+        reference = reference_rows(problem)
+        assert dense_row_arrays(problem) == reference
+        assert [(a.tolist(), b, eq) for a, b, eq in constraint_rows(problem)] == reference
+        solution = solve_active_set(problem)
+        assert kkt_residual(problem, solution) == pytest.approx(
+            reference_kkt_residual(problem, solution), abs=1e-15
+        )
+
+    def test_residual_reads_every_law(self):
+        problem = QpProblem((0.0, 0.0), ((0.0, 1.0), (None, None)), ((0, 1, 0.5, 0.5),))
+        point = (0.25, -0.5)  # lower bound met, difference off by 0.25
+        assert kkt_residual(problem, QpSolution(point, (), 0)) == pytest.approx(0.5)
+        # a negative inequality multiplier counts, a signed equality one does not
+        solution = QpSolution((0.5, 0.0), (0, 2), 0, (-0.25, -0.5))
+        assert kkt_residual(problem, solution) == pytest.approx(
+            reference_kkt_residual(problem, solution), abs=1e-15
+        )
+
+    def test_no_rows(self):
+        problem = QpProblem((1.0, -2.0))
+        assert constraint_rows(problem) == []
+        solution = solve_active_set(problem)
+        assert solution.point == (1.0, -2.0)
+        assert kkt_residual(problem, solution) == 0.0
 
 
 class TestDykstra:

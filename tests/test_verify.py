@@ -36,6 +36,22 @@ def pcs(pcs_text):
     return read_ballot_file(pcs_text)
 
 
+class TestCandidateNames:
+    def test_up_to_26_single_letters(self):
+        for n in (1, 6, 26):
+            assert candidate_names(n).names == tuple("abcdefghijklmnopqrstuvwxyz"[:n])
+
+    @pytest.mark.parametrize("n", [30, 60])
+    def test_names_continue_past_z(self, n):
+        names = candidate_names(n).names
+        assert len(names) == len(set(names)) == n
+        assert names[25:30] == ("z", "aa", "ab", "ac", "ad")
+        if n == 60:
+            assert names[50:53] == ("ay", "az", "ba")
+        matrix = random_matrix(random.Random(n), n)
+        assert matrix.n == len(matrix.candidates) == n
+
+
 class TestChecks:
     def test_royal_order_independence_counts_orders(self, royal_text):
         cands, ballots = read_ballot_file(royal_text)
