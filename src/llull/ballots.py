@@ -13,9 +13,10 @@ between two groups.  Everything left of the ``/`` counts as approved.  A lone
 from __future__ import annotations
 
 import enum
+import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .errors import (
     DuplicateCandidate,
@@ -118,31 +119,22 @@ class Ballot:
         )
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # 'name', '>', '=', '/', ':'
     text: str
     column: int  # 1-based
 
 
+_TOKEN = re.compile(r"[>=/:]|[^\s>=/:#]+")
+_PUNCTUATION = frozenset(">=/:")
+
+
 def _tokenize(text: str, offset: int = 0) -> list[_Token]:
-    tokens = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-        elif ch in ">=/:":
-            tokens.append(_Token(ch, ch, offset + i + 1))
-            i += 1
-        elif ch == "#":
-            break
-        else:
-            start = i
-            while i < len(text) and not text[i].isspace() and text[i] not in RESERVED:
-                i += 1
-            tokens.append(_Token("name", text[start:i], offset + start + 1))
-    return tokens
+    """Tokens of ``text`` up to its first ``#``; columns are shifted by ``offset``."""
+    return [
+        _Token(m[0] if m[0] in _PUNCTUATION else "name", m[0], offset + m.start() + 1)
+        for m in _TOKEN.finditer(text.split("#", 1)[0])
+    ]
 
 
 def parse_ballot_line(
@@ -262,7 +254,9 @@ def ballot_to_pairwise(
 
     A pair listed in distinct groups contributes a full point to the higher
     one; a tied listed pair contributes half a point each way.  Pairs with
-    one or both members unlisted follow ``rules``.
+    one or both members unlisted follow ``rules``.  ``matrix.aggregate``
+    counts the same contributions over whole profiles; this per-ballot form
+    is the reference its tests compare against.
     """
     groups = effective_groups(ballot)
     listed = [c for group in groups for c in group]

@@ -2,11 +2,22 @@
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import Iterable, Sequence
 
-from .ballots import Ballot, CandidateSet, InterpretationRules, ballot_to_pairwise
+import numpy as np
+
+from .ballots import (
+    Ballot,
+    CandidateSet,
+    InterpretationRules,
+    Listed,
+    Unlisted,
+    effective_groups,
+)
 from .errors import MatrixFormatError, TotalVotersTooSmall
 
 Grid = tuple[tuple[Fraction, ...], ...]
@@ -75,6 +86,67 @@ class MarginMatrix:
     m: Grid
 
 
+def check_total_voters(
+    candidates: CandidateSet, counts: Sequence[Sequence[Fraction]], total: Fraction
+) -> None:
+    """Raise unless every pair's absolute turnout is at most ``total``."""
+    n = len(candidates)
+    for x in range(n):
+        for y in range(x + 1, n):
+            turnout = counts[x][y] + counts[y][x]
+            if turnout > total:
+                raise TotalVotersTooSmall(
+                    f"pair ({candidates.names[x]}, {candidates.names[y]}) has "
+                    f"absolute turnout {turnout} > V = {total}"
+                )
+
+
+def _half_votes(kinds: Counter, rules: InterpretationRules, n: int) -> np.ndarray:
+    """Integer half-vote counts ``h[x, y]`` of equally weighted ballot kinds.
+
+    ``kinds`` counts ballots by their effective groups.  A listed candidate
+    ranks at its group index and an unlisted one at the number of groups, so
+    ``x`` over ``y`` earns two half-votes per ballot where it ranks strictly
+    higher and one where the two tie; ``rules`` drop the comparisons that
+    involve unlisted candidates.  A count is at most twice the number of
+    ballots, so int64 is exact.
+    """
+
+    def rank_row(groups):
+        row = [len(groups)] * n
+        for gi, group in enumerate(groups):
+            for c in group:
+                row[c] = gi
+        return row
+
+    k = len(kinds)
+    flat = chain.from_iterable(map(rank_row, kinds))
+    ranks = np.fromiter(flat, dtype=np.int16, count=n * k).reshape(k, n).T
+    listed = ranks < np.fromiter(map(len, kinds), dtype=np.int16, count=k)
+    mult = np.fromiter(kinds.values(), dtype=np.int64, count=k)
+    # Ranks tie either inside a listed group or between two unlisted
+    # candidates, and rank strictly higher either over a later listed group
+    # or, from a listed candidate, over an unlisted one.
+    unlisted_tie = rules.unlisted_pair is Unlisted.TIED
+    over_unlisted = rules.listed_vs_unlisted is Listed.PREFERRED
+    half = np.zeros((n, n), dtype=np.int64)
+    for x in range(n):
+        rx = ranks[x]
+        for y in range(x + 1, n):
+            ry = ranks[y]
+            tie = rx == ry
+            if not unlisted_tie:
+                tie &= listed[x]
+            above, below = rx < ry, ry < rx
+            if not over_unlisted:
+                above &= listed[y]
+                below &= listed[x]
+            ties = mult @ tie
+            half[x, y] = 2 * (mult @ above) + ties
+            half[y, x] = 2 * (mult @ below) + ties
+    return half
+
+
 def aggregate(
     profile: Iterable[Ballot],
     rules: InterpretationRules,
@@ -83,29 +155,30 @@ def aggregate(
 ) -> LlullMatrix:
     """Sum weighted ballot contributions into a relative Llull matrix.
 
-    The denominator defaults to the sum of ballot weights; an explicit
-    ``total_voters`` must cover every absolute turnout.
+    Ballots are counted as distinct kinds per weight, in integer half-votes,
+    and each weight enters once per matrix cell; ``ballot_to_pairwise`` is
+    the per-ballot reference for the same counts.  The denominator defaults
+    to the sum of ballot weights; an explicit ``total_voters`` must cover
+    every absolute turnout.
     """
     n = len(candidates)
+    by_weight: dict[Fraction, Counter] = {}
+    for ballot in profile:
+        by_weight.setdefault(ballot.weight, Counter())[effective_groups(ballot)] += 1
+
     counts = [[Fraction(0)] * n for _ in range(n)]
     weight_sum = Fraction(0)
-    for ballot in profile:
-        weight_sum += ballot.weight
-        for (x, y), c in ballot_to_pairwise(ballot, rules, candidates).items():
-            counts[x][y] += ballot.weight * c
+    for weight, kinds in by_weight.items():
+        weight_sum += weight * sum(kinds.values())
+        half = _half_votes(kinds, rules, n)
+        for x, y in zip(*np.nonzero(half)):
+            counts[x][y] += weight * Fraction(int(half[x, y]), 2)
 
     if total_voters is None:
         total = weight_sum if weight_sum > 0 else Fraction(1)
     else:
         total = Fraction(total_voters)
-        for x in range(n):
-            for y in range(x + 1, n):
-                turnout = counts[x][y] + counts[y][x]
-                if turnout > total:
-                    raise TotalVotersTooSmall(
-                        f"pair ({candidates.names[x]}, {candidates.names[y]}) has "
-                        f"absolute turnout {turnout} > V = {total}"
-                    )
+        check_total_voters(candidates, counts, total)
     return LlullMatrix.from_absolute(candidates, counts, total)
 
 

@@ -15,8 +15,7 @@ from .ballots import (
     read_ballot_file,
 )
 from .closures import Variant
-from .errors import TotalVotersTooSmall
-from .matrix import LlullMatrix, aggregate, read_matrix
+from .matrix import LlullMatrix, aggregate, check_total_voters, read_matrix
 from .projection import ProjectionDetails, project_details
 from .rates import RankLikeRates, RateFormula, SocialRanking, rank_like_rates, social_ranking
 
@@ -51,7 +50,7 @@ def tally(
 ) -> TallyResult:
     details = project_details(matrix, variant)
     rates = rank_like_rates(details.pm, formula)
-    ranking = social_ranking(rates, details.pm)
+    ranking = social_ranking(details.im)
     return TallyResult(matrix, details, rates, ranking)
 
 
@@ -74,13 +73,7 @@ def load_input(text: str, config: RunConfig) -> LlullMatrix:
                 [matrix.absolute(x, y) for y in range(matrix.n)]
                 for x in range(matrix.n)
             ]
-            for x in range(matrix.n):
-                for y in range(x + 1, matrix.n):
-                    if counts[x][y] + counts[y][x] > total:
-                        raise TotalVotersTooSmall(
-                            f"turnout of pair ({matrix.candidates.names[x]}, "
-                            f"{matrix.candidates.names[y]}) exceeds V = {total}"
-                        )
+            check_total_voters(matrix.candidates, counts, total)
             matrix = LlullMatrix.from_absolute(matrix.candidates, counts, total)
         return matrix
     candidates, ballots = read_ballot_file(text)

@@ -5,9 +5,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .projection import ProjectedMatrix
-
-TIE_TOL = 1e-9  # ties are read off projected-score equality, not rate equality
+from .projection import IntermediateMargins, ProjectedMatrix
 
 
 class RateFormula(enum.Enum):
@@ -56,21 +54,18 @@ class SocialRanking:
         raise KeyError(x)
 
 
-def social_ranking(r: RankLikeRates, pm: ProjectedMatrix) -> SocialRanking:
-    """Group candidates that are exactly tied, ordered by increasing rate.
+def social_ranking(im: IntermediateMargins) -> SocialRanking:
+    """Group candidates that are exactly tied, best first along the order.
 
-    Two candidates tie exactly when their opposed projected scores are
-    equal; equality of rates follows from that but is noisier, so the
-    grouping tests the scores.
+    Consecutive candidates in the admissible order have the projected
+    margin of their superdiagonal rectangle margin, so they tie exactly
+    when that rational is 0; the float scores and rates are not consulted.
     """
-    n = pm.n
-    by_rate = sorted(range(n), key=lambda x: (r.rates[x], x))
-    groups: list[list[int]] = []
-    for x in by_rate:
-        if groups:
-            head = groups[-1][0]
-            if abs(pm.pi[head][x] - pm.pi[x][head]) <= TIE_TOL:
-                groups[-1].append(x)
-                continue
-        groups.append([x])
+    seq = im.order.sequence
+    groups = [[seq[0]]]
+    for x, margin in zip(seq[1:], im.superdiagonal):
+        if margin == 0:
+            groups[-1].append(x)
+        else:
+            groups.append([x])
     return SocialRanking(tuple(tuple(sorted(g)) for g in groups))

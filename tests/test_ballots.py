@@ -10,6 +10,7 @@ from llull.ballots import (
     InterpretationRules,
     Listed,
     Unlisted,
+    _tokenize,
     ballot_to_pairwise,
     parse_ballot_line,
     read_ballot_file,
@@ -17,6 +18,7 @@ from llull.ballots import (
     serialize_ballot_file,
 )
 from llull.errors import (
+    BallotError,
     DuplicateCandidate,
     MalformedSyntax,
     NonPositiveWeight,
@@ -95,6 +97,77 @@ class TestParsing:
     def test_malformed(self, text):
         with pytest.raises(MalformedSyntax):
             parse_ballot_line(text, ABC)
+
+
+def kinds_texts_columns(text, offset=0):
+    return [(t.kind, t.text, t.column) for t in _tokenize(text, offset)]
+
+
+class TestTokenizer:
+    """Token kinds, texts and 1-based columns, and the error positions they
+    give, for lines with unusual separators and punctuation."""
+
+    @pytest.mark.parametrize(
+        "text, tokens",
+        [
+            (
+                "a\u00a0>\u2003b\u3000=c",
+                [("name", "a", 1), (">", ">", 3), ("name", "b", 5), ("=", "=", 7),
+                 ("name", "c", 8)],
+            ),
+            ("a > b # c > a", [("name", "a", 1), (">", ">", 3), ("name", "b", 5)]),
+            ("a>b#c", [("name", "a", 1), (">", ">", 2), ("name", "b", 3)]),
+            (
+                "1/2: a>b",
+                [("name", "1", 1), ("/", "/", 2), ("name", "2", 3), (":", ":", 4),
+                 ("name", "a", 6), (">", ">", 7), ("name", "b", 8)],
+            ),
+            ("2 : a", [("name", "2", 1), (":", ":", 3), ("name", "a", 5)]),
+            ("a>=b", [("name", "a", 1), (">", ">", 2), ("=", "=", 3), ("name", "b", 4)]),
+            ("a>", [("name", "a", 1), (">", ">", 2)]),
+            ("a=", [("name", "a", 1), ("=", "=", 2)]),
+            ("//", [("/", "/", 1), ("/", "/", 2)]),
+            ("\u3000", []),
+            ("#a>b", []),
+        ],
+    )
+    def test_tokens(self, text, tokens):
+        assert kinds_texts_columns(text) == tokens
+
+    def test_offset_shifts_columns(self):
+        assert kinds_texts_columns(" a>b", 4) == [
+            ("name", "a", 6), (">", ">", 7), ("name", "b", 8)
+        ]
+
+    @pytest.mark.parametrize(
+        "text, column",
+        [
+            ("a>=b", 3),
+            ("a>", 2),
+            ("a=", 2),
+            ("//", 2),
+            ("a\u00a0>", 3),
+            ("b = \u3000", 5),
+            (" 2 :\u2003a>#b", 9),
+            ("a\u2003>\u2003z", 5),
+            ("1/2: a>a", 8),
+        ],
+    )
+    def test_error_line_and_column(self, text, column):
+        with pytest.raises(BallotError) as err:
+            parse_ballot_line(text, ABC, line=4)
+        assert (err.value.line, err.value.column) == (4, column)
+
+    def test_weights_and_separators_parse(self):
+        assert parse_ballot_line("1/2: a>b", ABC) == Ballot(((0,), (1,)), None, Fraction(1, 2))
+        assert parse_ballot_line("2 : a", ABC) == Ballot(((0,),), None, Fraction(2))
+        assert parse_ballot_line("a\u00a0>\u2003b\u3000=c", ABC) == Ballot(((0,), (1, 2)))
+        assert parse_ballot_line("a > b # c > a", ABC) == Ballot(((0,), (1,)))
+
+    def test_file_error_position(self):
+        with pytest.raises(MalformedSyntax) as err:
+            read_ballot_file("candidates: a b c\n\n2:\u3000a\u00a0> # b\n")
+        assert (err.value.line, err.value.column) == (3, 7)
 
 
 class TestPairwise:
@@ -180,8 +253,12 @@ names = st.lists(
 
 
 @st.composite
-def ballots(draw):
-    cands = CandidateSet(draw(names))
+def ballots(draw, cands=None, weights=None):
+    """A candidate set and one ballot over it: truncated, tied, with or
+    without an approval cutoff.  ``cands`` fixes the set and ``weights``
+    the weights to choose from."""
+    if cands is None:
+        cands = CandidateSet(draw(names))
     n = len(cands)
     chosen = draw(st.permutations(range(n)))
     keep = draw(st.integers(0, n))
@@ -195,7 +272,10 @@ def ballots(draw):
     cut = draw(st.sampled_from([None, *range(len(groups) + 1)]))
     if not groups and cut is None:
         cut = 0
-    weight = Fraction(draw(st.integers(1, 9)), draw(st.integers(1, 4)))
+    if weights is None:
+        weight = Fraction(draw(st.integers(1, 9)), draw(st.integers(1, 4)))
+    else:
+        weight = draw(st.sampled_from(weights))
     return cands, Ballot(tuple(tuple(sorted(g)) for g in groups), cut, weight)
 
 

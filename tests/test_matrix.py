@@ -1,12 +1,23 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from llull.ballots import CandidateSet, InterpretationRules, read_ballot_file
+from llull.ballots import (
+    CandidateSet,
+    InterpretationRules,
+    Listed,
+    Unlisted,
+    ballot_to_pairwise,
+    read_ballot_file,
+)
 from llull.errors import MatrixFormatError, TotalVotersTooSmall
 from llull.matrix import LlullMatrix, aggregate, margins, read_matrix, turnouts, write_matrix
+from test_ballots import ballots, names
 
 RULES = InterpretationRules()
+ALL_RULES = [InterpretationRules(listed, unlisted) for listed in Listed for unlisted in Unlisted]
 
 
 @pytest.fixture(scope="module")
@@ -161,3 +172,51 @@ class TestScaleAndPermutation:
             for y in range(6):
                 if x != y:
                     assert permuted.scores[sigma[x]][sigma[y]] == matrix.scores[x][y]
+
+
+WEIGHTS = (Fraction(1), Fraction(1, 2), Fraction(2, 3), Fraction(2**70))
+
+
+@st.composite
+def profiles(draw):
+    """Ballot kinds over one candidate set, each cast one to three times,
+    in shuffled order, with an optional explicit voter total as a multiple
+    of the weight sum."""
+    cands = CandidateSet(draw(names))
+    profile = []
+    for _, ballot in draw(st.lists(ballots(cands, WEIGHTS), max_size=8)):
+        profile += [ballot] * draw(st.integers(1, 3))
+    profile = draw(st.permutations(profile))
+    scale = draw(st.sampled_from([None, Fraction(1, 2), Fraction(1), Fraction(3)]))
+    weight_sum = sum((b.weight for b in profile), Fraction(0))
+    total = None if scale is None else scale * max(weight_sum, Fraction(1))
+    return cands, profile, total
+
+
+def pairwise_reference(profile, rules, cands):
+    """Absolute counts summed ballot by ballot from ``ballot_to_pairwise``."""
+    n = len(cands)
+    counts = [[Fraction(0)] * n for _ in range(n)]
+    for ballot in profile:
+        for (x, y), c in ballot_to_pairwise(ballot, rules, cands).items():
+            counts[x][y] += ballot.weight * c
+    return counts
+
+
+@given(profiles())
+@settings(max_examples=150, deadline=None)
+def test_aggregate_matches_per_ballot_reference(case):
+    cands, profile, total = case
+    n = len(cands)
+    for rules in ALL_RULES:
+        counts = pairwise_reference(profile, rules, cands)
+        if total is None:
+            weight_sum = sum((b.weight for b in profile), Fraction(0))
+            expected = LlullMatrix.from_absolute(cands, counts, weight_sum or Fraction(1))
+        elif any(counts[x][y] + counts[y][x] > total for x in range(n) for y in range(n)):
+            with pytest.raises(TotalVotersTooSmall):
+                aggregate(profile, rules, cands, total)
+            continue
+        else:
+            expected = LlullMatrix.from_absolute(cands, counts, total)
+        assert aggregate(profile, rules, cands, total) == expected

@@ -42,6 +42,21 @@ class TestRunCommand:
         assert wide["total_voters"] == "8"
         assert wide["rates"]["a"] == pytest.approx(1.75, abs=1e-9)  # toward worst
 
+    def test_matrix_total_voters_below_a_turnout(self, tmp_path):
+        f = tmp_path / "m.csv"
+        f.write_text("a,b,c\nV=4\n*,2,1\n1,*,0\n0,1,*\n")
+        r = run_cli("run", "--matrix", "--total-voters", "2", str(f))
+        assert r.returncode == EXIT_PARSE
+        assert "pair (a, b) has absolute turnout 3 > V = 2" in r.stderr
+
+    def test_one_vote_margin_is_not_a_tie(self, tmp_path):
+        # a beats b by one vote in ten billion; the ranking keeps them apart
+        f = tmp_path / "close.ballots"
+        f.write_text("5000000001: a>b\n5000000000: b>a\n3: c\n")
+        r = run_cli("run", str(f))
+        assert r.returncode == 0
+        assert "ranking: a > b > c" in r.stdout
+
     def test_variant_and_formula_flags(self):
         r = run_cli(
             "run", "--variant", "margin-based", "--formula", "alt", "--json",

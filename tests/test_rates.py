@@ -10,7 +10,7 @@ from llull.generate import random_matrix
 from llull.matrix import aggregate, read_matrix
 from llull.pipeline import tally
 from llull.projection import project, project_details
-from llull.rates import RateFormula, rank_like_rates, social_ranking
+from llull.rates import RateFormula, rank_like_rates
 
 RULES = InterpretationRules()
 
@@ -133,3 +133,24 @@ class TestSocialRanking:
             for y in flat[i + 1 :]:
                 if result.ranking.position(x) != result.ranking.position(y):
                     assert pm.pi[x][y] > pm.pi[y][x] + 1e-9
+
+    @pytest.mark.parametrize("variant", list(Variant))
+    @pytest.mark.parametrize("seed", range(25))
+    def test_groups_are_runs_of_zero_projected_margins(self, seed, variant):
+        # Small denominators make many exact ties.  Neighbours in a group have
+        # equal projected scores; members further apart agree up to the float
+        # noise of the turnout program.
+        rng = random.Random(900 + seed)
+        matrix = random_matrix(rng, 3 + seed % 5, denominator=2 + seed % 4)
+        result = tally(matrix, variant)
+        pm, seq = result.details.pm, result.details.xi.sequence
+        for i, margin in enumerate(result.details.im.superdiagonal):
+            assert (margin == 0) == (pm.margin(seq[i], seq[i + 1]) == 0)
+        flat = [x for g in result.ranking.groups for x in g]
+        assert sorted(flat) == list(range(matrix.n))
+        for i, x in enumerate(flat):
+            for y in flat[i + 1 :]:
+                if result.ranking.position(x) == result.ranking.position(y):
+                    assert pm.pi[x][y] == pytest.approx(pm.pi[y][x], abs=1e-9)
+                else:
+                    assert pm.pi[x][y] > pm.pi[y][x]
