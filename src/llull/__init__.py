@@ -46,8 +46,6 @@ from .errors import (
 )
 from .matrix import (
     LlullMatrix,
-    MarginMatrix,
-    TurnoutMatrix,
     aggregate,
     margins,
     read_matrix,
@@ -62,7 +60,7 @@ from .ordering import (
     copeland_ranks,
     enumerate_admissible_orders,
 )
-from .pipeline import RunConfig, TallyResult, run, tally, tally_ballots
+from .pipeline import RunConfig, TallyResult, run, tally
 from .projection import (
     IntermediateMargins,
     ProjectedMatrix,

@@ -98,10 +98,15 @@ def _cmd_run(args) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
+    try:
+        total_voters = None if args.total_voters is None else Fraction(args.total_voters)
+    except (ValueError, ZeroDivisionError):
+        print(f"error: cannot read the voter total {args.total_voters!r}", file=sys.stderr)
+        return EXIT_PARSE
     config = RunConfig(
         variant=parse_variant(args.variant),
         rules=parse_rules(args.listed_vs_unlisted, args.unlisted_pair),
-        total_voters=None if args.total_voters is None else Fraction(args.total_voters),
+        total_voters=total_voters,
         formula=parse_formula(args.formula),
         json_output=args.json,
         intermediates=args.intermediates,

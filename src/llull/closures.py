@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import MissingClosure
-from .matrix import Grid, LlullMatrix, MarginMatrix, margins
+from .matrix import Grid, LlullMatrix, margins
 
 
 class Variant(enum.Enum):
@@ -86,7 +86,7 @@ class IndirectScores:
 def margin_completion(matrix: LlullMatrix) -> LlullMatrix:
     """Replace each missing comparison by a proper tie: v' = (1 + m) / 2."""
     n = matrix.n
-    m = margins(matrix).m
+    m = margins(matrix.scores)
     scores = tuple(
         tuple((1 + m[x][y]) / 2 if x != y else Fraction(0) for y in range(n))
         for x in range(n)
@@ -109,14 +109,6 @@ class VariantMargins:
     variant: Variant
 
 
-def _grid_margins(w: Grid) -> Grid:
-    n = len(w)
-    return tuple(
-        tuple(w[x][y] - w[y][x] if x != y else Fraction(0) for y in range(n))
-        for x in range(n)
-    )
-
-
 def variant_margins(scores: IndirectScores, variant: Variant) -> VariantMargins:
     """Margins used by steps downstream of the closure.
 
@@ -130,14 +122,14 @@ def variant_margins(scores: IndirectScores, variant: Variant) -> VariantMargins:
             f"closures were computed for {scores.variant.value}, not {variant.value}"
         )
     if variant in (Variant.MAIN, Variant.MARGIN_BASED):
-        return VariantMargins(_grid_margins(scores.vstar), variant)
+        return VariantMargins(margins(scores.vstar), variant)
     if scores.vbar is None:
         raise MissingClosure(f"{variant.value} variant needs the min-max closure")
     if variant is Variant.CODUAL:
-        return VariantMargins(_grid_margins(scores.vbar), variant)
+        return VariantMargins(margins(scores.vbar), variant)
 
-    mstar = _grid_margins(scores.vstar)
-    mbar = _grid_margins(scores.vbar)
+    mstar = margins(scores.vstar)
+    mbar = margins(scores.vbar)
     n = len(mstar)
     out = [[Fraction(0)] * n for _ in range(n)]
     for x in range(n):

@@ -23,10 +23,6 @@ from .errors import MatrixFormatError, TotalVotersTooSmall
 Grid = tuple[tuple[Fraction, ...], ...]
 
 
-def _as_grid(rows: Sequence[Sequence[Fraction]]) -> Grid:
-    return tuple(tuple(Fraction(x) for x in row) for row in rows)
-
-
 @dataclass(frozen=True)
 class LlullMatrix:
     """Relative pairwise scores v[x][y] with v_xy + v_yx <= 1."""
@@ -37,7 +33,8 @@ class LlullMatrix:
 
     def __post_init__(self):
         n = len(self.candidates)
-        object.__setattr__(self, "scores", _as_grid(self.scores))
+        scores = tuple(tuple(Fraction(x) for x in row) for row in self.scores)
+        object.__setattr__(self, "scores", scores)
         object.__setattr__(self, "total", Fraction(self.total))
         if self.total <= 0:
             raise ValueError("total voters must be positive")
@@ -64,26 +61,17 @@ class LlullMatrix:
     def from_absolute(
         cls, candidates: CandidateSet, counts: Sequence[Sequence[Fraction]], total: Fraction
     ) -> "LlullMatrix":
+        """Divide absolute counts by the voter total, which must be positive
+        and cover every pair's absolute turnout."""
         total = Fraction(total)
+        if total <= 0:
+            raise TotalVotersTooSmall(f"the voter total V = {total} is not positive")
+        check_total_voters(candidates, counts, total)
         rel = [
-            [Fraction(c) / total if i != j else Fraction(0) for j, c in enumerate(row)]
+            [c / total if i != j else Fraction(0) for j, c in enumerate(row)]
             for i, row in enumerate(counts)
         ]
-        return cls(candidates, _as_grid(rel), total)
-
-
-@dataclass(frozen=True)
-class TurnoutMatrix:
-    """Symmetric per-pair turnouts t_xy = v_xy + v_yx."""
-
-    t: Grid
-
-
-@dataclass(frozen=True)
-class MarginMatrix:
-    """Antisymmetric per-pair margins m_xy = v_xy - v_yx."""
-
-    m: Grid
+        return cls(candidates, rel, total)
 
 
 def check_total_voters(
@@ -175,36 +163,25 @@ def aggregate(
             counts[x][y] += weight * Fraction(int(half[x, y]), 2)
 
     if total_voters is None:
-        total = weight_sum if weight_sum > 0 else Fraction(1)
-    else:
-        total = Fraction(total_voters)
-        check_total_voters(candidates, counts, total)
-    return LlullMatrix.from_absolute(candidates, counts, total)
+        total_voters = weight_sum if weight_sum > 0 else Fraction(1)
+    return LlullMatrix.from_absolute(candidates, counts, total_voters)
 
 
-def turnouts(matrix: LlullMatrix) -> TurnoutMatrix:
-    n = matrix.n
-    v = matrix.scores
-    return TurnoutMatrix(
-        _as_grid(
-            [
-                [v[x][y] + v[y][x] if x != y else Fraction(0) for y in range(n)]
-                for x in range(n)
-            ]
-        )
+def turnouts(v: Grid) -> Grid:
+    """Symmetric per-pair turnouts t_xy = v_xy + v_yx of a score grid."""
+    n = len(v)
+    return tuple(
+        tuple(v[x][y] + v[y][x] if x != y else Fraction(0) for y in range(n))
+        for x in range(n)
     )
 
 
-def margins(matrix: LlullMatrix) -> MarginMatrix:
-    n = matrix.n
-    v = matrix.scores
-    return MarginMatrix(
-        _as_grid(
-            [
-                [v[x][y] - v[y][x] if x != y else Fraction(0) for y in range(n)]
-                for x in range(n)
-            ]
-        )
+def margins(v: Grid) -> Grid:
+    """Antisymmetric per-pair margins m_xy = v_xy - v_yx of a score grid."""
+    n = len(v)
+    return tuple(
+        tuple(v[x][y] - v[y][x] if x != y else Fraction(0) for y in range(n))
+        for x in range(n)
     )
 
 
@@ -216,8 +193,8 @@ def margins(matrix: LlullMatrix) -> MarginMatrix:
 
 
 def read_matrix(text: str) -> LlullMatrix:
-    header: list[str] | None = None
-    total: Fraction | None = None
+    header: tuple[str, ...] | None = None
+    total, total_line = Fraction(1), None
     rows: list[list[Fraction]] = []
     row_lines: list[int] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -229,11 +206,18 @@ def read_matrix(text: str) -> LlullMatrix:
                 total = Fraction(line.split("=", 1)[1].strip())
             except (ValueError, ZeroDivisionError):
                 raise MatrixFormatError("cannot read the voter total", lineno) from None
+            total_line = lineno
             continue
         cells = [c.strip() for c in line.split(",")]
         if header is None:
-            header = cells
+            try:
+                candidates = CandidateSet(cells)
+            except ValueError as exc:
+                raise MatrixFormatError(str(exc), lineno) from None
+            header = candidates.names
             continue
+        if len(rows) == len(header):
+            raise MatrixFormatError(f"expected {len(header)} rows, found more", lineno)
         if len(cells) == len(header) + 1 and cells[0] == header[len(rows)]:
             cells = cells[1:]  # row label column
         if len(cells) != len(header):
@@ -258,11 +242,10 @@ def read_matrix(text: str) -> LlullMatrix:
         raise MatrixFormatError(
             f"expected {len(header)} rows, found {len(rows)}", row_lines[-1] if row_lines else 1
         )
-    candidates = CandidateSet(header)
-    if total is None:
-        total = Fraction(1)
     try:
         return LlullMatrix.from_absolute(candidates, rows, total)
+    except TotalVotersTooSmall as exc:
+        raise MatrixFormatError(str(exc), total_line or row_lines[0]) from None
     except ValueError as exc:
         raise MatrixFormatError(str(exc), row_lines[0]) from None
 

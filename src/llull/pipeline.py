@@ -6,16 +6,9 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .ballots import (
-    Ballot,
-    CandidateSet,
-    InterpretationRules,
-    Listed,
-    Unlisted,
-    read_ballot_file,
-)
+from .ballots import CandidateSet, InterpretationRules, Listed, Unlisted, read_ballot_file
 from .closures import Variant
-from .matrix import LlullMatrix, aggregate, check_total_voters, read_matrix
+from .matrix import LlullMatrix, aggregate, read_matrix
 from .projection import ProjectionDetails, project_details
 from .rates import RankLikeRates, RateFormula, SocialRanking, rank_like_rates, social_ranking
 
@@ -54,27 +47,16 @@ def tally(
     return TallyResult(matrix, details, rates, ranking)
 
 
-def tally_ballots(
-    candidates: CandidateSet,
-    ballots: list[Ballot],
-    config: RunConfig,
-) -> TallyResult:
-    matrix = aggregate(ballots, config.rules, candidates, config.total_voters)
-    return tally(matrix, config.variant, config.formula)
-
-
 def load_input(text: str, config: RunConfig) -> LlullMatrix:
     """Interpret input text per the config: score matrix or ballot file."""
     if config.matrix_input:
         matrix = read_matrix(text)
         if config.total_voters is not None:
-            total = Fraction(config.total_voters)
             counts = [
                 [matrix.absolute(x, y) for y in range(matrix.n)]
                 for x in range(matrix.n)
             ]
-            check_total_voters(matrix.candidates, counts, total)
-            matrix = LlullMatrix.from_absolute(matrix.candidates, counts, total)
+            matrix = LlullMatrix.from_absolute(matrix.candidates, counts, config.total_voters)
         return matrix
     candidates, ballots = read_ballot_file(text)
     return aggregate(ballots, config.rules, candidates, config.total_voters)
@@ -140,11 +122,11 @@ def _intermediates_json(details: ProjectionDetails) -> dict:
     ]
     return {
         "v": _frac_grid(details.matrix.scores),
-        "t": _frac_grid(details.t.t),
+        "t": _frac_grid(details.t),
         "vstar": _frac_grid(details.scores.vstar),
         "vbar": None if details.scores.vbar is None else _frac_grid(details.scores.vbar),
         "m": _frac_grid(details.vm.m),
-        "copeland": [str(r) for r in details.copeland],
+        "copeland": [str(r) for r in details.xi.copeland],
         "xi": [names[x] for x in seq],
         "msigma": ordered_msigma,
         "tausigma": ordered_tsigma,

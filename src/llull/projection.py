@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 
 from .ballots import CandidateSet
 from .closures import (
@@ -22,9 +23,12 @@ from .closures import (
     variant_margins,
 )
 from .errors import LawViolation
-from .matrix import Grid, LlullMatrix, TurnoutMatrix, turnouts
+from .matrix import Grid, LlullMatrix, turnouts
 from .ordering import AdmissibleOrder, admissible_order
 from .qp import QpProblem, QpSolution, solve_active_set
+
+# Float slack of the laws checked after the turnout program.
+LAW_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -64,14 +68,11 @@ def intermediate_margins(vm: VariantMargins, xi: AdmissibleOrder) -> Intermediat
 
 
 def _pair_index(n: int) -> dict[tuple[int, int], int]:
-    index = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            index[(i, j)] = len(index)
-    return index
+    """Variable index of each position pair i < j, in ``combinations`` order."""
+    return {pair: k for k, pair in enumerate(combinations(range(n), 2))}
 
 
-def turnout_qp(t: TurnoutMatrix, im: IntermediateMargins) -> QpProblem:
+def turnout_qp(t: Grid, im: IntermediateMargins) -> QpProblem:
     """Build the nearest-point program for the intermediate turnouts.
 
     Variables are unordered position pairs; the ordered-pair objective of
@@ -82,7 +83,7 @@ def turnout_qp(t: TurnoutMatrix, im: IntermediateMargins) -> QpProblem:
     pairs = _pair_index(n)
     center = [0.0] * len(pairs)
     for (i, j), k in pairs.items():
-        center[k] = float(t.t[seq[i]][seq[j]])
+        center[k] = float(t[seq[i]][seq[j]])
     bounds: list[tuple[float | None, float | None]] = [(None, None)] * len(pairs)
     diffs: list[tuple[int, int, float, float]] = []
     for i, margin in enumerate(im.superdiagonal):
@@ -106,16 +107,12 @@ class ProjectedTurnouts:
     solution: QpSolution
 
 
-def project_turnouts(
-    t: TurnoutMatrix, im: IntermediateMargins, tol: float = 1e-10
-) -> ProjectedTurnouts:
+def project_turnouts(t: Grid, im: IntermediateMargins) -> ProjectedTurnouts:
     n = len(im.order.sequence)
-    problem = turnout_qp(t, im)
-    solution = solve_active_set(problem, tol=tol)
-    pairs = _pair_index(n)
+    solution = solve_active_set(turnout_qp(t, im))
     grid = [[0.0] * n for _ in range(n)]
-    for (i, j), k in pairs.items():
-        grid[i][j] = grid[j][i] = solution.point[k]
+    for (i, j), x in zip(combinations(range(n), 2), solution.point):
+        grid[i][j] = grid[j][i] = x
     return ProjectedTurnouts(im.order, tuple(tuple(row) for row in grid), solution)
 
 
@@ -128,14 +125,8 @@ class ScoreInterval:
     def center(self) -> float:
         return (self.lo + self.hi) / 2.0
 
-    @property
-    def length(self) -> float:
-        return self.hi - self.lo
 
-
-def build_intervals(
-    pt: ProjectedTurnouts, im: IntermediateMargins, tol: float = 1e-9
-) -> tuple[ScoreInterval, ...]:
+def build_intervals(pt: ProjectedTurnouts, im: IntermediateMargins) -> tuple[ScoreInterval, ...]:
     """Superdiagonal intervals ((tau - m) / 2, (tau + m) / 2).
 
     Verifies the facts the interval-union step relies on: each interval
@@ -148,13 +139,13 @@ def build_intervals(
         m = float(margin)
         out.append(ScoreInterval((tau - m) / 2.0, (tau + m) / 2.0))
     for i, gamma in enumerate(out):
-        if gamma.lo < -tol or gamma.hi > 1 + tol or gamma.lo > gamma.hi + tol:
+        if gamma.lo < -LAW_TOL or gamma.hi > 1 + LAW_TOL or gamma.lo > gamma.hi + LAW_TOL:
             raise LawViolation(
                 f"interval range law fails: interval {i} is [{gamma.lo}, {gamma.hi}]"
             )
         if i > 0:
             prev = out[i - 1]
-            if gamma.hi < prev.lo - tol or gamma.center > prev.center + tol:
+            if gamma.hi < prev.lo - LAW_TOL or gamma.center > prev.center + LAW_TOL:
                 raise LawViolation(f"intervals {i - 1} and {i} violate the overlap law")
     return tuple(out)
 
@@ -177,8 +168,9 @@ class ProjectedMatrix:
     def turnout(self, x: int, y: int) -> float:
         return self.pi[x][y] + self.pi[y][x]
 
-    def check_structure(self, tol: float = 1e-9) -> None:
+    def check_structure(self) -> None:
         """Assert the structural inequalities of the projected matrix."""
+        tol = LAW_TOL
         seq = self.order.sequence
         n = len(seq)
         pi, mg, to = self.pi, self.margin, self.turnout
@@ -268,10 +260,9 @@ class ProjectionDetails:
     variant: Variant
     scores: IndirectScores
     vm: VariantMargins
-    copeland: tuple[Fraction, ...]
     xi: AdmissibleOrder
     im: IntermediateMargins
-    t: TurnoutMatrix
+    t: Grid
     pt: ProjectedTurnouts
     intervals: tuple[ScoreInterval, ...]
     pm: ProjectedMatrix
@@ -281,9 +272,8 @@ def project_with_order(
     effective: LlullMatrix,
     vm: VariantMargins,
     xi: AdmissibleOrder,
-    qp_tol: float = 1e-10,
 ) -> tuple[
-    TurnoutMatrix,
+    Grid,
     IntermediateMargins,
     ProjectedTurnouts,
     tuple[ScoreInterval, ...],
@@ -291,30 +281,26 @@ def project_with_order(
 ]:
     """Run steps 3 to 5 for one fixed admissible order."""
     im = intermediate_margins(vm, xi)
-    t = turnouts(effective)
-    pt = project_turnouts(t, im, tol=qp_tol)
+    t = turnouts(effective.scores)
+    pt = project_turnouts(t, im)
     intervals = build_intervals(pt, im)
     pm = projected_scores(intervals, xi, effective.candidates)
     return t, im, pt, intervals, pm
 
 
-def project_details(
-    matrix: LlullMatrix, variant: Variant = Variant.MAIN, validate: bool = True
-) -> ProjectionDetails:
+def project_details(matrix: LlullMatrix, variant: Variant = Variant.MAIN) -> ProjectionDetails:
     effective = margin_completion(matrix) if variant is Variant.MARGIN_BASED else matrix
     scores = indirect_scores(matrix, variant)
     vm = variant_margins(scores, variant)
     xi = admissible_order(vm, matrix.candidates)
     t, im, pt, intervals, pm = project_with_order(effective, vm, xi)
-    if validate:
-        pm.check_structure()
+    pm.check_structure()
     return ProjectionDetails(
         matrix=matrix,
         effective=effective,
         variant=variant,
         scores=scores,
         vm=vm,
-        copeland=xi.copeland,
         xi=xi,
         im=im,
         t=t,
@@ -324,8 +310,6 @@ def project_details(
     )
 
 
-def project(
-    matrix: LlullMatrix, variant: Variant = Variant.MAIN, validate: bool = True
-) -> ProjectedMatrix:
+def project(matrix: LlullMatrix, variant: Variant = Variant.MAIN) -> ProjectedMatrix:
     """The composed projection: Llull matrix in, projected scores out."""
-    return project_details(matrix, variant, validate).pm
+    return project_details(matrix, variant).pm

@@ -401,15 +401,3 @@ def problem_from_json(text: str) -> QpProblem:
             for c in data.get("difference_constraints", [])
         ),
     )
-
-
-def solution_to_json(solution: QpSolution) -> str:
-    return json.dumps(
-        {
-            "point": list(solution.point),
-            "active_set": list(solution.active_set),
-            "iterations": solution.iterations,
-            "multipliers": list(solution.multipliers),
-        },
-        sort_keys=True,
-    )

@@ -180,7 +180,6 @@ def check_idempotence(matrix: LlullMatrix, variant: Variant = Variant.MAIN) -> N
     """Projecting a projected matrix returns it unchanged; the structural
     inequality suite holds along the way."""
     first = project_details(matrix, variant)
-    first.pm.check_structure()
     again = project_details(
         matrix_from_floats(matrix.candidates, first.pm.pi), Variant.MAIN
     )

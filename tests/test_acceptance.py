@@ -57,7 +57,7 @@ class TestGoldenFixtures:
                 if x != y:
                     assert details.scores.vstar[x][y] * V == expected_star[x][y]
 
-        assert details.copeland == (
+        assert details.xi.copeland == (
             Fraction(5, 2), Fraction(1), Fraction(6), Fraction(5), Fraction(3),
             Fraction(7, 2),
         )

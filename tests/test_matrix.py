@@ -60,6 +60,12 @@ class TestAggregate:
         with pytest.raises(TotalVotersTooSmall):
             aggregate(ballots, RULES, cands, total_voters=Fraction(5))
 
+    @pytest.mark.parametrize("total", [Fraction(0), Fraction(-1)])
+    def test_nonpositive_total_voters(self, royal, total):
+        cands, ballots, _ = royal
+        with pytest.raises(TotalVotersTooSmall, match="is not positive"):
+            aggregate(ballots, RULES, cands, total_voters=total)
+
     def test_weights_scale_linearly(self):
         cands, ballots = read_ballot_file("candidates: a b\n3: a>b\nb>a\n")
         matrix = aggregate(ballots, RULES, cands)
@@ -71,28 +77,28 @@ class TestAggregate:
 class TestDerivedMatrices:
     def test_royal_turnouts(self, royal):
         _, _, matrix = royal
-        t = turnouts(matrix)
-        assert t.t[0][3] * matrix.total == 5
-        assert t.t[3][0] * matrix.total == 5
-        assert t.t[4][2] * matrix.total == 3
+        t = turnouts(matrix.scores)
+        assert t[0][3] * matrix.total == 5
+        assert t[3][0] * matrix.total == 5
+        assert t[4][2] * matrix.total == 3
 
     def test_complete_profile_turnout_one(self):
         cands, ballots = read_ballot_file("candidates: a b c\na>b>c\nc>a>b\n")
-        t = turnouts(aggregate(ballots, RULES, cands))
-        assert all(v == 1 for x, row in enumerate(t.t) for y, v in enumerate(row) if x != y)
+        t = turnouts(aggregate(ballots, RULES, cands).scores)
+        assert all(v == 1 for x, row in enumerate(t) for y, v in enumerate(row) if x != y)
 
     def test_royal_margins(self, royal):
         _, _, matrix = royal
-        m = margins(matrix)
-        assert m.m[1][0] == Fraction(1, 3)
-        assert m.m[0][1] == -Fraction(1, 3)
+        m = margins(matrix.scores)
+        assert m[1][0] == Fraction(1, 3)
+        assert m[0][1] == -Fraction(1, 3)
 
     def test_margin_bounded_by_turnout(self, royal):
         _, _, matrix = royal
-        t, m = turnouts(matrix), margins(matrix)
+        t, m = turnouts(matrix.scores), margins(matrix.scores)
         for x in range(matrix.n):
             for y in range(matrix.n):
-                assert abs(m.m[x][y]) <= t.t[x][y]
+                assert abs(m[x][y]) <= t[x][y]
 
 
 class TestInvariants:
@@ -145,6 +151,21 @@ class TestCsv:
     def test_wrong_arity_reports_line(self):
         with pytest.raises(MatrixFormatError):
             read_matrix("a,b\nV=2\n*,1,0\n1,*\n")
+
+    def test_extra_labelled_row_reports_line(self):
+        with pytest.raises(MatrixFormatError) as err:
+            read_matrix("a,b\nV=2\n*,1\n1,*\n0,1,2\n")
+        assert err.value.line == 5
+
+    def test_duplicate_header_reports_line(self):
+        with pytest.raises(MatrixFormatError) as err:
+            read_matrix("# two names\na,a\nV=2\n*,1\n1,*\n")
+        assert err.value.line == 2
+
+    def test_zero_total_reports_its_line(self):
+        with pytest.raises(MatrixFormatError) as err:
+            read_matrix("a,b\nV=0\n*,0\n0,*\n")
+        assert err.value.line == 2
 
 
 class TestScaleAndPermutation:

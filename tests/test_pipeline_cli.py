@@ -49,6 +49,27 @@ class TestRunCommand:
         assert r.returncode == EXIT_PARSE
         assert "pair (a, b) has absolute turnout 3 > V = 2" in r.stderr
 
+    def test_zero_voter_total_in_matrix(self, tmp_path):
+        f = tmp_path / "m.csv"
+        f.write_text("a,b\nV=0\n*,0\n0,*\n")
+        r = run_cli("run", "--matrix", str(f))
+        assert r.returncode == EXIT_PARSE
+        assert r.stderr.startswith("error: ")
+        assert "line 2: the voter total V = 0 is not positive" in r.stderr
+
+    def test_zero_total_voters_on_cutoff_only_ballots(self, tmp_path):
+        f = tmp_path / "b.ballots"
+        f.write_text("candidates: a b\n/\n/\n")
+        r = run_cli("run", "--total-voters", "0", str(f))
+        assert r.returncode == EXIT_PARSE
+        assert r.stderr == "error: the voter total V = 0 is not positive\n"
+
+    @pytest.mark.parametrize("total", ["abc", "1/0"])
+    def test_unreadable_total_voters(self, total):
+        r = run_cli("run", "--total-voters", total, "tests/fixtures/royal1652.ballots")
+        assert r.returncode == EXIT_PARSE
+        assert r.stderr == f"error: cannot read the voter total {total!r}\n"
+
     def test_one_vote_margin_is_not_a_tie(self, tmp_path):
         # a beats b by one vote in ten billion; the ranking keeps them apart
         f = tmp_path / "close.ballots"

@@ -104,11 +104,11 @@ class TestProjectedTurnouts:
         matrix = aggregate(ballots, RULES, cands)
         details = project_details(matrix)
         seq = details.xi.sequence
-        t = turnouts(matrix)
+        t = turnouts(matrix.scores)
         for i in range(3):
             for j in range(i + 1, 3):
                 assert details.pt.tsigma[i][j] == pytest.approx(
-                    float(t.t[seq[i]][seq[j]]), abs=1e-10
+                    float(t[seq[i]][seq[j]]), abs=1e-10
                 )
 
 
