@@ -38,7 +38,6 @@ from .errors import (
     MalformedSyntax,
     MatrixFormatError,
     MaxIterations,
-    MissingClosure,
     NonPositiveWeight,
     NotAdmissible,
     TotalVotersTooSmall,
@@ -68,7 +67,6 @@ from .projection import (
     ScoreInterval,
     build_intervals,
     intermediate_margins,
-    project,
     project_details,
     project_turnouts,
     projected_scores,

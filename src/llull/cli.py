@@ -13,7 +13,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from .ballots import read_ballot_file
+from .ballots import InterpretationRules, Listed, Unlisted, read_ballot_file
 from .errors import (
     BallotError,
     Infeasible,
@@ -23,7 +23,8 @@ from .errors import (
     MaxIterations,
     NotAdmissible,
 )
-from .pipeline import RunConfig, parse_formula, parse_rules, parse_variant, run
+from .pipeline import RunConfig, parse_variant, run
+from .rates import RateFormula
 from .verify import SUITES, run_all, run_suite
 
 EXIT_OK = 0
@@ -105,9 +106,9 @@ def _cmd_run(args) -> int:
         return EXIT_PARSE
     config = RunConfig(
         variant=parse_variant(args.variant),
-        rules=parse_rules(args.listed_vs_unlisted, args.unlisted_pair),
+        rules=InterpretationRules(Listed(args.listed_vs_unlisted), Unlisted(args.unlisted_pair)),
         total_voters=total_voters,
-        formula=parse_formula(args.formula),
+        formula=RateFormula(args.formula),
         json_output=args.json,
         intermediates=args.intermediates,
         matrix_input=args.matrix,

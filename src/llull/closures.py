@@ -13,7 +13,6 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import MissingClosure
 from .matrix import Grid, LlullMatrix, margins
 
 
@@ -74,8 +73,7 @@ class IndirectScores:
     """Path closures backing a variant's margins.
 
     ``vstar`` is the max-min closure; ``vbar`` is the min-max closure and is
-    computed only when the variant needs it.  For the margin-based variant
-    ``vstar`` is the closure of the margin-completed matrix.
+    computed only when the variant needs it.
     """
 
     vstar: Grid
@@ -95,8 +93,8 @@ def margin_completion(matrix: LlullMatrix) -> LlullMatrix:
 
 
 def indirect_scores(matrix: LlullMatrix, variant: Variant) -> IndirectScores:
-    if variant is Variant.MARGIN_BASED:
-        return IndirectScores(maxmin_closure(margin_completion(matrix)), None, variant)
+    """Closures of ``matrix`` for ``variant``; the margin-based variant expects
+    the margin-completed matrix."""
     vbar = minmax_closure(matrix) if variant in (Variant.CODUAL, Variant.BALANCED) else None
     return IndirectScores(maxmin_closure(matrix), vbar, variant)
 
@@ -109,7 +107,7 @@ class VariantMargins:
     variant: Variant
 
 
-def variant_margins(scores: IndirectScores, variant: Variant) -> VariantMargins:
+def variant_margins(scores: IndirectScores) -> VariantMargins:
     """Margins used by steps downstream of the closure.
 
     Main and margin-based take margins of the max-min closure (of the raw or
@@ -117,14 +115,9 @@ def variant_margins(scores: IndirectScores, variant: Variant) -> VariantMargins:
     min-max closure; balanced keeps a pair only when both closures agree on
     its sign and then takes the smaller margin.
     """
-    if variant is not scores.variant:
-        raise MissingClosure(
-            f"closures were computed for {scores.variant.value}, not {variant.value}"
-        )
+    variant = scores.variant
     if variant in (Variant.MAIN, Variant.MARGIN_BASED):
         return VariantMargins(margins(scores.vstar), variant)
-    if scores.vbar is None:
-        raise MissingClosure(f"{variant.value} variant needs the min-max closure")
     if variant is Variant.CODUAL:
         return VariantMargins(margins(scores.vbar), variant)
 

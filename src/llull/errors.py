@@ -45,10 +45,6 @@ class TotalVotersTooSmall(LlullError):
     """The requested voter total is below an observed absolute turnout."""
 
 
-class MissingClosure(LlullError):
-    """A variant asked for an indirect-score matrix that was not computed."""
-
-
 class NotAdmissible(LlullError):
     """The candidate order violates the indirect comparison relation.
 

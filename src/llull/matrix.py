@@ -186,10 +186,10 @@ def margins(v: Grid) -> Grid:
 
 
 # ---------------------------------------------------------------------------
-# CSV serialization: a header row of candidate names, a "V=" line with the
+# CSV serialization: a header row of candidate names, one "V=" line with the
 # voter total, then one row per candidate.  Entries are absolute counts in
 # any Fraction-readable form ("321.5" and "643/2" both work); the diagonal
-# is written as "*".
+# is written as "*" and read as "*", an empty cell or any zero.
 
 
 def read_matrix(text: str) -> LlullMatrix:
@@ -202,6 +202,10 @@ def read_matrix(text: str) -> LlullMatrix:
         if not line:
             continue
         if line.startswith("V=") or line.startswith("V ="):
+            if total_line is not None:
+                raise MatrixFormatError(
+                    f"second voter total line; the first is line {total_line}", lineno
+                )
             try:
                 total = Fraction(line.split("=", 1)[1].strip())
             except (ValueError, ZeroDivisionError):
@@ -226,13 +230,15 @@ def read_matrix(text: str) -> LlullMatrix:
             )
         parsed = []
         for j, cell in enumerate(cells):
-            if j == len(rows) and cell in ("*", "", "0"):
+            if j == len(rows) and cell in ("*", ""):
                 parsed.append(Fraction(0))
                 continue
             try:
                 parsed.append(Fraction(cell))
             except (ValueError, ZeroDivisionError):
                 raise MatrixFormatError(f"cannot read entry {cell!r}", lineno) from None
+            if j == len(rows) and parsed[-1] != 0:
+                raise MatrixFormatError(f"diagonal entry {cell!r} is not '*' or 0", lineno)
         rows.append(parsed)
         row_lines.append(lineno)
 

@@ -6,7 +6,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .ballots import CandidateSet, InterpretationRules, Listed, Unlisted, read_ballot_file
+from .ballots import CandidateSet, InterpretationRules, read_ballot_file
 from .closures import Variant
 from .matrix import LlullMatrix, aggregate, read_matrix
 from .projection import ProjectionDetails, project_details
@@ -26,14 +26,13 @@ class RunConfig:
 
 @dataclass(frozen=True)
 class TallyResult:
-    matrix: LlullMatrix
     details: ProjectionDetails
     rates: RankLikeRates
     ranking: SocialRanking
 
     @property
     def candidates(self) -> CandidateSet:
-        return self.matrix.candidates
+        return self.details.matrix.candidates
 
 
 def tally(
@@ -44,7 +43,7 @@ def tally(
     details = project_details(matrix, variant)
     rates = rank_like_rates(details.pm, formula)
     ranking = social_ranking(details.im)
-    return TallyResult(matrix, details, rates, ranking)
+    return TallyResult(details, rates, ranking)
 
 
 def load_input(text: str, config: RunConfig) -> LlullMatrix:
@@ -141,7 +140,7 @@ def render_json(result: TallyResult, config: RunConfig) -> str:
         "schema": 1,
         "config": _config_json(config),
         "candidates": list(names),
-        "total_voters": str(result.matrix.total),
+        "total_voters": str(result.details.matrix.total),
         "rates": {names[x]: result.rates.rates[x] for x in range(len(names))},
         "ranking": [[names[x] for x in group] for group in result.ranking.groups],
     }
@@ -155,11 +154,3 @@ def parse_variant(text: str) -> Variant:
         if variant.value == text:
             return variant
     raise ValueError(f"unknown variant {text!r}")
-
-
-def parse_rules(listed: str, unlisted: str) -> InterpretationRules:
-    return InterpretationRules(Listed(listed), Unlisted(unlisted))
-
-
-def parse_formula(text: str) -> RateFormula:
-    return RateFormula(text)

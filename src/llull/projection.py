@@ -4,7 +4,8 @@ Given variant margins and an admissible order, this runs the three stages
 that turn raw turnouts into projected scores: rectangle-minimized margins,
 the nearest-point turnout program, and the interval construction whose
 endpoints are the projected scores.  Rationals cross over to binary64 at the
-entry of the quadratic program.
+entry of the quadratic program.  ``project_details`` is the one place that
+composes these stages with the closures and the order.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .ballots import CandidateSet
 from .closures import (
     IndirectScores,
     Variant,
@@ -102,7 +102,6 @@ def turnout_qp(t: Grid, im: IntermediateMargins) -> QpProblem:
 class ProjectedTurnouts:
     """Optimal turnouts, symmetric and indexed by order position."""
 
-    order: AdmissibleOrder
     tsigma: tuple[tuple[float, ...], ...]
     solution: QpSolution
 
@@ -113,7 +112,7 @@ def project_turnouts(t: Grid, im: IntermediateMargins) -> ProjectedTurnouts:
     grid = [[0.0] * n for _ in range(n)]
     for (i, j), x in zip(combinations(range(n), 2), solution.point):
         grid[i][j] = grid[j][i] = x
-    return ProjectedTurnouts(im.order, tuple(tuple(row) for row in grid), solution)
+    return ProjectedTurnouts(tuple(tuple(row) for row in grid), solution)
 
 
 @dataclass(frozen=True)
@@ -154,13 +153,12 @@ def build_intervals(pt: ProjectedTurnouts, im: IntermediateMargins) -> tuple[Sco
 class ProjectedMatrix:
     """Projected scores pi, indexed by candidate like the input matrix."""
 
-    candidates: CandidateSet
     pi: tuple[tuple[float, ...], ...]
     order: AdmissibleOrder
 
     @property
     def n(self) -> int:
-        return len(self.candidates)
+        return len(self.pi)
 
     def margin(self, x: int, y: int) -> float:
         return self.pi[x][y] - self.pi[y][x]
@@ -226,11 +224,7 @@ class ProjectedMatrix:
                             raise LawViolation("absolute margins break the triangle law")
 
 
-def projected_scores(
-    intervals: tuple[ScoreInterval, ...],
-    xi: AdmissibleOrder,
-    candidates: CandidateSet,
-) -> ProjectedMatrix:
+def projected_scores(intervals: tuple[ScoreInterval, ...], xi: AdmissibleOrder) -> ProjectedMatrix:
     """Endpoints of interval unions along the order, as a score matrix.
 
     Computed by running maxima of the upper ends and running minima of the
@@ -248,7 +242,7 @@ def projected_scores(
             lo = min(lo, intervals[j - 1].lo)
             pi[seq[i]][seq[j]] = hi
             pi[seq[j]][seq[i]] = lo
-    return ProjectedMatrix(candidates, tuple(tuple(row) for row in pi), xi)
+    return ProjectedMatrix(tuple(tuple(row) for row in pi), xi)
 
 
 @dataclass(frozen=True)
@@ -256,60 +250,37 @@ class ProjectionDetails:
     """Every intermediate produced on the way to the projected scores."""
 
     matrix: LlullMatrix  # as given
-    effective: LlullMatrix  # margin-completed for the margin-based variant
-    variant: Variant
     scores: IndirectScores
     vm: VariantMargins
     xi: AdmissibleOrder
     im: IntermediateMargins
-    t: Grid
+    t: Grid  # turnouts of the margin-completed matrix for the margin-based variant
     pt: ProjectedTurnouts
     intervals: tuple[ScoreInterval, ...]
     pm: ProjectedMatrix
 
 
-def project_with_order(
-    effective: LlullMatrix,
-    vm: VariantMargins,
-    xi: AdmissibleOrder,
-) -> tuple[
-    Grid,
-    IntermediateMargins,
-    ProjectedTurnouts,
-    tuple[ScoreInterval, ...],
-    ProjectedMatrix,
-]:
-    """Run steps 3 to 5 for one fixed admissible order."""
+def project_details(
+    matrix: LlullMatrix,
+    variant: Variant = Variant.MAIN,
+    xi: AdmissibleOrder | None = None,
+) -> ProjectionDetails:
+    """Run steps 2 to 5: closures, order, rectangle margins, turnout program
+    and intervals, then check the laws of the projected scores.
+
+    The margin-based variant runs every step on the margin-completed matrix.
+    ``xi`` fixes the admissible order; by default it is sorted by Copeland
+    rank.
+    """
+    effective = margin_completion(matrix) if variant is Variant.MARGIN_BASED else matrix
+    scores = indirect_scores(effective, variant)
+    vm = variant_margins(scores)
+    if xi is None:
+        xi = admissible_order(vm, matrix.candidates)
     im = intermediate_margins(vm, xi)
     t = turnouts(effective.scores)
     pt = project_turnouts(t, im)
     intervals = build_intervals(pt, im)
-    pm = projected_scores(intervals, xi, effective.candidates)
-    return t, im, pt, intervals, pm
-
-
-def project_details(matrix: LlullMatrix, variant: Variant = Variant.MAIN) -> ProjectionDetails:
-    effective = margin_completion(matrix) if variant is Variant.MARGIN_BASED else matrix
-    scores = indirect_scores(matrix, variant)
-    vm = variant_margins(scores, variant)
-    xi = admissible_order(vm, matrix.candidates)
-    t, im, pt, intervals, pm = project_with_order(effective, vm, xi)
+    pm = projected_scores(intervals, xi)
     pm.check_structure()
-    return ProjectionDetails(
-        matrix=matrix,
-        effective=effective,
-        variant=variant,
-        scores=scores,
-        vm=vm,
-        xi=xi,
-        im=im,
-        t=t,
-        pt=pt,
-        intervals=intervals,
-        pm=pm,
-    )
-
-
-def project(matrix: LlullMatrix, variant: Variant = Variant.MAIN) -> ProjectedMatrix:
-    """The composed projection: Llull matrix in, projected scores out."""
-    return project_details(matrix, variant).pm
+    return ProjectionDetails(matrix, scores, vm, xi, im, t, pt, intervals, pm)

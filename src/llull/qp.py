@@ -389,15 +389,3 @@ def problem_to_json(problem: QpProblem) -> str:
         },
         sort_keys=True,
     )
-
-
-def problem_from_json(text: str) -> QpProblem:
-    data = json.loads(text)
-    return QpProblem(
-        center=tuple(data["center"]),
-        bounds=tuple((b[0], b[1]) for b in data.get("bounds", [])),
-        difference_constraints=tuple(
-            (int(c[0]), int(c[1]), float(c[2]), float(c[3]))
-            for c in data.get("difference_constraints", [])
-        ),
-    )

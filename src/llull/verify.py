@@ -20,7 +20,7 @@ from .generate import ProfileGenerator, candidate_names, random_matrix
 from .matrix import Grid, LlullMatrix, aggregate, write_matrix
 from .ordering import enumerate_admissible_orders
 from .pipeline import tally
-from .projection import project_details, project_with_order
+from .projection import project_details
 from .qp import (
     QpProblem,
     kkt_residual,
@@ -136,7 +136,7 @@ def check_order_independence(matrix: LlullMatrix, variant: Variant = Variant.MAI
     count = 0
     for order in enumerate_admissible_orders(details.vm):
         count += 1
-        *_, pm = project_with_order(details.effective, details.vm, order)
+        pm = project_details(matrix, variant, order).pm
         rates = rank_like_rates(pm).rates
         drift = max(abs(a - b) for a, b in zip(rates, reference_rates))
         if drift > RATE_TOL:

@@ -14,9 +14,9 @@ from llull.closures import (
     minmax_closure,
     variant_margins,
 )
-from llull.errors import MissingClosure
 from llull.generate import random_matrix
 from llull.matrix import LlullMatrix, aggregate
+from llull.projection import project_details
 
 
 def grid_matrix(rows, total=1):
@@ -126,7 +126,7 @@ class TestMinMax:
 class TestVariantMargins:
     def test_royal_main_margin_f_over_d(self, royal):
         scores = indirect_scores(royal, Variant.MAIN)
-        vm = variant_margins(scores, Variant.MAIN)
+        vm = variant_margins(scores)
         f, d = 5, 3
         assert vm.m[f][d] * royal.total == 2
 
@@ -139,7 +139,7 @@ class TestVariantMargins:
             ]
         )
         for variant in (Variant.MAIN, Variant.CODUAL, Variant.BALANCED):
-            vm = variant_margins(indirect_scores(m, variant), variant)
+            vm = variant_margins(indirect_scores(m, variant))
             assert all(v == 0 for row in vm.m for v in row)
 
     @pytest.mark.parametrize("seed", range(8))
@@ -152,9 +152,9 @@ class TestVariantMargins:
                 v = Fraction(rng.randint(0, 12), 12)
                 scores[x][y], scores[y][x] = v, 1 - v
         matrix = grid_matrix(scores)
-        main = variant_margins(indirect_scores(matrix, Variant.MAIN), Variant.MAIN)
+        main = variant_margins(indirect_scores(matrix, Variant.MAIN))
         for variant in (Variant.CODUAL, Variant.BALANCED):
-            vm = variant_margins(indirect_scores(matrix, variant), variant)
+            vm = variant_margins(indirect_scores(matrix, variant))
             assert vm.m == main.m
 
     def test_margin_based_margins_are_margins_of_completion(self, royal):
@@ -165,18 +165,9 @@ class TestVariantMargins:
             for y in range(royal.n)
             if x != y
         )
-        direct = variant_margins(
-            indirect_scores(royal, Variant.MARGIN_BASED), Variant.MARGIN_BASED
-        )
-        via_completion = variant_margins(
-            indirect_scores(completed, Variant.MAIN), Variant.MAIN
-        )
+        direct = project_details(royal, Variant.MARGIN_BASED).vm
+        via_completion = variant_margins(indirect_scores(completed, Variant.MAIN))
         assert direct.m == via_completion.m
-
-    def test_missing_closure_is_reported(self, royal):
-        scores = indirect_scores(royal, Variant.MAIN)
-        with pytest.raises(MissingClosure):
-            variant_margins(scores, Variant.CODUAL)
 
     def test_balanced_needs_both_signs(self):
         # one-way strength in the max-min closure, the other way in the
@@ -190,7 +181,7 @@ class TestVariantMargins:
         )
         star = maxmin_closure(m)
         bar = minmax_closure(m)
-        vm = variant_margins(indirect_scores(m, Variant.BALANCED), Variant.BALANCED)
+        vm = variant_margins(indirect_scores(m, Variant.BALANCED))
         for x in range(3):
             for y in range(3):
                 if x == y:

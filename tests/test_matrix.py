@@ -167,6 +167,21 @@ class TestCsv:
             read_matrix("a,b\nV=0\n*,0\n0,*\n")
         assert err.value.line == 2
 
+    def test_second_total_reports_its_line(self):
+        with pytest.raises(MatrixFormatError) as err:
+            read_matrix("a,b\nV=4\n*,2\n1,*\nV=100\n")
+        assert err.value.line == 5
+
+    def test_nonzero_diagonal_reports_its_line(self):
+        with pytest.raises(MatrixFormatError) as err:
+            read_matrix("a,b\nV=4\n*,2\n1,7\n")
+        assert err.value.line == 4
+
+    @pytest.mark.parametrize("cell", ["*", "", "0", "0.0", "0/3", "-0"])
+    def test_diagonal_accepts_star_empty_and_zero(self, cell):
+        matrix = read_matrix(f"a,b\nV=4\n{cell},2\n1,*\n")
+        assert matrix.absolute(0, 1) == 2
+
 
 class TestScaleAndPermutation:
     def test_duplicating_ballots_preserves_scores(self, royal):

@@ -28,7 +28,7 @@ def margins_grid(rows):
 def royal_vm(royal_text):
     cands, ballots = read_ballot_file(royal_text)
     matrix = aggregate(ballots, InterpretationRules(), cands)
-    return cands, variant_margins(indirect_scores(matrix, Variant.MAIN), Variant.MAIN)
+    return cands, variant_margins(indirect_scores(matrix, Variant.MAIN))
 
 
 class TestCopeland:
@@ -97,7 +97,7 @@ class TestAdmissibleOrder:
         from llull.matrix import read_matrix
 
         matrix = read_matrix(debian_text)
-        vm = variant_margins(indirect_scores(matrix, Variant.MAIN), Variant.MAIN)
+        vm = variant_margins(indirect_scores(matrix, Variant.MAIN))
         order = admissible_order(vm, matrix.candidates)
         names = [matrix.candidates.names[x] for x in order.sequence]
         assert names[:2] == ["4", "3"]

@@ -1,10 +1,14 @@
+import functools
 import json
+from collections import Counter
 
 import pytest
 
 from conftest import FIXTURES, run_cli
+from llull import closures, ordering, pipeline, projection
+from llull.closures import Variant
 from llull.cli import EXIT_NOT_ADMISSIBLE, EXIT_NUMERICAL, EXIT_PARSE, EXIT_VERIFY
-from llull.matrix import read_matrix
+from llull.matrix import read_matrix, write_matrix
 from llull.projection import project_details, turnout_qp
 from llull.qp import kkt_residual
 
@@ -56,6 +60,18 @@ class TestRunCommand:
         assert r.returncode == EXIT_PARSE
         assert r.stderr.startswith("error: ")
         assert "line 2: the voter total V = 0 is not positive" in r.stderr
+
+    @pytest.mark.parametrize(
+        "text, line",
+        [("a,b\nV=4\n*,2\n1,*\nV=100\n", 5), ("a,b\nV=4\n7,2\n1,*\n", 3)],
+    )
+    def test_malformed_matrix_exits_with_its_line(self, tmp_path, text, line):
+        f = tmp_path / "m.csv"
+        f.write_text(text)
+        r = run_cli("run", "--matrix", str(f))
+        assert r.returncode == EXIT_PARSE
+        assert r.stdout == ""
+        assert f"line {line}: " in r.stderr
 
     def test_zero_total_voters_on_cutoff_only_ballots(self, tmp_path):
         f = tmp_path / "b.ballots"
@@ -231,3 +247,48 @@ class TestVerifyCommand:
         monkeypatch.setitem(verify_mod.SUITES, "paths", boom)
         code = cli_mod.main(["verify", "--suite", "paths", "--cases", "2"])
         assert code == EXIT_VERIFY
+
+
+# Each stage under the name its caller looks it up by; the margin completion
+# under both names a tally could reach it by.
+STAGES = [
+    (pipeline, ("read_ballot_file", "aggregate", "read_matrix", "project_details")),
+    (pipeline, ("rank_like_rates", "social_ranking", "render_json")),
+    (projection, ("margin_completion", "indirect_scores", "variant_margins")),
+    (projection, ("admissible_order", "intermediate_margins", "turnouts", "turnout_qp")),
+    (projection, ("solve_active_set", "build_intervals", "projected_scores")),
+    (projection.ProjectedMatrix, ("check_structure",)),
+    (closures, ("margin_completion",)),
+    (ordering, ("copeland_ranks",)),
+]
+
+
+class TestStagesRunOnce:
+    @pytest.mark.parametrize("variant", list(Variant))
+    @pytest.mark.parametrize("matrix_input", [False, True])
+    def test_each_stage_runs_once_per_tally(self, monkeypatch, royal_text, variant, matrix_input):
+        calls = Counter()
+
+        def counting(name, fn):
+            @functools.wraps(fn)
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        text = royal_text
+        if matrix_input:
+            text = write_matrix(pipeline.load_input(royal_text, pipeline.RunConfig()))
+        for owner, names in STAGES:
+            for name in names:
+                monkeypatch.setattr(owner, name, counting(name, getattr(owner, name)))
+        config = pipeline.RunConfig(variant=variant, intermediates=True, matrix_input=matrix_input)
+        pipeline.run(text, config)
+
+        expected = {name: 1 for _, names in STAGES for name in names}
+        expected["margin_completion"] = int(variant is Variant.MARGIN_BASED)
+        unused = ("read_ballot_file", "aggregate") if matrix_input else ("read_matrix",)
+        for name in unused:
+            expected[name] = 0
+        assert {name: calls[name] for name in expected} == expected

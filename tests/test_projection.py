@@ -12,10 +12,8 @@ from llull.ordering import admissible_order
 from llull.projection import (
     build_intervals,
     intermediate_margins,
-    project,
     project_details,
     project_turnouts,
-    project_with_order,
 )
 from llull.verify import matrix_from_floats
 
@@ -213,9 +211,9 @@ class TestProjectOperator:
     def test_idempotence_and_structure(self, seed):
         rng = random.Random(500 + seed)
         matrix = random_matrix(rng, 4)
-        pm = project(matrix)
+        pm = project_details(matrix).pm
         pm.check_structure()
-        again = project(matrix_from_floats(matrix.candidates, pm.pi))
+        again = project_details(matrix_from_floats(matrix.candidates, pm.pi)).pm
         for x in range(4):
             for y in range(4):
                 if x != y:
@@ -224,7 +222,7 @@ class TestProjectOperator:
     def test_single_choice_projection_is_identity(self):
         cands, ballots = read_ballot_file("candidates: a b c d\n4: a\n2: b\nc\nd\n")
         matrix = aggregate(ballots, RULES, cands)
-        pm = project(matrix)
+        pm = project_details(matrix).pm
         for x in range(4):
             for y in range(4):
                 if x != y:
@@ -255,7 +253,7 @@ class TestProjectOperator:
                     scores[i][j] = max(his[i:j])
                     scores[j][i] = min(los[i:j])
             matrix = LlullMatrix(candidate_names(n), tuple(map(tuple, scores)), Fraction(1))
-            pm = project(matrix)
+            pm = project_details(matrix).pm
             for x in range(n):
                 for y in range(n):
                     if x != y:
@@ -264,12 +262,7 @@ class TestProjectOperator:
     def test_margin_based_runs_on_completed_matrix(self, royal):
         matrix, _ = royal
         details = project_details(matrix, Variant.MARGIN_BASED)
-        assert all(
-            details.effective.scores[x][y] + details.effective.scores[y][x] == 1
-            for x in range(6)
-            for y in range(6)
-            if x != y
-        )
+        assert all(details.t[x][y] == 1 for x in range(6) for y in range(6) if x != y)
         for i in range(6):
             for j in range(6):
                 if i != j:
@@ -280,7 +273,7 @@ class TestProjectOperator:
         from llull.ordering import enumerate_admissible_orders
 
         for order in enumerate_admissible_orders(details.vm):
-            *_, pm = project_with_order(details.effective, details.vm, order)
+            pm = project_details(matrix, Variant.MAIN, order).pm
             for x in range(6):
                 for y in range(6):
                     if x != y:

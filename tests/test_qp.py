@@ -1,3 +1,4 @@
+import json
 import math
 import random
 from fractions import Fraction
@@ -17,7 +18,6 @@ from llull.qp import (
     _row_arrays,
     constraint_rows,
     kkt_residual,
-    problem_from_json,
     problem_to_json,
     solve_active_set,
     solve_dykstra,
@@ -53,8 +53,20 @@ def random_feasible_problem(rng: random.Random, max_vars: int = 15) -> QpProblem
     return QpProblem(center, tuple(bounds), tuple(diffs))
 
 
+def problem_from_json(text: str) -> QpProblem:
+    data = json.loads(text)
+    return QpProblem(
+        center=tuple(data["center"]),
+        bounds=tuple((b[0], b[1]) for b in data.get("bounds", [])),
+        difference_constraints=tuple(
+            (int(c[0]), int(c[1]), float(c[2]), float(c[3]))
+            for c in data.get("difference_constraints", [])
+        ),
+    )
+
+
 def matrix_problem(matrix) -> QpProblem:
-    vm = variant_margins(indirect_scores(matrix, Variant.MAIN), Variant.MAIN)
+    vm = variant_margins(indirect_scores(matrix, Variant.MAIN))
     xi = admissible_order(vm, matrix.candidates)
     return turnout_qp(turnouts(matrix.scores), intermediate_margins(vm, xi))
 

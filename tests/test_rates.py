@@ -9,7 +9,7 @@ from llull.closures import Variant, indirect_scores, variant_margins
 from llull.generate import random_matrix
 from llull.matrix import aggregate, read_matrix
 from llull.pipeline import tally
-from llull.projection import project, project_details
+from llull.projection import project_details
 from llull.rates import RateFormula, rank_like_rates
 
 RULES = InterpretationRules()
