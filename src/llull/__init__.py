@@ -53,9 +53,7 @@ from .matrix import (
 )
 from .ordering import (
     AdmissibleOrder,
-    ComparisonRelation,
     admissible_order,
-    comparison_relation,
     copeland_ranks,
     enumerate_admissible_orders,
 )

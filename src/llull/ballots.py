@@ -125,7 +125,10 @@ class _Token(NamedTuple):
     column: int  # 1-based
 
 
-_TOKEN = re.compile(r"[>=/:]|[^\s>=/:#]+")
+_NAME_PATTERN = r"[^\s>=/:#]+"
+_TOKEN = re.compile(rf"[>=/:]|{_NAME_PATTERN}")
+_NAME = re.compile(_NAME_PATTERN)
+_WORD = re.compile(r"\S+")
 _PUNCTUATION = frozenset(">=/:")
 
 
@@ -137,10 +140,56 @@ def _tokenize(text: str, offset: int = 0) -> list[_Token]:
     ]
 
 
+# A plain line: an optional ASCII integer weight, then names joined by ">"
+# and "=" with no space between them; no "/" and no "#".  Space may stand
+# only at either end and around the weight's ":".
+_PLAIN = re.compile(rf"\s*(?:([0-9]+)\s*:)?\s*({_NAME_PATTERN}(?:[>=]{_NAME_PATTERN})*)\s*")
+_ONE = Fraction(1)
+
+
+def _parse_plain(text: str, index: dict[str, int]) -> Ballot | None:
+    """The ballot of a plain line, or None for any other line.
+
+    None also stands for every plain line the general parser rejects: a
+    zero weight, an unknown name (an index miss) or a repeated one (which
+    ``Ballot`` refuses).  So this never raises, and the general parser
+    reports every error.
+    """
+    m = _PLAIN.fullmatch(text)
+    if m is None:
+        return None
+    weight, body = m.groups()
+    groups = []
+    for part in body.split(">"):
+        if "=" in part:
+            group = [index.get(name) for name in part.split("=")]
+            if None in group:
+                return None
+            group.sort()
+            groups.append(tuple(group))
+        else:
+            c = index.get(part)
+            if c is None:
+                return None
+            groups.append((c,))
+    try:
+        return Ballot(tuple(groups), None, _ONE if weight is None else Fraction(int(weight)))
+    except ValueError:
+        return None
+
+
 def parse_ballot_line(
     text: str, candidates: CandidateSet, line: int = 1
 ) -> Ballot:
     """Parse one ballot line; raises the ballot errors with line/column."""
+    ballot = _parse_plain(text, candidates.index)
+    if ballot is None:
+        ballot = _parse_general(text, candidates, line)
+    return ballot
+
+
+def _parse_general(text: str, candidates: CandidateSet, line: int) -> Ballot:
+    """Parse any ballot line through the tokenizer, which places every error."""
     # The weight prefix is split off textually: rational weights like "1/2"
     # would otherwise collide with the approval-cutoff token.
     weight = Fraction(1)
@@ -292,40 +341,55 @@ def read_ballot_file(text: str) -> tuple[CandidateSet, list[Ballot]]:
 
     The first effective line may be ``candidates: a b c`` to fix the name
     order; otherwise names are collected in order of first appearance.
+    Each distinct line text is parsed once, and its repeats share the
+    (frozen) ballot.
     """
-    lines = text.splitlines()
     candidates: CandidateSet | None = None
+    names: dict[str, None] = {}
     ballot_lines: list[tuple[int, str]] = []
-    for lineno, raw in enumerate(lines, start=1):
-        stripped = raw.split("#", 1)[0].strip()
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        body = raw.split("#", 1)[0]
+        stripped = body.strip()
         if not stripped:
             continue
         if candidates is None and not ballot_lines and stripped.startswith("candidates:"):
-            names = stripped[len("candidates:") :].split()
-            if not names:
-                raise MalformedSyntax("empty candidates line", lineno, 1)
-            candidates = CandidateSet(names)
+            candidates = _read_candidates_line(body, lineno)
             continue
-        ballot_lines.append((lineno, raw))
+        if candidates is None:
+            # Names follow the weight, which may hold a "/" of its own.
+            head, colon, rest = body.partition(":")
+            names.update(dict.fromkeys(_NAME.findall(rest if colon else head)))
+        ballot_lines.append((lineno, body))
 
     if candidates is None:
-        names: list[str] = []
-        for _, raw in ballot_lines:
-            body = raw.split("#", 1)[0]
-            if ":" in body:
-                body = body.partition(":")[2]
-            for token in _tokenize(body):
-                if token.kind == "name" and token.text not in names:
-                    names.append(token.text)
         if not names:
             raise MalformedSyntax("no candidates found", 1, 1)
         candidates = CandidateSet(names)
 
-    ballots = [
-        parse_ballot_line(raw.split("#", 1)[0], candidates, lineno)
-        for lineno, raw in ballot_lines
-    ]
+    parsed: dict[str, Ballot] = {}
+    ballots = []
+    for lineno, body in ballot_lines:
+        ballot = parsed.get(body)
+        if ballot is None:
+            ballot = parsed[body] = parse_ballot_line(body, candidates, lineno)
+        ballots.append(ballot)
     return candidates, ballots
+
+
+def _read_candidates_line(body: str, line: int) -> CandidateSet:
+    """The names of a ``candidates:`` line; a bad name is reported where it stands."""
+    names: dict[str, None] = {}
+    start = body.index("candidates:") + len("candidates:")
+    for m in _WORD.finditer(body, start):
+        name, column = m[0], m.start() + 1
+        if not RESERVED.isdisjoint(name):
+            raise MalformedSyntax(f"invalid candidate name {name!r}", line, column)
+        if name in names:
+            raise MalformedSyntax(f"candidate {name!r} listed twice", line, column)
+        names[name] = None
+    if not names:
+        raise MalformedSyntax("empty candidates line", line, 1)
+    return CandidateSet(names)
 
 
 def serialize_ballot_file(candidates: CandidateSet, ballots: Iterable[Ballot]) -> str:

@@ -2,10 +2,11 @@
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, groupby
+from operator import attrgetter
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -150,9 +151,11 @@ def aggregate(
     every absolute turnout.
     """
     n = len(candidates)
-    by_weight: dict[Fraction, Counter] = {}
-    for ballot in profile:
-        by_weight.setdefault(ballot.weight, Counter())[effective_groups(ballot)] += 1
+    # Consecutive ballots of one weight form a run, so a weight is hashed
+    # once per run, not once per ballot.
+    by_weight: defaultdict[Fraction, Counter] = defaultdict(Counter)
+    for weight, run in groupby(profile, attrgetter("weight")):
+        by_weight[weight].update(map(effective_groups, run))
 
     counts = [[Fraction(0)] * n for _ in range(n)]
     weight_sum = Fraction(0)

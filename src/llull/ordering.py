@@ -1,4 +1,4 @@
-"""The indirect comparison relation and admissible candidate orders."""
+"""Admissible candidate orders: orders that extend the indirect comparison relation."""
 
 from __future__ import annotations
 
@@ -9,25 +9,6 @@ from typing import Iterator
 from .ballots import CandidateSet
 from .closures import VariantMargins
 from .errors import NotAdmissible
-
-
-@dataclass(frozen=True)
-class ComparisonRelation:
-    """Strict and weak forms of the indirect comparison between candidates."""
-
-    nu: frozenset[tuple[int, int]]  # pairs with positive margin
-    nu_hat: frozenset[tuple[int, int]]  # pairs with nonnegative margin
-
-
-def comparison_relation(vm: VariantMargins) -> ComparisonRelation:
-    n = len(vm.m)
-    nu = frozenset(
-        (x, y) for x in range(n) for y in range(n) if x != y and vm.m[x][y] > 0
-    )
-    nu_hat = frozenset(
-        (x, y) for x in range(n) for y in range(n) if x != y and vm.m[x][y] >= 0
-    )
-    return ComparisonRelation(nu, nu_hat)
 
 
 @dataclass(frozen=True)

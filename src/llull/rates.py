@@ -47,12 +47,6 @@ class SocialRanking:
 
     groups: tuple[tuple[int, ...], ...]
 
-    def position(self, x: int) -> int:
-        for i, group in enumerate(self.groups):
-            if x in group:
-                return i
-        raise KeyError(x)
-
 
 def social_ranking(im: IntermediateMargins) -> SocialRanking:
     """Group candidates that are exactly tied, best first along the order.

@@ -10,6 +10,8 @@ from llull.ballots import (
     InterpretationRules,
     Listed,
     Unlisted,
+    _parse_general,
+    _parse_plain,
     _tokenize,
     ballot_to_pairwise,
     parse_ballot_line,
@@ -170,6 +172,79 @@ class TestTokenizer:
         assert (err.value.line, err.value.column) == (3, 7)
 
 
+class TestPlainLines:
+    """The one-regex path for plain lines, and its agreement with the tokenizer."""
+
+    @pytest.mark.parametrize(
+        "text, ballot",
+        [
+            ("b>a=c", Ballot(((1,), (0, 2)))),
+            ("c=a", Ballot(((0, 2),))),
+            (" 007 :\u3000b>c ", Ballot(((1,), (2,)), None, Fraction(7))),
+            ("2:a", Ballot(((0,),), None, Fraction(2))),
+        ],
+    )
+    def test_plain_lines_take_the_fast_path(self, text, ballot):
+        assert _parse_plain(text, ABC.index) == ballot
+        assert _parse_general(text, ABC, 1) == ballot
+
+    @pytest.mark.parametrize(
+        "text",
+        ["0: a", "00:a", "a>z", "a>b>a", "a=a", "a>", "=a", "a>>b", "a > b", "a>b/",
+         "/a", "a#b", "1_0: a", "\u0663: a", "1/2: a", "2.5: a", "", "3:",
+         pytest.param("1" * 5000 + ": a", id="5000-digit-weight")],
+    )
+    def test_other_lines_are_left_to_the_tokenizer(self, text):
+        assert _parse_plain(text, ABC.index) is None
+
+
+MIXED = CandidateSet(["a", "b", "c", "7", "00"])
+SPACES = ["", " ", "\u00a0", "\u3000", "\t"]
+
+
+@st.composite
+def near_plain_lines(draw):
+    """Ballot lines close to the plain form: plain ones with distinct known
+    names, ones with one odd kind of part, and ones where every part may be
+    odd.  Odd parts are odd weights, unknown and repeated names, cutoffs,
+    doubled and trailing separators, odd spaces and comments."""
+    odd = draw(st.sampled_from(["none", "weight", "names", "separator", "end", "space", "all"]))
+
+    def pick(part, common, uncommon):
+        if odd in (part, "all") and draw(st.booleans()):
+            return draw(st.sampled_from(uncommon))
+        return draw(st.sampled_from(common))
+
+    known = list(MIXED.names)
+    if odd in ("names", "all"):
+        names = draw(st.lists(st.sampled_from(known + ["z"]), max_size=4))
+    else:
+        names = draw(st.lists(st.sampled_from(known), min_size=1, max_size=5, unique=True))
+    weights = ["0:", "00:", "1_0:", "\u0663:", "1/2:", "-2:", "x:", ":"]
+    parts = [pick("space", [""], SPACES), pick("weight", ["", "1:", "2 :", "007: "], weights)]
+    for i, name in enumerate(names):
+        if i:
+            parts.append(pick("space", [""], SPACES))
+            parts.append(pick("separator", [">", "="], ["/", ">/", ">>", "=>", ""]))
+        parts += [pick("space", [""], SPACES), name]
+    parts.append(pick("end", [""], [">", "=", "/", "#", "# a>b", ">#b", "=#"]))
+    parts.append(pick("space", [""], SPACES))
+    return "".join(parts)
+
+
+def outcome(parse, text):
+    try:
+        return parse(text, MIXED, 3)
+    except BallotError as exc:
+        return type(exc), str(exc), exc.line, exc.column
+
+
+@given(near_plain_lines())
+@settings(max_examples=600, deadline=None)
+def test_fast_path_agrees_with_the_tokenizer(text):
+    assert outcome(parse_ballot_line, text) == outcome(_parse_general, text)
+
+
 class TestPairwise:
     def test_truncation_default_rules(self):
         # listed beats listed below it and everything unlisted; silence else
@@ -311,3 +386,36 @@ class TestBallotFile:
         with pytest.raises(UnknownCandidate) as err:
             read_ballot_file("candidates: a b\n\na>b\nb>z\n")
         assert err.value.line == 4
+
+    def test_order_counts_names_after_weights_and_cutoffs(self):
+        # "1/2" is a weight, not two names.
+        text = "b>a # c\n2: d>b\n/e>a\n1/2: a/>f\n"
+        cands, _ = read_ballot_file(text)
+        assert cands.names == ("b", "a", "d", "e", "f")
+
+    def test_repeated_lines_share_one_ballot(self):
+        cands, ballots = read_ballot_file("a>b\n2: b\na>b # again\na>b\n")
+        assert ballots == [Ballot(((0,), (1,))), Ballot(((1,),), None, Fraction(2))] + [
+            Ballot(((0,), (1,)))
+        ] * 2
+        assert ballots[0] is ballots[3]
+
+    def test_a_bad_line_after_its_good_prefix_keeps_its_line(self):
+        text = "candidates: a b c\na>b\n\na>b\na>b>z\na>b>c\na>b>z\n"
+        with pytest.raises(UnknownCandidate) as err:
+            read_ballot_file(text)
+        assert (err.value.line, err.value.column) == (5, 5)
+
+    @pytest.mark.parametrize(
+        "line, error",
+        [
+            ("  candidates: a b a # x", "line 2, column 19: candidate 'a' listed twice"),
+            ("candidates:\u3000a/b c", "line 2, column 13: invalid candidate name 'a/b'"),
+            ("candidates: a:b", "line 2, column 13: invalid candidate name 'a:b'"),
+            ("candidates: # none", "line 2, column 1: empty candidates line"),
+        ],
+    )
+    def test_bad_candidates_line(self, line, error):
+        with pytest.raises(MalformedSyntax) as err:
+            read_ballot_file(f"# names\n{line}\na\n")
+        assert str(err.value) == error

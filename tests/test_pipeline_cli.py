@@ -151,6 +151,22 @@ class TestRunCommand:
     def test_missing_file_exit_code(self):
         assert run_cli("run", "no-such-file").returncode == EXIT_PARSE
 
+    @pytest.mark.parametrize("command", [("run",), ("verify", "--cases", "1", "--input")])
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("candidates: a a", "line 2, column 15: candidate 'a' listed twice"),
+            ("candidates: a b>c", "line 2, column 15: invalid candidate name 'b>c'"),
+        ],
+    )
+    def test_bad_candidates_line_exits_with_its_position(self, tmp_path, command, line, message):
+        f = tmp_path / "bad.ballots"
+        f.write_text(f"# names\n{line}\na\n")
+        r = run_cli(*command, str(f))
+        assert r.returncode == EXIT_PARSE
+        assert r.stdout == ""
+        assert r.stderr == f"error: {f}: {message}\n"
+
     def test_cycle_matrix_still_tallies(self, tmp_path):
         f = tmp_path / "cycle.csv"
         f.write_text("a,b,c\nV=3\n*,2,0\n0,*,2\n2,0,*\n")
