@@ -96,8 +96,8 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_run(args) -> int:
     try:
         text = Path(args.input).read_text(encoding="utf-8")
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (OSError, UnicodeDecodeError) as exc:
+        print(f"error: {args.input}: {exc}", file=sys.stderr)
         return EXIT_PARSE
     try:
         total_voters = None if args.total_voters is None else Fraction(args.total_voters)
@@ -141,7 +141,7 @@ def _cmd_verify(args) -> int:
     if args.input is not None:
         try:
             fixture = read_ballot_file(Path(args.input).read_text(encoding="utf-8"))
-        except (OSError, BallotError) as exc:
+        except (OSError, UnicodeDecodeError, BallotError) as exc:
             print(f"error: {args.input}: {exc}", file=sys.stderr)
             return EXIT_PARSE
     if args.suite == "all":

@@ -2,16 +2,23 @@
 
 The max-min closure scores a path by its weakest link and takes the best
 path; the min-max closure scores a path by its strongest link and takes the
-worst path.  Both are computed by Floyd-Warshall triangle updates on exact
-rationals, the min-max one through the duality with the max-min closure of
-the complemented transpose.
+worst path.  Min and max commute with positive scaling, so both closures
+run on the integer numerators of the scores over their least common
+denominator D: n Floyd-Warshall passes, each one numpy broadcast on int64, or
+on Python ints once D or a numerator reaches 2**62.  Every closure entry is
+one of the input entries and maps back to the Fraction it equals, so the
+result is exact.  The min-max closure goes through the duality with the
+max-min closure of the complemented transpose.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+
+import numpy as np
 
 from .matrix import Grid, LlullMatrix, margins
 
@@ -23,29 +30,62 @@ class Variant(enum.Enum):
     MARGIN_BASED = "margin-based"
 
 
+_ZERO = Fraction(0)
+
+# Numerators and common denominators below this bound run on int64, larger
+# ones on Python ints.  The complement D - v of a score in [0, 1] stays below
+# it too.
+_INT64_BOUND = 2**62
+
+
+def _scaled(v: Grid) -> tuple[np.ndarray, int, dict[int, Fraction]]:
+    """Off-diagonal entries of ``v`` as integer numerators over their least
+    common denominator D, with the map from each numerator back to its entry.
+
+    The diagonal reads as 0: it takes part in no path.
+    """
+    n = len(v)
+    flat = [_ZERO if i == j else x for i, row in enumerate(v) for j, x in enumerate(row)]
+    ratios = [x.as_integer_ratio() for x in flat]
+    denominators = {q for _, q in ratios}
+    d = math.lcm(*denominators)
+    scale = {q: d // q for q in denominators}
+    nums = [p * scale[q] for p, q in ratios]
+    small = max(d, max(nums, default=0), -min(nums, default=0)) < _INT64_BOUND
+    dtype = np.int64 if small else object
+    return np.array(nums, dtype=dtype).reshape(n, n), d, dict(zip(nums, flat))
+
+
+def _widest_paths(w: np.ndarray) -> np.ndarray:
+    """Floyd-Warshall bottleneck closure of ``w``, in place.
+
+    Pass k leaves row and column k as they are, so each pass is one
+    broadcast.  Diagonal entries may change, but no off-diagonal entry
+    depends on them.
+    """
+    for k in range(len(w)):
+        np.maximum(w, np.minimum(w[:, k, None], w[None, k, :]), out=w)
+    return w
+
+
+def _unscaled(w: np.ndarray, back: dict[int, Fraction], diagonal) -> Grid:
+    """The entries of ``w`` back as Fractions, with ``diagonal`` set."""
+    rows = [[back[x] for x in row] for row in w.tolist()]
+    for i, x in enumerate(diagonal):
+        rows[i][i] = x
+    return tuple(map(tuple, rows))
+
+
 def maxmin_closure_grid(v: Grid) -> Grid:
     """Floyd-Warshall bottleneck closure of a bare score grid.
 
     Exposed separately from the matrix-level wrapper because closures of
     closures are legitimate (idempotence), while their row pairs may sum
-    above one and so no longer form an admissible matrix.
+    above one and so no longer form an admissible matrix.  The diagonal is
+    returned as given.
     """
-    n = len(v)
-    w = [list(row) for row in v]
-    for k in range(n):
-        wk = w[k]
-        for i in range(n):
-            if i == k:
-                continue
-            wik = w[i][k]
-            row = w[i]
-            for j in range(n):
-                if j == k or j == i:
-                    continue
-                m = wik if wik < wk[j] else wk[j]
-                if m > row[j]:
-                    row[j] = m
-    return tuple(tuple(row) for row in w)
+    w, _, back = _scaled(v)
+    return _unscaled(_widest_paths(w), back, (v[i][i] for i in range(len(v))))
 
 
 def maxmin_closure(matrix: LlullMatrix) -> Grid:
@@ -54,18 +94,14 @@ def maxmin_closure(matrix: LlullMatrix) -> Grid:
 
 
 def minmax_closure(matrix: LlullMatrix) -> Grid:
-    """Worst peak score over all paths, via the max-min duality."""
-    n = matrix.n
-    v = matrix.scores
-    dual = tuple(
-        tuple(1 - v[j][i] if i != j else Fraction(0) for j in range(n))
-        for i in range(n)
-    )
-    dual_star = maxmin_closure_grid(dual)
-    return tuple(
-        tuple(1 - dual_star[j][i] if i != j else Fraction(0) for j in range(n))
-        for i in range(n)
-    )
+    """Worst peak score over all paths, via the max-min duality.
+
+    On numerators over D the complement 1 - v reads D - v, so the min-max
+    closure is D minus the max-min closure of the complemented transpose,
+    transposed back.
+    """
+    w, d, back = _scaled(matrix.scores)
+    return _unscaled(d - _widest_paths(d - w.T).T, back, [_ZERO] * matrix.n)
 
 
 @dataclass(frozen=True)

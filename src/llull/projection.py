@@ -14,6 +14,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
+import numpy as np
+
 from .closures import (
     IndirectScores,
     Variant,
@@ -167,61 +169,92 @@ class ProjectedMatrix:
         return self.pi[x][y] + self.pi[y][x]
 
     def check_structure(self) -> None:
-        """Assert the structural inequalities of the projected matrix."""
+        """Assert the structural inequalities of the projected matrix.
+
+        Every law is one float expression per index pair or triple,
+        evaluated for all of them at once with numpy broadcasts.  When laws
+        fail, the message is that of the first failure in the order of a
+        loop over the law groups below, then over their indices, then over
+        the laws of the group.
+        """
         tol = LAW_TOL
-        seq = self.order.sequence
+        seq = np.array(self.order.sequence, dtype=np.intp)
         n = len(seq)
-        pi, mg, to = self.pi, self.margin, self.turnout
-        for i in range(n):
-            for j in range(i + 1, n):
-                x, y = seq[i], seq[j]
-                if pi[x][y] < pi[y][x] - tol:
-                    raise LawViolation(
-                        "order law fails: projected scores disagree with the order"
-                    )
-                if not (-tol <= pi[x][y] <= 1 + tol) or to(x, y) > 1 + tol:
-                    raise LawViolation(
-                        "admissibility law fails: projected scores left the admissible set"
-                    )
-        for i in range(n):
-            for j in range(i + 1, n):
-                for k in range(j + 1, n):
-                    x, y, z = seq[i], seq[j], seq[k]
-                    if abs(pi[x][z] - max(pi[x][y], pi[y][z])) > tol:
-                        raise LawViolation("chain maximum law fails")
-                    if abs(pi[z][x] - min(pi[z][y], pi[y][x])) > tol:
-                        raise LawViolation("chain minimum law fails")
-                    if mg(x, z) > mg(x, y) + mg(y, z) + tol:
-                        raise LawViolation("margin subadditivity law fails")
-                    if to(x, z) - to(y, z) > mg(x, y) + tol:
-                        raise LawViolation("turnout increment law fails")
-                    if to(x, y) - to(x, z) > mg(y, z) + tol:
-                        raise LawViolation("turnout increment law fails")
-        for i in range(n):
-            for j in range(i + 1, n):
-                x, y = seq[i], seq[j]
-                tied = abs(pi[x][y] - pi[y][x]) <= tol
-                for z in range(n):
-                    if z in (x, y):
-                        continue
-                    checks = [
-                        pi[x][z] - pi[y][z],
-                        pi[z][y] - pi[z][x],
-                        mg(x, z) - mg(y, z),
-                        mg(z, y) - mg(z, x),
-                        to(x, z) - to(y, z),
-                        to(z, x) - to(z, y),
-                    ]
-                    if any(c < -tol for c in checks):
-                        raise LawViolation("row or column monotonicity law fails")
-                    if tied and any(abs(c) > tol for c in checks):
-                        raise LawViolation("tie propagation law fails")
-        for x in range(n):
-            for y in range(n):
-                for z in range(n):
-                    if len({x, y, z}) == 3:
-                        if abs(mg(x, z)) > abs(mg(x, y)) + abs(mg(y, z)) + tol:
-                            raise LawViolation("absolute margins break the triangle law")
+        pi = np.array(self.pi, dtype=float)
+        # Rows by order position, columns by candidate: for x = seq[i],
+        # r[i, z] = pi[x][z] and c[i, z] = pi[z][x].
+        r = pi[seq]
+        c = pi.T[seq]
+        mg_r = r - c  # margin(x, z)
+        to_r = r + c  # turnout(x, z)
+        # The same by order position on both axes: p[i, j] = pi[x][y] for
+        # x, y = seq[i], seq[j].
+        p, pt, mg, to = r[:, seq], c[:, seq], mg_r[:, seq], to_r[:, seq]
+        pos = np.arange(n)
+        before = pos[:, None] < pos[None, :]
+
+        # Pairs x before y.
+        order = p < pt - tol
+        admissible = ~((-tol <= p) & (p <= 1 + tol)) | (to > 1 + tol)
+        _raise_first(
+            (order | admissible) & before,
+            (order, "order law fails: projected scores disagree with the order"),
+            (admissible, "admissibility law fails: projected scores left the admissible set"),
+        )
+
+        # Triples x before y before z, as [i, j, k]: the entries at (i, j),
+        # (j, k) and (i, k) broadcast from [:, :, None], [None] and [:, None, :].
+        xy, yz, xz = p[:, :, None], p[None], p[:, None, :]
+        chain_max = np.abs(xz - np.where(yz > xy, yz, xy)) > tol
+        zy, yx, zx = pt[None], pt[:, :, None], pt[:, None, :]
+        chain_min = np.abs(zx - np.where(yx < zy, yx, zy)) > tol
+        subadditive = mg[:, None, :] > mg[:, :, None] + mg[None] + tol
+        increment = (to[:, None, :] - to[None] > mg[:, :, None] + tol) | (
+            to[:, :, None] - to[:, None, :] > mg[None] + tol
+        )
+        _raise_first(
+            (chain_max | chain_min | subadditive | increment) & before[:, :, None] & before[None],
+            (chain_max, "chain maximum law fails"),
+            (chain_min, "chain minimum law fails"),
+            (subadditive, "margin subadditivity law fails"),
+            (increment, "turnout increment law fails"),
+        )
+
+        # Pairs x before y against every other candidate z, as [i, j, z]
+        # with z a candidate index.  The column checks of margins and
+        # turnouts equal the row checks exactly, so four differences cover
+        # all six; the negated column makes its difference read row-wise.
+        rows = np.stack((r, -c, mg_r, to_r))
+        diffs = rows[:, :, None, :] - rows[:, None, :, :]
+        monotone = (diffs < -tol).any(axis=0)
+        tied = np.abs(mg) <= tol
+        # Where monotonicity holds, |d| > tol is d > tol.
+        spread = tied[:, :, None] & (diffs > tol).any(axis=0)
+        other = seq[:, None] != pos[None, :]
+        _raise_first(
+            (monotone | spread) & before[:, :, None] & other[:, None, :] & other[None],
+            (monotone, "row or column monotonicity law fails"),
+            (spread, "tie propagation law fails"),
+        )
+
+        # Any three candidates; a repeated index never fails here.
+        size = np.abs(mg)
+        if (size[:, None, :] > size[:, :, None] + size[None] + tol).any():
+            raise LawViolation("absolute margins break the triangle law")
+
+
+def _raise_first(fails: np.ndarray, *laws: tuple[np.ndarray, str]) -> None:
+    """Raise the law that fails at the first index of ``fails`` in C order.
+
+    ``laws`` pairs a failure mask of the shape of ``fails`` with a message,
+    in the order the laws are checked at one index.
+    """
+    if not fails.any():
+        return
+    first = np.unravel_index(np.argmax(fails), fails.shape)
+    for mask, message in laws:
+        if mask[first]:
+            raise LawViolation(message)
 
 
 def projected_scores(intervals: tuple[ScoreInterval, ...], xi: AdmissibleOrder) -> ProjectedMatrix:

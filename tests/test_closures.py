@@ -28,6 +28,47 @@ def grid_matrix(rows, total=1):
     )
 
 
+def maxmin_closure_loop(v):
+    """Reference for ``maxmin_closure_grid``: Floyd-Warshall triangle
+    updates on the exact rationals, one pair at a time."""
+    n = len(v)
+    w = [list(row) for row in v]
+    for k in range(n):
+        wk = w[k]
+        for i in range(n):
+            if i == k:
+                continue
+            wik = w[i][k]
+            row = w[i]
+            for j in range(n):
+                if j == k or j == i:
+                    continue
+                m = wik if wik < wk[j] else wk[j]
+                if m > row[j]:
+                    row[j] = m
+    return tuple(tuple(row) for row in w)
+
+
+def minmax_closure_loop(matrix):
+    """Reference for ``minmax_closure``: the loop closure of the complemented
+    transpose, complemented and transposed back."""
+    n = matrix.n
+    v = matrix.scores
+    dual = tuple(
+        tuple(1 - v[j][i] if i != j else Fraction(0) for j in range(n)) for i in range(n)
+    )
+    dual_star = maxmin_closure_loop(dual)
+    return tuple(
+        tuple(1 - dual_star[j][i] if i != j else Fraction(0) for j in range(n))
+        for i in range(n)
+    )
+
+
+def assert_same_grid(got, expected):
+    assert got == expected
+    assert all(type(a) is Fraction for row in got for a in row)
+
+
 def enumerate_paths(matrix):
     """Independent oracle: literal max-over-paths-of-min and its dual."""
     n = matrix.n
@@ -191,3 +232,62 @@ class TestVariantMargins:
                     assert vm.m[x][y] == min(
                         star[x][y] - star[y][x], bar[x][y] - bar[y][x]
                     )
+
+
+class TestIntegerKernel:
+    """The integer closures against the loop references, exact Grid equality."""
+
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_random_matrices(self, n):
+        rng = random.Random(700 + n)
+        for denominator in (1, 2, 12, 97, 1000):
+            matrix = random_matrix(rng, n, denominator)
+            assert_same_grid(maxmin_closure(matrix), maxmin_closure_loop(matrix.scores))
+            assert_same_grid(minmax_closure(matrix), minmax_closure_loop(matrix))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_margin_completed_matrices(self, seed):
+        rng = random.Random(800 + seed)
+        completed = margin_completion(random_matrix(rng, rng.randint(3, 9)))
+        assert_same_grid(maxmin_closure(completed), maxmin_closure_loop(completed.scores))
+        assert_same_grid(minmax_closure(completed), minmax_closure_loop(completed))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_closures_of_closures(self, seed):
+        rng = random.Random(900 + seed)
+        matrix = random_matrix(rng, rng.randint(3, 9))
+        star = maxmin_closure_loop(matrix.scores)
+        bar = minmax_closure_loop(matrix)
+        # a min-max closure has row pairs summing above one: a bare grid
+        for grid in (star, bar):
+            assert_same_grid(maxmin_closure_grid(grid), maxmin_closure_loop(grid))
+
+    def test_diagonal_is_kept_and_never_raises_an_entry(self):
+        third, zero = Fraction(1, 3), Fraction(0)
+        grid = (
+            (Fraction(5), third, zero),
+            (zero, Fraction(7), third),
+            (third, third, Fraction(-2)),
+        )
+        assert_same_grid(maxmin_closure_grid(grid), maxmin_closure_loop(grid))
+        assert [maxmin_closure_grid(grid)[i][i] for i in range(3)] == [5, 7, -2]
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_denominators_beyond_int64(self, seed):
+        # weights of 2**70 votes, and denominators whose common multiple
+        # passes 2**62, take the Python-int path
+        rng = random.Random(1000 + seed)
+        n = rng.randint(3, 7)
+        for denominator in (2**70, 2**64 + 13):
+            matrix = random_matrix(rng, n, denominator)
+            assert_same_grid(maxmin_closure(matrix), maxmin_closure_loop(matrix.scores))
+            assert_same_grid(minmax_closure(matrix), minmax_closure_loop(matrix))
+        scores = [[Fraction(0)] * n for _ in range(n)]
+        for x in range(n):
+            for y in range(x + 1, n):
+                a, b = rng.randint(0, 2**70), rng.randint(0, 2**70)
+                total = a + b + rng.randint(1, 5)
+                scores[x][y], scores[y][x] = Fraction(a, total), Fraction(b, total)
+        matrix = grid_matrix(scores)
+        assert_same_grid(maxmin_closure(matrix), maxmin_closure_loop(matrix.scores))
+        assert_same_grid(minmax_closure(matrix), minmax_closure_loop(matrix))

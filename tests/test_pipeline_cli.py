@@ -167,6 +167,17 @@ class TestRunCommand:
         assert r.stdout == ""
         assert r.stderr == f"error: {f}: {message}\n"
 
+    @pytest.mark.parametrize("command", [("run",), ("verify", "--cases", "1", "--input")])
+    def test_input_that_is_not_utf8(self, tmp_path, command):
+        f = tmp_path / "latin1.ballots"
+        f.write_bytes(b"candidates: a b\na>b\n\xff\n")
+        r = run_cli(*command, str(f))
+        assert r.returncode == EXIT_PARSE
+        assert r.stdout == ""
+        assert r.stderr.startswith(f"error: {f}: ")
+        assert "can't decode byte 0xff" in r.stderr
+        assert "Traceback" not in r.stderr
+
     def test_cycle_matrix_still_tallies(self, tmp_path):
         f = tmp_path / "cycle.csv"
         f.write_text("a,b,c\nV=3\n*,2,0\n0,*,2\n2,0,*\n")

@@ -5,11 +5,13 @@ import pytest
 
 from llull.ballots import CandidateSet, InterpretationRules, read_ballot_file
 from llull.closures import Variant, indirect_scores, variant_margins
-from llull.errors import LlullError
+from llull.errors import LawViolation, LlullError
 from llull.generate import candidate_names, random_matrix
 from llull.matrix import LlullMatrix, aggregate, margins, turnouts
-from llull.ordering import admissible_order
+from llull.ordering import AdmissibleOrder, admissible_order
 from llull.projection import (
+    LAW_TOL,
+    ProjectedMatrix,
     build_intervals,
     intermediate_margins,
     project_details,
@@ -280,3 +282,182 @@ class TestProjectOperator:
                         assert pm.pi[x][y] == pytest.approx(
                             details.pm.pi[x][y], abs=1e-9
                         )
+
+
+def check_structure_loop(pm):
+    """Reference for ``ProjectedMatrix.check_structure``: every law as a
+    plain loop, raising the first failure in loop order."""
+    tol = LAW_TOL
+    seq = pm.order.sequence
+    n = len(seq)
+    pi, mg, to = pm.pi, pm.margin, pm.turnout
+    for i in range(n):
+        for j in range(i + 1, n):
+            x, y = seq[i], seq[j]
+            if pi[x][y] < pi[y][x] - tol:
+                raise LawViolation("order law fails: projected scores disagree with the order")
+            if not (-tol <= pi[x][y] <= 1 + tol) or to(x, y) > 1 + tol:
+                raise LawViolation(
+                    "admissibility law fails: projected scores left the admissible set"
+                )
+    for i in range(n):
+        for j in range(i + 1, n):
+            for k in range(j + 1, n):
+                x, y, z = seq[i], seq[j], seq[k]
+                if abs(pi[x][z] - max(pi[x][y], pi[y][z])) > tol:
+                    raise LawViolation("chain maximum law fails")
+                if abs(pi[z][x] - min(pi[z][y], pi[y][x])) > tol:
+                    raise LawViolation("chain minimum law fails")
+                if mg(x, z) > mg(x, y) + mg(y, z) + tol:
+                    raise LawViolation("margin subadditivity law fails")
+                if to(x, z) - to(y, z) > mg(x, y) + tol:
+                    raise LawViolation("turnout increment law fails")
+                if to(x, y) - to(x, z) > mg(y, z) + tol:
+                    raise LawViolation("turnout increment law fails")
+    for i in range(n):
+        for j in range(i + 1, n):
+            x, y = seq[i], seq[j]
+            tied = abs(pi[x][y] - pi[y][x]) <= tol
+            for z in range(n):
+                if z in (x, y):
+                    continue
+                checks = [
+                    pi[x][z] - pi[y][z],
+                    pi[z][y] - pi[z][x],
+                    mg(x, z) - mg(y, z),
+                    mg(z, y) - mg(z, x),
+                    to(x, z) - to(y, z),
+                    to(z, x) - to(z, y),
+                ]
+                if any(c < -tol for c in checks):
+                    raise LawViolation("row or column monotonicity law fails")
+                if tied and any(abs(c) > tol for c in checks):
+                    raise LawViolation("tie propagation law fails")
+    for x in range(n):
+        for y in range(n):
+            for z in range(n):
+                if len({x, y, z}) == 3:
+                    if abs(mg(x, z)) > abs(mg(x, y)) + abs(mg(y, z)) + tol:
+                        raise LawViolation("absolute margins break the triangle law")
+
+
+def law_outcome(check, pm):
+    """None when ``check(pm)`` passes, else the message it raises."""
+    try:
+        check(pm)
+    except LawViolation as exc:
+        return str(exc)
+    return None
+
+
+def projected(rows, sequence):
+    """A projected matrix whose scores by order position are ``rows``."""
+    n = len(rows)
+    pi = [[0.0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            pi[sequence[i]][sequence[j]] = float(rows[i][j])
+    return ProjectedMatrix(tuple(map(tuple, pi)), AdmissibleOrder.from_sequence(tuple(sequence)))
+
+
+# Slack within the tolerance: some laws follow exactly from the others, so a
+# matrix breaking only one of them needs the others to hold within LAW_TOL.
+E = 0.7 * LAW_TOL
+S = Fraction(1, 16)
+
+# (message, scores by order position) with exactly one law broken.
+ONE_LAW_BROKEN = [
+    (
+        "order law fails: projected scores disagree with the order",
+        [[0, 2 * S], [4 * S, 0]],
+    ),
+    (
+        "admissibility law fails: projected scores left the admissible set",
+        [[0, 14 * S], [3 * S, 0]],
+    ),
+    ("chain maximum law fails", [[0, 8 * S, 9 * S], [2 * S, 0, 3 * S], [S, S, 0]]),
+    ("chain minimum law fails", [[0, 12 * S, 12 * S], [2 * S, 0, 9 * S], [S, 2 * S, 0]]),
+    (
+        "margin subadditivity law fails",
+        [[0, 6 * S - E, 9 * S], [6 * S, 0, 9 * S], [S, S + E, 0]],
+    ),
+    ("turnout increment law fails", [[0, 2 * S, 2 * S - E], [0, 0, 0], [0, E, 0]]),
+    (
+        "row or column monotonicity law fails",
+        [[0, 5 * S, 7 * S], [3 * S, 0, 7 * S], [3 * S, 4 * S, 0]],
+    ),
+    ("tie propagation law fails", [[0, E, 0], [0, 0, E], [0, 0, 0]]),
+]
+
+
+class TestLawChecks:
+    @pytest.mark.parametrize("message, rows", ONE_LAW_BROKEN)
+    @pytest.mark.parametrize("sequence", [None, "reversed", "rotated"])
+    def test_each_law_fails_alone(self, message, rows, sequence):
+        n = len(rows)
+        seq = {
+            None: list(range(n)),
+            "reversed": list(range(n))[::-1],
+            "rotated": [*range(1, n), 0],
+        }[sequence]
+        pm = projected(rows, seq)
+        with pytest.raises(LawViolation) as info:
+            pm.check_structure()
+        assert str(info.value) == message
+        assert law_outcome(check_structure_loop, pm) == message
+
+    def test_triangle_law_follows_from_the_earlier_laws(self):
+        # |m(x, z)| <= |m(x, y)| + |m(y, z)| follows from the order,
+        # subadditivity and monotonicity laws, so no matrix breaks it alone:
+        # one that breaks it raises an earlier law.
+        pm = projected([[0, 4 * S, 8 * S], [4 * S, 0, 4 * S], [0, 4 * S, 0]], [0, 1, 2])
+        assert abs(pm.margin(0, 2)) > abs(pm.margin(0, 1)) + abs(pm.margin(1, 2)) + LAW_TOL
+        assert law_outcome(ProjectedMatrix.check_structure, pm) == "chain maximum law fails"
+        assert law_outcome(check_structure_loop, pm) == "chain maximum law fails"
+
+    @pytest.mark.parametrize(
+        "rows, sequence, message",
+        [
+            # pair (0, 1) breaks admissibility before pair (1, 2) breaks the order
+            (
+                [[0, 17 * S, 17 * S], [0, 0, 2 * S], [0, 4 * S, 0]],
+                [1, 2, 0],
+                "admissibility law fails: projected scores left the admissible set",
+            ),
+            # one pair breaks both: the order law is checked first
+            (
+                [[0, -2 * S], [4 * S, 0]],
+                [1, 0],
+                "order law fails: projected scores disagree with the order",
+            ),
+            # one triple breaks both chain laws: the maximum is checked first
+            (
+                [[0, 4 * S, 8 * S], [4 * S, 0, 4 * S], [0, 4 * S, 0]],
+                [2, 0, 1],
+                "chain maximum law fails",
+            ),
+        ],
+    )
+    def test_first_failure_in_loop_order_wins(self, rows, sequence, message):
+        pm = projected(rows, sequence)
+        assert law_outcome(ProjectedMatrix.check_structure, pm) == message
+        assert law_outcome(check_structure_loop, pm) == message
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_matches_loop_reference_on_perturbed_projections(self, seed):
+        rng = random.Random(600 + seed)
+        steps = [S, 2 * S, LAW_TOL / 2, LAW_TOL, 2 * LAW_TOL, 1e-15]
+        for _ in range(10):
+            n = rng.randint(2, 7)
+            pm = project_details(random_matrix(rng, n, rng.choice([4, 12, 16]))).pm
+            pi = [list(row) for row in pm.pi]
+            for _ in range(rng.choice([0, 1, 1, 2, 3])):
+                x, y = rng.sample(range(n), 2)
+                if rng.random() < 0.2:
+                    pi[x][y] = pi[y][x]  # a tie
+                else:
+                    pi[x][y] += rng.choice([-1, 1]) * float(rng.choice(steps))
+            perturbed = ProjectedMatrix(tuple(map(tuple, pi)), pm.order)
+            assert law_outcome(ProjectedMatrix.check_structure, perturbed) == law_outcome(
+                check_structure_loop, perturbed
+            )
