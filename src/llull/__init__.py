@@ -24,9 +24,8 @@ from .closures import (
     VariantMargins,
     indirect_scores,
     margin_completion,
-    maxmin_closure,
     maxmin_closure_grid,
-    minmax_closure,
+    minmax_closure_grid,
     variant_margins,
 )
 from .errors import (
@@ -47,6 +46,7 @@ from .matrix import (
     LlullMatrix,
     aggregate,
     margins,
+    numerators,
     read_matrix,
     turnouts,
     write_matrix,

@@ -3,24 +3,22 @@
 The max-min closure scores a path by its weakest link and takes the best
 path; the min-max closure scores a path by its strongest link and takes the
 worst path.  Min and max commute with positive scaling, so both closures
-run on the integer numerators of the scores over their least common
-denominator D: n Floyd-Warshall passes, each one numpy broadcast on int64, or
-on Python ints once D or a numerator reaches 2**62.  Every closure entry is
-one of the input entries and maps back to the Fraction it equals, so the
-result is exact.  The min-max closure goes through the duality with the
+run on the integer numerators of the scores over their common denominator D
+(``matrix.numerators``): n Floyd-Warshall passes, each one numpy broadcast.
+Every closure entry is one of the input numerators, so the result is exact
+over the same D.  The min-max closure goes through the duality with the
 max-min closure of the complemented transpose.
 """
 
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .matrix import Grid, LlullMatrix, margins
+from .matrix import LlullMatrix, margins
 
 
 class Variant(enum.Enum):
@@ -30,117 +28,75 @@ class Variant(enum.Enum):
     MARGIN_BASED = "margin-based"
 
 
-_ZERO = Fraction(0)
-
-# Numerators and common denominators below this bound run on int64, larger
-# ones on Python ints.  The complement D - v of a score in [0, 1] stays below
-# it too.
-_INT64_BOUND = 2**62
-
-
-def _scaled(v: Grid) -> tuple[np.ndarray, int, dict[int, Fraction]]:
-    """Off-diagonal entries of ``v`` as integer numerators over their least
-    common denominator D, with the map from each numerator back to its entry.
-
-    The diagonal reads as 0: it takes part in no path.
-    """
-    n = len(v)
-    flat = [_ZERO if i == j else x for i, row in enumerate(v) for j, x in enumerate(row)]
-    ratios = [x.as_integer_ratio() for x in flat]
-    denominators = {q for _, q in ratios}
-    d = math.lcm(*denominators)
-    scale = {q: d // q for q in denominators}
-    nums = [p * scale[q] for p, q in ratios]
-    small = max(d, max(nums, default=0), -min(nums, default=0)) < _INT64_BOUND
-    dtype = np.int64 if small else object
-    return np.array(nums, dtype=dtype).reshape(n, n), d, dict(zip(nums, flat))
-
-
-def _widest_paths(w: np.ndarray) -> np.ndarray:
-    """Floyd-Warshall bottleneck closure of ``w``, in place.
+def maxmin_closure_grid(w: np.ndarray) -> np.ndarray:
+    """Floyd-Warshall bottleneck closure of integer scores ``w``.
 
     Pass k leaves row and column k as they are, so each pass is one
-    broadcast.  Diagonal entries may change, but no off-diagonal entry
-    depends on them.
+    broadcast.  No off-diagonal entry depends on a diagonal one, and the
+    diagonal of the result is 0.  ``w`` may be any square integer grid: a
+    closure of a closure is legitimate (idempotence) although its row pairs
+    may sum above the denominator.
     """
+    w = w.copy()
     for k in range(len(w)):
         np.maximum(w, np.minimum(w[:, k, None], w[None, k, :]), out=w)
+    np.fill_diagonal(w, 0)
     return w
 
 
-def _unscaled(w: np.ndarray, back: dict[int, Fraction], diagonal) -> Grid:
-    """The entries of ``w`` back as Fractions, with ``diagonal`` set."""
-    rows = [[back[x] for x in row] for row in w.tolist()]
-    for i, x in enumerate(diagonal):
-        rows[i][i] = x
-    return tuple(map(tuple, rows))
-
-
-def maxmin_closure_grid(v: Grid) -> Grid:
-    """Floyd-Warshall bottleneck closure of a bare score grid.
-
-    Exposed separately from the matrix-level wrapper because closures of
-    closures are legitimate (idempotence), while their row pairs may sum
-    above one and so no longer form an admissible matrix.  The diagonal is
-    returned as given.
-    """
-    w, _, back = _scaled(v)
-    return _unscaled(_widest_paths(w), back, (v[i][i] for i in range(len(v))))
-
-
-def maxmin_closure(matrix: LlullMatrix) -> Grid:
-    """Best bottleneck score over all paths, for every ordered pair."""
-    return maxmin_closure_grid(matrix.scores)
-
-
-def minmax_closure(matrix: LlullMatrix) -> Grid:
+def minmax_closure_grid(w: np.ndarray, den: int) -> np.ndarray:
     """Worst peak score over all paths, via the max-min duality.
 
-    On numerators over D the complement 1 - v reads D - v, so the min-max
-    closure is D minus the max-min closure of the complemented transpose,
-    transposed back.
+    On numerators over ``den`` the complement 1 - v reads den - v, so the
+    min-max closure is den minus the max-min closure of the complemented
+    transpose, transposed back.
     """
-    w, d, back = _scaled(matrix.scores)
-    return _unscaled(d - _widest_paths(d - w.T).T, back, [_ZERO] * matrix.n)
+    bar = den - maxmin_closure_grid(den - w.T).T
+    np.fill_diagonal(bar, 0)
+    return bar
 
 
 @dataclass(frozen=True)
 class IndirectScores:
-    """Path closures backing a variant's margins.
+    """Path closures backing a variant's margins, as numerators over ``den``.
 
     ``vstar`` is the max-min closure; ``vbar`` is the min-max closure and is
     computed only when the variant needs it.
     """
 
-    vstar: Grid
-    vbar: Grid | None
+    vstar: np.ndarray
+    vbar: np.ndarray | None
     variant: Variant
+    den: int
 
 
 def margin_completion(matrix: LlullMatrix) -> LlullMatrix:
     """Replace each missing comparison by a proper tie: v' = (1 + m) / 2."""
+    v = matrix.scores
     n = matrix.n
-    m = margins(matrix.scores)
     scores = tuple(
-        tuple((1 + m[x][y]) / 2 if x != y else Fraction(0) for y in range(n))
+        tuple((1 + v[x][y] - v[y][x]) / 2 if x != y else Fraction(0) for y in range(n))
         for x in range(n)
     )
     return LlullMatrix(matrix.candidates, scores, matrix.total)
 
 
-def indirect_scores(matrix: LlullMatrix, variant: Variant) -> IndirectScores:
-    """Closures of ``matrix`` for ``variant``; the margin-based variant expects
-    the margin-completed matrix."""
-    vbar = minmax_closure(matrix) if variant in (Variant.CODUAL, Variant.BALANCED) else None
-    return IndirectScores(maxmin_closure(matrix), vbar, variant)
+def indirect_scores(w: np.ndarray, den: int, variant: Variant) -> IndirectScores:
+    """Closures of the score numerators ``w`` over ``den`` for ``variant``;
+    the margin-based variant expects those of the margin-completed matrix."""
+    needs_bar = variant in (Variant.CODUAL, Variant.BALANCED)
+    vbar = minmax_closure_grid(w, den) if needs_bar else None
+    return IndirectScores(maxmin_closure_grid(w), vbar, variant, den)
 
 
 @dataclass(frozen=True)
 class VariantMargins:
-    """Antisymmetric indirect margins according to one pipeline variant."""
+    """Antisymmetric indirect margins of one pipeline variant, as numerators
+    over ``den``."""
 
-    m: Grid
+    m: np.ndarray
     variant: Variant
+    den: int
 
 
 def variant_margins(scores: IndirectScores) -> VariantMargins:
@@ -152,18 +108,10 @@ def variant_margins(scores: IndirectScores) -> VariantMargins:
     its sign and then takes the smaller margin.
     """
     variant = scores.variant
-    if variant in (Variant.MAIN, Variant.MARGIN_BASED):
-        return VariantMargins(margins(scores.vstar), variant)
-    if variant is Variant.CODUAL:
-        return VariantMargins(margins(scores.vbar), variant)
-
-    mstar = margins(scores.vstar)
-    mbar = margins(scores.vbar)
-    n = len(mstar)
-    out = [[Fraction(0)] * n for _ in range(n)]
-    for x in range(n):
-        for y in range(n):
-            if x != y and mstar[x][y] > 0 and mbar[x][y] > 0:
-                out[x][y] = min(mstar[x][y], mbar[x][y])
-                out[y][x] = -out[x][y]
-    return VariantMargins(tuple(tuple(row) for row in out), variant)
+    m = margins(scores.vbar if variant is Variant.CODUAL else scores.vstar)
+    if variant is Variant.BALANCED:
+        mbar = margins(scores.vbar)
+        # At most one of a pair's two entries is positive in both closures.
+        kept = np.where((m > 0) & (mbar > 0), np.minimum(m, mbar), 0)
+        m = kept - kept.T
+    return VariantMargins(m, variant, scores.den)

@@ -1,7 +1,13 @@
-"""The Llull matrix of pairwise scores, with exact rational entries."""
+"""The Llull matrix of pairwise scores, with exact rational entries.
+
+``LlullMatrix`` is the validated input in Fractions.  The tally stages
+share one exact format, owned here: integer numerators over one positive
+denominator (``numerators``).
+"""
 
 from __future__ import annotations
 
+import math
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
@@ -22,6 +28,10 @@ from .ballots import (
 from .errors import MatrixFormatError, TotalVotersTooSmall
 
 Grid = tuple[tuple[Fraction, ...], ...]
+
+# Numerators and common denominators below this bound run on int64, larger
+# ones on Python ints.
+_INT64_BOUND = 2**62
 
 
 @dataclass(frozen=True)
@@ -170,22 +180,37 @@ def aggregate(
     return LlullMatrix.from_absolute(candidates, counts, total_voters)
 
 
-def turnouts(v: Grid) -> Grid:
-    """Symmetric per-pair turnouts t_xy = v_xy + v_yx of a score grid."""
-    n = len(v)
-    return tuple(
-        tuple(v[x][y] + v[y][x] if x != y else Fraction(0) for y in range(n))
-        for x in range(n)
-    )
+def numerators(grid: Grid) -> tuple[np.ndarray, int]:
+    """The exact format of the tally stages: the off-diagonal entries of
+    ``grid`` as integer numerators over their least common denominator D.
+
+    Returns ``(w, D)``.  ``w`` is int64 while D and every numerator stay
+    below 2**62, so the sum or difference of two score numerators cannot
+    overflow, and an ``object`` array of Python ints otherwise.  The
+    diagonal reads as 0.
+    """
+    n = len(grid)
+    ratios = [
+        (0, 1) if i == j else x.as_integer_ratio()
+        for i, row in enumerate(grid)
+        for j, x in enumerate(row)
+    ]
+    denominators = {q for _, q in ratios}
+    d = math.lcm(*denominators)
+    scale = {q: d // q for q in denominators}
+    nums = [p * scale[q] for p, q in ratios]
+    small = max(d, max(nums, default=0), -min(nums, default=0)) < _INT64_BOUND
+    return np.array(nums, dtype=np.int64 if small else object).reshape(n, n), d
 
 
-def margins(v: Grid) -> Grid:
-    """Antisymmetric per-pair margins m_xy = v_xy - v_yx of a score grid."""
-    n = len(v)
-    return tuple(
-        tuple(v[x][y] - v[y][x] if x != y else Fraction(0) for y in range(n))
-        for x in range(n)
-    )
+def turnouts(w: np.ndarray) -> np.ndarray:
+    """Symmetric per-pair turnouts t_xy = v_xy + v_yx, over the same D."""
+    return w + w.T
+
+
+def margins(w: np.ndarray) -> np.ndarray:
+    """Antisymmetric per-pair margins m_xy = v_xy - v_yx, over the same D."""
+    return w - w.T
 
 
 # ---------------------------------------------------------------------------
@@ -242,6 +267,11 @@ def read_matrix(text: str) -> LlullMatrix:
                 raise MatrixFormatError(f"cannot read entry {cell!r}", lineno) from None
             if j == len(rows) and parsed[-1] != 0:
                 raise MatrixFormatError(f"diagonal entry {cell!r} is not '*' or 0", lineno)
+            if parsed[-1].numerator < 0:
+                raise MatrixFormatError(
+                    f"pair ({header[len(rows)]}, {header[j]}) has negative entry {cell!r}",
+                    lineno,
+                )
         rows.append(parsed)
         row_lines.append(lineno)
 
@@ -255,8 +285,6 @@ def read_matrix(text: str) -> LlullMatrix:
         return LlullMatrix.from_absolute(candidates, rows, total)
     except TotalVotersTooSmall as exc:
         raise MatrixFormatError(str(exc), total_line or row_lines[0]) from None
-    except ValueError as exc:
-        raise MatrixFormatError(str(exc), row_lines[0]) from None
 
 
 def write_matrix(matrix: LlullMatrix) -> str:

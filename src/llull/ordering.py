@@ -6,6 +6,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator
 
+import numpy as np
+
 from .ballots import CandidateSet
 from .closures import VariantMargins
 from .errors import NotAdmissible
@@ -16,39 +18,35 @@ class AdmissibleOrder:
     """A total candidate order extending the indirect comparison relation."""
 
     sequence: tuple[int, ...]
-    rank: dict[int, int]  # candidate index -> 1-based position
-    # The Copeland ranks the order was sorted by, when it was built from them.
-    copeland: tuple[Fraction, ...] = field(default=(), compare=False)
-
-    @classmethod
-    def from_sequence(
-        cls, sequence: tuple[int, ...], copeland: tuple[Fraction, ...] = ()
-    ) -> "AdmissibleOrder":
-        return cls(sequence, {c: i + 1 for i, c in enumerate(sequence)}, copeland)
+    # The Copeland ranks the order was sorted by, as numerators over 2, when
+    # it was built from them.
+    copeland: tuple[int, ...] = field(default=(), compare=False)
 
 
-def copeland_ranks(vm: VariantMargins) -> tuple[Fraction, ...]:
-    """Tie-splitting Copeland ranks: one plus the number of candidates
-    beating this one indirectly, counting exact ties as half."""
-    n = len(vm.m)
-    ranks = []
-    for x in range(n):
-        beaten_by = sum(1 for y in range(n) if y != x and vm.m[y][x] > 0)
-        tied = sum(1 for y in range(n) if y != x and vm.m[y][x] == 0)
-        ranks.append(1 + Fraction(beaten_by) + Fraction(tied, 2))
-    return tuple(ranks)
+def copeland_ranks(vm: VariantMargins) -> np.ndarray:
+    """Tie-splitting Copeland ranks, as numerators over 2: a rank is one
+    plus the number of candidates beating this one indirectly, counting
+    exact ties as half."""
+    beaten_by = (vm.m > 0).sum(axis=0)
+    tied = (vm.m == 0).sum(axis=0) - 1  # the diagonal reads 0
+    return 2 + 2 * beaten_by + tied
 
 
 def _check_admissible(
     sequence: tuple[int, ...], vm: VariantMargins, candidates: CandidateSet
 ) -> None:
-    for i, x in enumerate(sequence):
-        for y in sequence[i + 1 :]:
-            if vm.m[x][y] < 0:
-                raise NotAdmissible(
-                    f"order puts {candidates.names[x]} before {candidates.names[y]} "
-                    f"but the {vm.variant.value} indirect margin is {vm.m[x][y]}"
-                )
+    """Raise at the first pair in order, by position, that the order puts
+    against a negative margin."""
+    seq = np.array(sequence, dtype=np.intp)
+    against = np.triu(vm.m[np.ix_(seq, seq)] < 0, 1)
+    if against.any():
+        i, j = np.unravel_index(np.argmax(against), against.shape)
+        x, y = sequence[i], sequence[j]
+        margin = Fraction(int(vm.m[x, y]), vm.den)
+        raise NotAdmissible(
+            f"order puts {candidates.names[x]} before {candidates.names[y]} "
+            f"but the {vm.variant.value} indirect margin is {margin}"
+        )
 
 
 def admissible_order(vm: VariantMargins, candidates: CandidateSet) -> AdmissibleOrder:
@@ -58,36 +56,30 @@ def admissible_order(vm: VariantMargins, candidates: CandidateSet) -> Admissible
     only possible for variants without a transitivity guarantee.
     """
     ranks = copeland_ranks(vm)
-    sequence = tuple(sorted(range(len(ranks)), key=lambda x: (ranks[x], x)))
+    sequence = tuple(np.argsort(ranks, kind="stable").tolist())
     _check_admissible(sequence, vm, candidates)
-    return AdmissibleOrder.from_sequence(sequence, ranks)
+    return AdmissibleOrder(sequence, tuple(ranks.tolist()))
 
 
-def enumerate_admissible_orders(
-    vm: VariantMargins, limit: int | None = None
-) -> Iterator[AdmissibleOrder]:
+def enumerate_admissible_orders(vm: VariantMargins) -> Iterator[AdmissibleOrder]:
     """Yield every admissible order in lexicographic candidate order.
 
     A candidate may come next exactly when no remaining candidate still
     beats it; this single test enforces both inclusions that define
     admissibility.
     """
-    n = len(vm.m)
-    count = 0
+    beats = vm.m > 0
 
     def extend(prefix: list[int], remaining: list[int]) -> Iterator[tuple[int, ...]]:
         if not remaining:
             yield tuple(prefix)
             return
         for x in remaining:
-            if any(vm.m[y][x] > 0 for y in remaining if y != x):
+            if beats[remaining, x].any():
                 continue
             prefix.append(x)
             yield from extend(prefix, [y for y in remaining if y != x])
             prefix.pop()
 
-    for sequence in extend([], list(range(n))):
-        yield AdmissibleOrder.from_sequence(sequence)
-        count += 1
-        if limit is not None and count >= limit:
-            return
+    for sequence in extend([], list(range(len(beats)))):
+        yield AdmissibleOrder(sequence)

@@ -5,6 +5,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
+from math import gcd
+
+import numpy as np
 
 from .ballots import CandidateSet, InterpretationRules, read_ballot_file
 from .closures import Variant
@@ -90,11 +94,20 @@ def render_text(result: TallyResult) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _frac_grid(grid, diag="0") -> list[list[str]]:
+def _frac_grid(grid) -> list[list[str]]:
     n = len(grid)
-    return [
-        [str(grid[x][y]) if x != y else diag for y in range(n)] for x in range(n)
-    ]
+    return [[str(grid[x][y]) if x != y else "0" for y in range(n)] for x in range(n)]
+
+
+def _numerator_grid(w: np.ndarray, den: int) -> list[list[str]]:
+    """Numerators over ``den`` as the strings of their Fractions, each
+    distinct one rendered once; the diagonal holds 0."""
+    rows = w.tolist()
+    text = {}
+    for p in set(chain.from_iterable(rows)):
+        g = gcd(p, den)  # positive, so the sign stays on the numerator
+        text[p] = str(p // g) if g == den else f"{p // g}/{den // g}"
+    return [[text[p] for p in row] for row in rows]
 
 
 def _config_json(config: RunConfig) -> dict:
@@ -111,7 +124,8 @@ def _intermediates_json(details: ProjectionDetails) -> dict:
     names = details.matrix.candidates.names
     seq = details.xi.sequence
     n = len(seq)
-    ordered_msigma = _frac_grid(details.im.msigma)
+    den = details.den
+    vbar = details.scores.vbar
     ordered_tsigma = [
         [details.pt.tsigma[i][j] if i != j else 0.0 for j in range(n)] for i in range(n)
     ]
@@ -121,13 +135,13 @@ def _intermediates_json(details: ProjectionDetails) -> dict:
     ]
     return {
         "v": _frac_grid(details.matrix.scores),
-        "t": _frac_grid(details.t),
-        "vstar": _frac_grid(details.scores.vstar),
-        "vbar": None if details.scores.vbar is None else _frac_grid(details.scores.vbar),
-        "m": _frac_grid(details.vm.m),
-        "copeland": [str(r) for r in details.xi.copeland],
+        "t": _numerator_grid(details.t, den),
+        "vstar": _numerator_grid(details.scores.vstar, den),
+        "vbar": None if vbar is None else _numerator_grid(vbar, den),
+        "m": _numerator_grid(details.vm.m, den),
+        "copeland": [str(Fraction(r, 2)) for r in details.xi.copeland],
         "xi": [names[x] for x in seq],
-        "msigma": ordered_msigma,
+        "msigma": _numerator_grid(details.im.msigma, den),
         "tausigma": ordered_tsigma,
         "gamma": [[g.lo, g.hi] for g in details.intervals],
         "pi": ordered_pi,

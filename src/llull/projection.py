@@ -3,15 +3,16 @@
 Given variant margins and an admissible order, this runs the three stages
 that turn raw turnouts into projected scores: rectangle-minimized margins,
 the nearest-point turnout program, and the interval construction whose
-endpoints are the projected scores.  Rationals cross over to binary64 at the
-entry of the quadratic program.  ``project_details`` is the one place that
+endpoints are the projected scores.  The exact stages run on integer
+numerators over one denominator D; they cross over to binary64 at the entry
+of the quadratic program, as Python-int divisions by D, which round
+correctly.  ``project_details`` is the one place that
 composes these stages with the closures and the order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
@@ -25,7 +26,7 @@ from .closures import (
     variant_margins,
 )
 from .errors import LawViolation
-from .matrix import Grid, LlullMatrix, turnouts
+from .matrix import LlullMatrix, numerators, turnouts
 from .ordering import AdmissibleOrder, admissible_order
 from .qp import QpProblem, QpSolution, solve_active_set
 
@@ -35,38 +36,31 @@ LAW_TOL = 1e-9
 
 @dataclass(frozen=True)
 class IntermediateMargins:
-    """Rectangle minimum of the variant margins over the admissible order.
+    """Rectangle minimum of the variant margins over the admissible order,
+    as numerators over ``den``.
 
-    ``msigma[i][j]`` is indexed by order position, antisymmetric, with the
+    ``msigma[i, j]`` is indexed by order position, antisymmetric, with the
     value for i < j being the minimum margin over all pairs (p, q) with
     p at-or-before i and q at-or-after j.
     """
 
     order: AdmissibleOrder
-    msigma: Grid
+    msigma: np.ndarray
+    den: int
 
     @property
-    def superdiagonal(self) -> tuple[Fraction, ...]:
-        n = len(self.msigma)
-        return tuple(self.msigma[i][i + 1] for i in range(n - 1))
+    def superdiagonal(self) -> tuple[int, ...]:
+        return tuple(np.diagonal(self.msigma, 1).tolist())
 
 
 def intermediate_margins(vm: VariantMargins, xi: AdmissibleOrder) -> IntermediateMargins:
-    seq = xi.sequence
-    n = len(seq)
-    grid = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n - 1, i, -1):
-            best = vm.m[seq[i]][seq[j]]
-            if i > 0 and grid[i - 1][j] < best:
-                best = grid[i - 1][j]
-            if j < n - 1 and grid[i][j + 1] < best:
-                best = grid[i][j + 1]
-            grid[i][j] = best
-    for i in range(n):
-        for j in range(i):
-            grid[i][j] = -grid[j][i]
-    return IntermediateMargins(xi, tuple(tuple(row) for row in grid))
+    seq = np.array(xi.sequence, dtype=np.intp)
+    # Running minima down the columns, then leftward along the rows: entry
+    # (i, j) becomes the minimum over positions p <= i and q >= j.
+    rect = np.minimum.accumulate(vm.m[np.ix_(seq, seq)], axis=0)
+    rect = np.minimum.accumulate(rect[:, ::-1], axis=1)[:, ::-1]
+    upper = np.triu(rect, 1)
+    return IntermediateMargins(xi, upper - upper.T, vm.den)
 
 
 def _pair_index(n: int) -> dict[tuple[int, int], int]:
@@ -74,22 +68,24 @@ def _pair_index(n: int) -> dict[tuple[int, int], int]:
     return {pair: k for k, pair in enumerate(combinations(range(n), 2))}
 
 
-def turnout_qp(t: Grid, im: IntermediateMargins) -> QpProblem:
+def turnout_qp(t: np.ndarray, im: IntermediateMargins) -> QpProblem:
     """Build the nearest-point program for the intermediate turnouts.
 
-    Variables are unordered position pairs; the ordered-pair objective of
-    the tally just doubles every term, so the minimizer is unchanged.
+    ``t`` holds turnout numerators over ``im.den``.  Variables are unordered
+    position pairs; the ordered-pair objective of the tally just doubles
+    every term, so the minimizer is unchanged.
     """
     seq = im.order.sequence
     n = len(seq)
     pairs = _pair_index(n)
+    rows = t.tolist()
     center = [0.0] * len(pairs)
     for (i, j), k in pairs.items():
-        center[k] = float(t[seq[i]][seq[j]])
+        center[k] = rows[seq[i]][seq[j]] / im.den
     bounds: list[tuple[float | None, float | None]] = [(None, None)] * len(pairs)
     diffs: list[tuple[int, int, float, float]] = []
     for i, margin in enumerate(im.superdiagonal):
-        m = float(margin)
+        m = margin / im.den
         bounds[pairs[(i, i + 1)]] = (m, 1.0)
         for z in range(n):
             if z in (i, i + 1):
@@ -108,7 +104,7 @@ class ProjectedTurnouts:
     solution: QpSolution
 
 
-def project_turnouts(t: Grid, im: IntermediateMargins) -> ProjectedTurnouts:
+def project_turnouts(t: np.ndarray, im: IntermediateMargins) -> ProjectedTurnouts:
     n = len(im.order.sequence)
     solution = solve_active_set(turnout_qp(t, im))
     grid = [[0.0] * n for _ in range(n)]
@@ -137,7 +133,7 @@ def build_intervals(pt: ProjectedTurnouts, im: IntermediateMargins) -> tuple[Sco
     out = []
     for i, margin in enumerate(im.superdiagonal):
         tau = pt.tsigma[i][i + 1]
-        m = float(margin)
+        m = margin / im.den
         out.append(ScoreInterval((tau - m) / 2.0, (tau + m) / 2.0))
     for i, gamma in enumerate(out):
         if gamma.lo < -LAW_TOL or gamma.hi > 1 + LAW_TOL or gamma.lo > gamma.hi + LAW_TOL:
@@ -287,7 +283,9 @@ class ProjectionDetails:
     vm: VariantMargins
     xi: AdmissibleOrder
     im: IntermediateMargins
-    t: Grid  # turnouts of the margin-completed matrix for the margin-based variant
+    t: np.ndarray  # turnouts of the effective matrix (the margin-completed one
+    # for the margin-based variant), as numerators over den
+    den: int  # the denominator of every exact stage
     pt: ProjectedTurnouts
     intervals: tuple[ScoreInterval, ...]
     pm: ProjectedMatrix
@@ -306,14 +304,15 @@ def project_details(
     rank.
     """
     effective = margin_completion(matrix) if variant is Variant.MARGIN_BASED else matrix
-    scores = indirect_scores(effective, variant)
+    w, den = numerators(effective.scores)
+    scores = indirect_scores(w, den, variant)
     vm = variant_margins(scores)
     if xi is None:
         xi = admissible_order(vm, matrix.candidates)
     im = intermediate_margins(vm, xi)
-    t = turnouts(effective.scores)
+    t = turnouts(w)
     pt = project_turnouts(t, im)
     intervals = build_intervals(pt, im)
     pm = projected_scores(intervals, xi)
     pm.check_structure()
-    return ProjectionDetails(matrix, scores, vm, xi, im, t, pt, intervals, pm)
+    return ProjectionDetails(matrix, scores, vm, xi, im, t, den, pt, intervals, pm)

@@ -29,6 +29,9 @@ import numpy as np
 from .errors import Infeasible, MaxIterations
 
 _DEP_TOL = 1e-11  # below this, a normal counts as dependent on the working set
+_TOL = 1e-10  # active-set multipliers and slacks count as negative below -_TOL
+_DYKSTRA_TOL = 1e-12  # Dykstra stops after a sweep that moves no coordinate this far
+_DYKSTRA_MAX_SWEEPS = 100_000
 
 
 @dataclass(frozen=True)
@@ -196,14 +199,13 @@ def _first_blocking(ratios: np.ndarray) -> int:
         pick += 1 + int(later[0])
 
 
-def solve_active_set(
-    problem: QpProblem, tol: float = 1e-10, max_iter: int | None = None
-) -> QpSolution:
+def solve_active_set(problem: QpProblem) -> QpSolution:
     """Project the center onto the polyhedron by dual active-set steps.
 
     Returns the unique minimizer with KKT multipliers nonnegative up to
-    ``tol``.  Raises ``Infeasible`` when a violated constraint admits no
-    bounded dual step, ``MaxIterations`` past the defensive iteration cap.
+    ``_TOL``.  Raises ``Infeasible`` when a violated constraint admits no
+    bounded dual step, ``MaxIterations`` past the defensive cap of
+    max(100, 10 r**2) steps for r constraint rows.
 
     The working normals N stay linearly independent, and the inverse of
     their Gram matrix N Nᵀ is updated per added or dropped row, so a step
@@ -212,8 +214,7 @@ def solve_active_set(
     rows = _row_arrays(problem)
     d = len(problem.center)
     x = _padded(problem.center, d)
-    if max_iter is None:
-        max_iter = max(100, 10 * len(rows.rhs) ** 2)
+    max_iter = max(100, 10 * len(rows.rhs) ** 2)
 
     ws = _WorkingSet(min(d, len(rows.rhs)), d + 1)
     priced_out = rows.eq.copy()  # equalities and working rows
@@ -247,7 +248,7 @@ def solve_active_set(
                 # Consistent ones can be skipped for good, because at this
                 # stage the working set holds only equalities, which never
                 # get dropped again.
-                if abs(slack) <= max(tol, 1e-9):
+                if abs(slack) <= max(_TOL, 1e-9):
                     return
                 raise Infeasible("inconsistent equality constraints")
 
@@ -255,7 +256,7 @@ def solve_active_set(
             mults = ws.mults[: ws.size]
             t_dual = math.inf
             drop = -1
-            blocking = np.flatnonzero((r > tol) & ~rows.eq[ws.rows[: ws.size]])
+            blocking = np.flatnonzero((r > _TOL) & ~rows.eq[ws.rows[: ws.size]])
             if blocking.size:
                 ratios = mults[blocking] / r[blocking]
                 pick = _first_blocking(ratios)
@@ -284,7 +285,7 @@ def solve_active_set(
     while not priced_out.all():
         slacks = np.where(priced_out, math.inf, rows.slacks(x))
         worst = int(np.argmin(slacks))  # the lowest index among ties
-        if not slacks[worst] < -tol:
+        if not slacks[worst] < -_TOL:
             break
         steps_onto(worst)
         # A dropped row may have drifted back out; the loop re-checks all.
@@ -322,9 +323,7 @@ def kkt_residual(problem: QpProblem, solution: QpSolution) -> float:
     )
 
 
-def solve_dykstra(
-    problem: QpProblem, tol: float = 1e-12, max_iter: int = 100_000
-) -> QpSolution:
+def solve_dykstra(problem: QpProblem) -> QpSolution:
     """Dykstra's alternating projections onto the boxes and slabs.
 
     Used as an independent check of ``solve_active_set``; converges to the
@@ -346,8 +345,8 @@ def solve_dykstra(
     sweeps = 0
     while True:
         sweeps += 1
-        if sweeps > max_iter:
-            raise MaxIterations(f"Dykstra did not converge in {max_iter} sweeps")
+        if sweeps > _DYKSTRA_MAX_SWEEPS:
+            raise MaxIterations(f"Dykstra did not converge in {_DYKSTRA_MAX_SWEEPS} sweeps")
         delta = 0.0
         for si, spec in enumerate(sets):
             y = x + increments[si]
@@ -364,7 +363,7 @@ def solve_dykstra(
             increments[si] = y - z
             delta = max(delta, float(np.max(np.abs(z - x))))
             x = z
-        if delta < tol:
+        if delta < _DYKSTRA_TOL:
             break
 
     rows = constraint_rows(problem)

@@ -53,7 +53,7 @@ def social_ranking(im: IntermediateMargins) -> SocialRanking:
 
     Consecutive candidates in the admissible order have the projected
     margin of their superdiagonal rectangle margin, so they tie exactly
-    when that rational is 0; the float scores and rates are not consulted.
+    when its numerator is 0; the float scores and rates are not consulted.
     """
     seq = im.order.sequence
     groups = [[seq[0]]]

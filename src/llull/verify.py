@@ -14,10 +14,10 @@ from fractions import Fraction
 from itertools import combinations, permutations
 
 from .ballots import Ballot, CandidateSet, InterpretationRules, serialize_ballot_file
-from .closures import Variant, maxmin_closure, minmax_closure
+from .closures import Variant, maxmin_closure_grid, minmax_closure_grid
 from .errors import LlullError, NotAdmissible
 from .generate import ProfileGenerator, candidate_names, random_matrix
-from .matrix import Grid, LlullMatrix, aggregate, write_matrix
+from .matrix import Grid, LlullMatrix, aggregate, numerators, write_matrix
 from .ordering import enumerate_admissible_orders
 from .pipeline import tally
 from .projection import project_details
@@ -80,15 +80,14 @@ def oracle_paths(matrix: LlullMatrix) -> tuple[Grid, Grid]:
 
 
 def check_paths(matrix: LlullMatrix) -> None:
-    star = maxmin_closure(matrix)
-    bar = minmax_closure(matrix)
-    oracle_star, oracle_bar = oracle_paths(matrix)
-    if star != oracle_star:
-        raise VerificationFailure("max-min closure disagrees with path enumeration",
-                                  write_matrix(matrix))
-    if bar != oracle_bar:
-        raise VerificationFailure("min-max closure disagrees with path enumeration",
-                                  write_matrix(matrix))
+    w, den = numerators(matrix.scores)
+    closures = (maxmin_closure_grid(w), minmax_closure_grid(w, den))
+    for name, got, want in zip(("max-min", "min-max"), closures, oracle_paths(matrix)):
+        # An entry times den equals the numerator it scales to.
+        if got.tolist() != [[x * den for x in row] for row in want]:
+            raise VerificationFailure(
+                f"{name} closure disagrees with path enumeration", write_matrix(matrix)
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -547,7 +546,7 @@ def check_qp_agreement(problem: QpProblem) -> None:
         raise VerificationFailure(
             f"KKT residual {residual} too large", problem_to_json(problem)
         )
-    oracle = solve_dykstra(problem, tol=1e-12)
+    oracle = solve_dykstra(problem)
     gap = max(abs(a - b) for a, b in zip(primal.point, oracle.point))
     if gap > 1e-6:
         raise VerificationFailure(

@@ -1,4 +1,5 @@
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -30,3 +31,8 @@ def run_cli(*args: str):
         text=True,
         cwd=Path(__file__).parent.parent,
     )
+
+
+def fractions(w, den):
+    """Integer numerators over ``den`` back as a tuple grid of Fractions."""
+    return tuple(tuple(Fraction(p, den) for p in row) for row in w.tolist())

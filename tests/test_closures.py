@@ -2,20 +2,21 @@ import random
 from fractions import Fraction
 from itertools import permutations
 
+import numpy as np
 import pytest
 
+from conftest import fractions
 from llull.ballots import CandidateSet, InterpretationRules, read_ballot_file
 from llull.closures import (
     Variant,
     indirect_scores,
     margin_completion,
-    maxmin_closure,
     maxmin_closure_grid,
-    minmax_closure,
+    minmax_closure_grid,
     variant_margins,
 )
 from llull.generate import random_matrix
-from llull.matrix import LlullMatrix, aggregate
+from llull.matrix import LlullMatrix, aggregate, numerators
 from llull.projection import project_details
 
 
@@ -26,6 +27,23 @@ def grid_matrix(rows, total=1):
         tuple(tuple(Fraction(v) for v in row) for row in rows),
         Fraction(total),
     )
+
+
+def maxmin_closure(grid):
+    """The max-min closure of a Fraction grid, as Fractions."""
+    w, den = numerators(grid)
+    return fractions(maxmin_closure_grid(w), den)
+
+
+def minmax_closure(matrix):
+    """The min-max closure of a matrix, as Fractions."""
+    w, den = numerators(matrix.scores)
+    return fractions(minmax_closure_grid(w, den), den)
+
+
+def margins_of(matrix, variant):
+    w, den = numerators(matrix.scores)
+    return variant_margins(indirect_scores(w, den, variant))
 
 
 def maxmin_closure_loop(v):
@@ -50,7 +68,7 @@ def maxmin_closure_loop(v):
 
 
 def minmax_closure_loop(matrix):
-    """Reference for ``minmax_closure``: the loop closure of the complemented
+    """Reference for ``minmax_closure_grid``: the loop closure of the complemented
     transpose, complemented and transposed back."""
     n = matrix.n
     v = matrix.scores
@@ -62,6 +80,24 @@ def minmax_closure_loop(matrix):
         tuple(1 - dual_star[j][i] if i != j else Fraction(0) for j in range(n))
         for i in range(n)
     )
+
+
+def margins_loop(v):
+    n = len(v)
+    return tuple(tuple(v[x][y] - v[y][x] for y in range(n)) for x in range(n))
+
+
+def balanced_margins_loop(mstar, mbar):
+    """Reference for the balanced margins: a pair keeps the smaller of its
+    two closure margins when both are positive."""
+    n = len(mstar)
+    out = [[Fraction(0)] * n for _ in range(n)]
+    for x in range(n):
+        for y in range(n):
+            if x != y and mstar[x][y] > 0 and mbar[x][y] > 0:
+                out[x][y] = min(mstar[x][y], mbar[x][y])
+                out[y][x] = -out[x][y]
+    return tuple(tuple(row) for row in out)
 
 
 def assert_same_grid(got, expected):
@@ -100,7 +136,7 @@ def royal(royal_text):
 
 class TestMaxMin:
     def test_royal_closure_matches_printed_matrix(self, royal):
-        star = maxmin_closure(royal)
+        star = maxmin_closure(royal.scores)
         expected = [
             [0, 2, 5, 4, 3, 5],
             [4, 0, 6, 6, 4, 5],
@@ -115,7 +151,7 @@ class TestMaxMin:
 
     def test_two_candidates_closure_is_identity(self):
         m = grid_matrix([[0, Fraction(1, 3)], [Fraction(1, 2), 0]])
-        assert maxmin_closure(m) == m.scores
+        assert maxmin_closure(m.scores) == m.scores
         assert minmax_closure(m) == m.scores
 
     @pytest.mark.parametrize("seed", range(12))
@@ -123,7 +159,7 @@ class TestMaxMin:
         rng = random.Random(seed)
         matrix = random_matrix(rng, rng.randint(3, 5))
         best, worst = enumerate_paths(matrix)
-        star = maxmin_closure(matrix)
+        star = maxmin_closure(matrix.scores)
         bar = minmax_closure(matrix)
         for x in range(matrix.n):
             for y in range(matrix.n):
@@ -132,7 +168,7 @@ class TestMaxMin:
                     assert bar[x][y] == worst[x][y]
 
     def test_closure_dominates_scores_and_stays_in_range(self, royal):
-        star = maxmin_closure(royal)
+        star = maxmin_closure(royal.scores)
         for x in range(royal.n):
             for y in range(royal.n):
                 if x != y:
@@ -143,8 +179,8 @@ class TestMaxMin:
     def test_closure_is_idempotent_and_transitive(self, seed):
         rng = random.Random(100 + seed)
         matrix = random_matrix(rng, 5)
-        star = maxmin_closure(matrix)
-        assert maxmin_closure_grid(star) == star
+        star = maxmin_closure(matrix.scores)
+        assert maxmin_closure(star) == star
         for x in range(5):
             for y in range(5):
                 for z in range(5):
@@ -156,7 +192,7 @@ class TestMinMax:
     def test_complete_case_duality(self):
         cands, ballots = read_ballot_file("candidates: a b c\na>b>c\nb>c>a\nc>a>b\na=b=c\n")
         matrix = aggregate(ballots, InterpretationRules(), cands)
-        star = maxmin_closure(matrix)
+        star = maxmin_closure(matrix.scores)
         bar = minmax_closure(matrix)
         for x in range(3):
             for y in range(3):
@@ -166,10 +202,9 @@ class TestMinMax:
 
 class TestVariantMargins:
     def test_royal_main_margin_f_over_d(self, royal):
-        scores = indirect_scores(royal, Variant.MAIN)
-        vm = variant_margins(scores)
+        vm = margins_of(royal, Variant.MAIN)
         f, d = 5, 3
-        assert vm.m[f][d] * royal.total == 2
+        assert Fraction(int(vm.m[f, d]), vm.den) * royal.total == 2
 
     def test_symmetric_matrix_gives_zero_margins_everywhere(self):
         m = grid_matrix(
@@ -180,8 +215,8 @@ class TestVariantMargins:
             ]
         )
         for variant in (Variant.MAIN, Variant.CODUAL, Variant.BALANCED):
-            vm = variant_margins(indirect_scores(m, variant))
-            assert all(v == 0 for row in vm.m for v in row)
+            vm = margins_of(m, variant)
+            assert not vm.m.any()
 
     @pytest.mark.parametrize("seed", range(8))
     def test_complete_case_variants_coincide(self, seed):
@@ -193,10 +228,11 @@ class TestVariantMargins:
                 v = Fraction(rng.randint(0, 12), 12)
                 scores[x][y], scores[y][x] = v, 1 - v
         matrix = grid_matrix(scores)
-        main = variant_margins(indirect_scores(matrix, Variant.MAIN))
+        main = margins_of(matrix, Variant.MAIN)
         for variant in (Variant.CODUAL, Variant.BALANCED):
-            vm = variant_margins(indirect_scores(matrix, variant))
-            assert vm.m == main.m
+            vm = margins_of(matrix, variant)
+            assert vm.den == main.den
+            assert np.array_equal(vm.m, main.m)
 
     def test_margin_based_margins_are_margins_of_completion(self, royal):
         completed = margin_completion(royal)
@@ -207,8 +243,9 @@ class TestVariantMargins:
             if x != y
         )
         direct = project_details(royal, Variant.MARGIN_BASED).vm
-        via_completion = variant_margins(indirect_scores(completed, Variant.MAIN))
-        assert direct.m == via_completion.m
+        via_completion = margins_of(completed, Variant.MAIN)
+        assert direct.den == via_completion.den
+        assert np.array_equal(direct.m, via_completion.m)
 
     def test_balanced_needs_both_signs(self):
         # one-way strength in the max-min closure, the other way in the
@@ -220,18 +257,29 @@ class TestVariantMargins:
                 [Fraction(1, 3), 0, 0],
             ]
         )
-        star = maxmin_closure(m)
+        star = maxmin_closure(m.scores)
         bar = minmax_closure(m)
-        vm = variant_margins(indirect_scores(m, Variant.BALANCED))
+        vm = margins_of(m, Variant.BALANCED)
+        balanced = fractions(vm.m, vm.den)
         for x in range(3):
             for y in range(3):
                 if x == y:
                     continue
-                if vm.m[x][y] > 0:
+                if balanced[x][y] > 0:
                     assert star[x][y] > star[y][x] and bar[x][y] > bar[y][x]
-                    assert vm.m[x][y] == min(
+                    assert balanced[x][y] == min(
                         star[x][y] - star[y][x], bar[x][y] - bar[y][x]
                     )
+
+    @pytest.mark.parametrize("denominator", [12, 2**64 + 13])
+    def test_balanced_matches_loop_reference(self, denominator):
+        rng = random.Random(denominator)
+        for _ in range(20):
+            matrix = random_matrix(rng, rng.randint(2, 7), denominator)
+            mstar = margins_loop(maxmin_closure(matrix.scores))
+            mbar = margins_loop(minmax_closure(matrix))
+            vm = margins_of(matrix, Variant.BALANCED)
+            assert fractions(vm.m, vm.den) == balanced_margins_loop(mstar, mbar)
 
 
 class TestIntegerKernel:
@@ -242,14 +290,14 @@ class TestIntegerKernel:
         rng = random.Random(700 + n)
         for denominator in (1, 2, 12, 97, 1000):
             matrix = random_matrix(rng, n, denominator)
-            assert_same_grid(maxmin_closure(matrix), maxmin_closure_loop(matrix.scores))
+            assert_same_grid(maxmin_closure(matrix.scores), maxmin_closure_loop(matrix.scores))
             assert_same_grid(minmax_closure(matrix), minmax_closure_loop(matrix))
 
     @pytest.mark.parametrize("seed", range(6))
     def test_margin_completed_matrices(self, seed):
         rng = random.Random(800 + seed)
         completed = margin_completion(random_matrix(rng, rng.randint(3, 9)))
-        assert_same_grid(maxmin_closure(completed), maxmin_closure_loop(completed.scores))
+        assert_same_grid(maxmin_closure(completed.scores), maxmin_closure_loop(completed.scores))
         assert_same_grid(minmax_closure(completed), minmax_closure_loop(completed))
 
     @pytest.mark.parametrize("seed", range(6))
@@ -260,17 +308,14 @@ class TestIntegerKernel:
         bar = minmax_closure_loop(matrix)
         # a min-max closure has row pairs summing above one: a bare grid
         for grid in (star, bar):
-            assert_same_grid(maxmin_closure_grid(grid), maxmin_closure_loop(grid))
+            assert_same_grid(maxmin_closure(grid), maxmin_closure_loop(grid))
 
-    def test_diagonal_is_kept_and_never_raises_an_entry(self):
-        third, zero = Fraction(1, 3), Fraction(0)
-        grid = (
-            (Fraction(5), third, zero),
-            (zero, Fraction(7), third),
-            (third, third, Fraction(-2)),
-        )
-        assert_same_grid(maxmin_closure_grid(grid), maxmin_closure_loop(grid))
-        assert [maxmin_closure_grid(grid)[i][i] for i in range(3)] == [5, 7, -2]
+    def test_diagonal_never_raises_an_entry(self):
+        # thirds, with diagonal entries far above and below the others
+        w = np.array([[15, 1, 0], [0, 21, 1], [1, 1, -6]])
+        expected = np.array(maxmin_closure_loop(w.tolist()))
+        np.fill_diagonal(expected, 0)
+        assert maxmin_closure_grid(w).tolist() == expected.tolist()
 
     @pytest.mark.parametrize("seed", range(4))
     def test_denominators_beyond_int64(self, seed):
@@ -280,7 +325,8 @@ class TestIntegerKernel:
         n = rng.randint(3, 7)
         for denominator in (2**70, 2**64 + 13):
             matrix = random_matrix(rng, n, denominator)
-            assert_same_grid(maxmin_closure(matrix), maxmin_closure_loop(matrix.scores))
+            assert numerators(matrix.scores)[0].dtype == object
+            assert_same_grid(maxmin_closure(matrix.scores), maxmin_closure_loop(matrix.scores))
             assert_same_grid(minmax_closure(matrix), minmax_closure_loop(matrix))
         scores = [[Fraction(0)] * n for _ in range(n)]
         for x in range(n):
@@ -289,5 +335,6 @@ class TestIntegerKernel:
                 total = a + b + rng.randint(1, 5)
                 scores[x][y], scores[y][x] = Fraction(a, total), Fraction(b, total)
         matrix = grid_matrix(scores)
-        assert_same_grid(maxmin_closure(matrix), maxmin_closure_loop(matrix.scores))
+        assert numerators(matrix.scores)[0].dtype == object
+        assert_same_grid(maxmin_closure(matrix.scores), maxmin_closure_loop(matrix.scores))
         assert_same_grid(minmax_closure(matrix), minmax_closure_loop(matrix))

@@ -19,7 +19,13 @@ from llull.closures import Variant
 from llull.pipeline import RunConfig, run
 
 GOLDEN = FIXTURES / "golden_reports.json.gz"
-INPUTS = ("royal1652.ballots", "pcs2006.ballots", "debian2006.csv", "wide20_lstsq.csv")
+INPUTS = (
+    "royal1652.ballots",
+    "pcs2006.ballots",
+    "debian2006.csv",
+    "wide20_lstsq.csv",
+    "huge_weights.ballots",
+)
 EXACT = ("candidates", "config", "ranking", "schema", "total_voters")
 EXACT_INTERMEDIATES = ("v", "t", "vstar", "vbar", "m", "copeland", "xi", "msigma")
 FLOAT_INTERMEDIATES = ("tausigma", "gamma", "pi")

@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,7 +14,16 @@ from llull.ballots import (
     read_ballot_file,
 )
 from llull.errors import MatrixFormatError, TotalVotersTooSmall
-from llull.matrix import LlullMatrix, aggregate, margins, read_matrix, turnouts, write_matrix
+from conftest import fractions
+from llull.matrix import (
+    LlullMatrix,
+    aggregate,
+    margins,
+    numerators,
+    read_matrix,
+    turnouts,
+    write_matrix,
+)
 from test_ballots import ballots, names
 
 RULES = InterpretationRules()
@@ -75,30 +85,47 @@ class TestAggregate:
 
 
 class TestDerivedMatrices:
+    def test_royal_numerators(self, royal):
+        _, _, matrix = royal
+        w, den = numerators(matrix.scores)
+        assert den == 6 and w.dtype == np.int64
+        assert fractions(w, den) == matrix.scores
+
+    def test_numerators_take_python_ints_past_2_62(self):
+        for d, dtype in ((2**62 - 1, np.int64), (2**62, object), (2**64 + 13, object)):
+            w, den = numerators(((0, Fraction(1, d)), (Fraction(d - 1, d), 0)))
+            assert den == d and w.dtype == dtype
+            assert w.tolist() == [[0, 1], [d - 1, 0]]
+        # the diagonal reads 0 whatever the grid holds there
+        third = Fraction(1, 3)
+        w, den = numerators(((Fraction(5), third), (third, Fraction(-2))))
+        assert den == 3 and w.tolist() == [[0, 1], [1, 0]]
+
     def test_royal_turnouts(self, royal):
         _, _, matrix = royal
-        t = turnouts(matrix.scores)
+        w, den = numerators(matrix.scores)
+        t = fractions(turnouts(w), den)
         assert t[0][3] * matrix.total == 5
         assert t[3][0] * matrix.total == 5
         assert t[4][2] * matrix.total == 3
 
     def test_complete_profile_turnout_one(self):
         cands, ballots = read_ballot_file("candidates: a b c\na>b>c\nc>a>b\n")
-        t = turnouts(aggregate(ballots, RULES, cands).scores)
-        assert all(v == 1 for x, row in enumerate(t) for y, v in enumerate(row) if x != y)
+        w, den = numerators(aggregate(ballots, RULES, cands).scores)
+        t = turnouts(w)
+        assert all(v == den for x, row in enumerate(t) for y, v in enumerate(row) if x != y)
 
     def test_royal_margins(self, royal):
         _, _, matrix = royal
-        m = margins(matrix.scores)
+        w, den = numerators(matrix.scores)
+        m = fractions(margins(w), den)
         assert m[1][0] == Fraction(1, 3)
         assert m[0][1] == -Fraction(1, 3)
 
     def test_margin_bounded_by_turnout(self, royal):
         _, _, matrix = royal
-        t, m = turnouts(matrix.scores), margins(matrix.scores)
-        for x in range(matrix.n):
-            for y in range(matrix.n):
-                assert abs(m[x][y]) <= t[x][y]
+        w, _ = numerators(matrix.scores)
+        assert (abs(margins(w)) <= turnouts(w)).all()
 
 
 class TestInvariants:
@@ -171,6 +198,12 @@ class TestCsv:
         with pytest.raises(MatrixFormatError) as err:
             read_matrix("a,b\nV=4\n*,2\n1,*\nV=100\n")
         assert err.value.line == 5
+
+    def test_negative_entry_reports_its_line(self):
+        with pytest.raises(MatrixFormatError) as err:
+            read_matrix("a,b,c\nV=4\n*,1,1\n1,*,1\n-2,1,*\n")
+        assert err.value.line == 5
+        assert "pair (c, a) has negative entry '-2'" in str(err.value)
 
     def test_nonzero_diagonal_reports_its_line(self):
         with pytest.raises(MatrixFormatError) as err:

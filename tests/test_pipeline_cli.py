@@ -53,6 +53,14 @@ class TestRunCommand:
         assert r.returncode == EXIT_PARSE
         assert "pair (a, b) has absolute turnout 3 > V = 2" in r.stderr
 
+    def test_negative_matrix_entry_reported_where_written(self, tmp_path):
+        f = tmp_path / "m.csv"
+        f.write_text("a,b,c\nV=4\n*,1,1\n1,*,1\n-2,1,*\n")
+        r = run_cli("run", "--matrix", str(f))
+        assert r.returncode == EXIT_PARSE
+        assert r.stdout == ""
+        assert r.stderr == f"error: {f}: line 5: pair (c, a) has negative entry '-2'\n"
+
     def test_zero_voter_total_in_matrix(self, tmp_path):
         f = tmp_path / "m.csv"
         f.write_text("a,b\nV=0\n*,0\n0,*\n")
@@ -212,7 +220,7 @@ class TestRunCommand:
 
         solve = projection_mod.solve_active_set
 
-        def no_convergence(problem, tol=1e-10):
+        def no_convergence(problem):
             raise MaxIterations("no convergence within 3 active-set steps")
 
         monkeypatch.setattr(projection_mod, "solve_active_set", no_convergence)
@@ -220,9 +228,9 @@ class TestRunCommand:
         assert code == EXIT_NUMERICAL
         assert "failed to converge" in capsys.readouterr().err
 
-        def overshoot(problem, tol=1e-10):
+        def overshoot(problem):
             # pushes every turnout past 1, out of the intervals' range
-            solution = solve(problem, tol)
+            solution = solve(problem)
             point = tuple(v + 2.0 for v in solution.point)
             return QpSolution(point, solution.active_set, solution.iterations)
 
@@ -282,7 +290,8 @@ STAGES = [
     (pipeline, ("read_ballot_file", "aggregate", "read_matrix", "project_details")),
     (pipeline, ("rank_like_rates", "social_ranking", "render_json")),
     (projection, ("margin_completion", "indirect_scores", "variant_margins")),
-    (projection, ("admissible_order", "intermediate_margins", "turnouts", "turnout_qp")),
+    (projection, ("numerators", "admissible_order", "intermediate_margins", "turnouts")),
+    (projection, ("turnout_qp",)),
     (projection, ("solve_active_set", "build_intervals", "projected_scores")),
     (projection.ProjectedMatrix, ("check_structure",)),
     (closures, ("margin_completion",)),

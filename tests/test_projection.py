@@ -3,11 +3,12 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import fractions
 from llull.ballots import CandidateSet, InterpretationRules, read_ballot_file
 from llull.closures import Variant, indirect_scores, variant_margins
 from llull.errors import LawViolation, LlullError
 from llull.generate import candidate_names, random_matrix
-from llull.matrix import LlullMatrix, aggregate, margins, turnouts
+from llull.matrix import LlullMatrix, aggregate, numerators, turnouts
 from llull.ordering import AdmissibleOrder, admissible_order
 from llull.projection import (
     LAW_TOL,
@@ -39,12 +40,14 @@ class TestIntermediateMargins:
     def test_royal_reduction_of_the_f_d_margin(self, royal):
         matrix, details = royal
         # position grid: order is b,a,e,f,d,c so f is position 3, d position 4
-        assert details.vm.m[5][3] * matrix.total == 2  # direct indirect margin
-        assert details.im.msigma[3][4] * matrix.total == 1  # rectangle minimum
+        den = details.den
+        assert Fraction(int(details.vm.m[5, 3]), den) * matrix.total == 2  # direct indirect margin
+        assert Fraction(int(details.im.msigma[3, 4]), den) * matrix.total == 1  # rectangle minimum
 
     def test_royal_superdiagonal(self, royal):
         matrix, details = royal
-        assert [m * matrix.total for m in details.im.superdiagonal] == [2, 0, 0, 1, 2]
+        superdiagonal = [Fraction(m, details.den) for m in details.im.superdiagonal]
+        assert [m * matrix.total for m in superdiagonal] == [2, 0, 0, 1, 2]
 
     def test_constant_margins_stay_unchanged(self):
         n = 4
@@ -59,19 +62,20 @@ class TestIntermediateMargins:
         seq = details.xi.sequence
         for i in range(n):
             for j in range(i + 1, n):
-                assert details.im.msigma[i][j] == details.vm.m[seq[i]][seq[j]]
+                assert details.im.msigma[i, j] == details.vm.m[seq[i], seq[j]]
 
     @pytest.mark.parametrize("seed", range(10))
     def test_matches_double_loop_oracle(self, seed):
         rng = random.Random(seed)
-        matrix = random_matrix(rng, 5)
-        details = project_details(matrix)
-        seq = details.xi.sequence
-        for i in range(5):
-            for j in range(i + 1, 5):
-                assert details.im.msigma[i][j] == rect_min_oracle(
-                    details.vm.m, seq, i, j
-                )
+        for denominator in (12, 2**64 + 13):
+            details = project_details(random_matrix(rng, 5, denominator))
+            seq = details.xi.sequence
+            m = fractions(details.vm.m, details.den)
+            msigma = fractions(details.im.msigma, details.den)
+            for i in range(5):
+                for j in range(i + 1, 5):
+                    assert msigma[i][j] == rect_min_oracle(m, seq, i, j)
+                    assert msigma[j][i] == -msigma[i][j]
 
 
 class TestProjectedTurnouts:
@@ -104,7 +108,7 @@ class TestProjectedTurnouts:
         matrix = aggregate(ballots, RULES, cands)
         details = project_details(matrix)
         seq = details.xi.sequence
-        t = turnouts(matrix.scores)
+        t = fractions(turnouts(numerators(matrix.scores)[0]), details.den)
         for i in range(3):
             for j in range(i + 1, 3):
                 assert details.pt.tsigma[i][j] == pytest.approx(
@@ -264,7 +268,7 @@ class TestProjectOperator:
     def test_margin_based_runs_on_completed_matrix(self, royal):
         matrix, _ = royal
         details = project_details(matrix, Variant.MARGIN_BASED)
-        assert all(details.t[x][y] == 1 for x in range(6) for y in range(6) if x != y)
+        assert all(details.t[x, y] == details.den for x in range(6) for y in range(6) if x != y)
         for i in range(6):
             for j in range(6):
                 if i != j:
@@ -357,7 +361,7 @@ def projected(rows, sequence):
     for i in range(n):
         for j in range(n):
             pi[sequence[i]][sequence[j]] = float(rows[i][j])
-    return ProjectedMatrix(tuple(map(tuple, pi)), AdmissibleOrder.from_sequence(tuple(sequence)))
+    return ProjectedMatrix(tuple(map(tuple, pi)), AdmissibleOrder(tuple(sequence)))
 
 
 # Slack within the tolerance: some laws follow exactly from the others, so a
