@@ -49,17 +49,8 @@ class LlullMatrix:
         object.__setattr__(self, "total", Fraction(self.total))
         if self.total <= 0:
             raise ValueError("total voters must be positive")
-        if len(self.scores) != n or any(len(r) != n for r in self.scores):
-            raise ValueError("score grid does not match the candidate count")
-        for x in range(n):
-            for y in range(n):
-                if x == y:
-                    continue
-                v = self.scores[x][y]
-                if not 0 <= v <= 1:
-                    raise ValueError(f"score v[{x}][{y}] = {v} outside [0, 1]")
-                if x < y and v + self.scores[y][x] > 1:
-                    raise ValueError(f"pair ({x}, {y}) has turnout above 1")
+        _check_shape(n, self.scores)
+        _check_scores(self.scores)
 
     @property
     def n(self) -> int:
@@ -72,17 +63,51 @@ class LlullMatrix:
     def from_absolute(
         cls, candidates: CandidateSet, counts: Sequence[Sequence[Fraction]], total: Fraction
     ) -> "LlullMatrix":
-        """Divide absolute counts by the voter total, which must be positive
-        and cover every pair's absolute turnout."""
+        """Divide absolute counts (Fractions or ints) by the voter total,
+        which must be positive and cover every pair's absolute turnout; the
+        diagonal is ignored.
+
+        The checks of direct construction run here once, on the counts, so
+        the result is built without ``__post_init__``: covered turnouts and
+        nonnegative counts put every score in [0, 1].
+        """
         total = Fraction(total)
         if total <= 0:
             raise TotalVotersTooSmall(f"the voter total V = {total} is not positive")
+        _check_shape(len(candidates), counts)
         check_total_voters(candidates, counts, total)
-        rel = [
-            [c / total if i != j else Fraction(0) for j, c in enumerate(row)]
+        zero = Fraction(0)
+        scores = tuple(
+            tuple(c / total if i != j else zero for j, c in enumerate(row))
             for i, row in enumerate(counts)
-        ]
-        return cls(candidates, rel, total)
+        )
+        if any(v.numerator < 0 for row in scores for v in row):
+            _check_scores(scores)  # raises, naming the first negative score
+        matrix = object.__new__(cls)
+        object.__setattr__(matrix, "candidates", candidates)
+        object.__setattr__(matrix, "scores", scores)
+        object.__setattr__(matrix, "total", total)
+        return matrix
+
+
+def _check_shape(n: int, grid: Sequence[Sequence]) -> None:
+    if len(grid) != n or any(len(r) != n for r in grid):
+        raise ValueError("score grid does not match the candidate count")
+
+
+def _check_scores(scores: Grid) -> None:
+    """Raise unless every off-diagonal score lies in [0, 1] and no pair's
+    turnout exceeds 1."""
+    n = len(scores)
+    for x in range(n):
+        for y in range(n):
+            if x == y:
+                continue
+            v = scores[x][y]
+            if not 0 <= v <= 1:
+                raise ValueError(f"score v[{x}][{y}] = {v} outside [0, 1]")
+            if x < y and v + scores[y][x] > 1:
+                raise ValueError(f"pair ({x}, {y}) has turnout above 1")
 
 
 def check_total_voters(

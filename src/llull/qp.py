@@ -9,10 +9,14 @@ constraints on differences x_i - x_j.  Two independent solvers are provided:
   dropping blocking ones along the way; an unbounded dual step certifies
   infeasibility (``Infeasible``) and a defensive step cap ends a run that
   does not converge (``MaxIterations``).  Rows are held as index arrays, so
-  pricing every row is one vectorized expression, and the inverse of the
-  working set's Gram matrix is updated as rows enter and leave, in the
-  manner of Goldfarb and Idnani (Math. Programming 27, 1983), so no step
-  factorizes a matrix.
+  pricing every row is one vectorized expression.  Every row is
+  e_i - e_j or a bound on one variable, so a linearly independent working
+  set is a forest over the variables and a zero node; each step moves x by
+  one constant per tree and changes multipliers along tree paths, touching
+  only the two trees that hold the ends of the entering row.  This is the
+  active-set view of isotonic-type regression (Best and Chakravarti,
+  Math. Programming 47, 1990) in the dual order of Goldfarb and Idnani
+  (Math. Programming 27, 1983), with no matrix stored or factorized.
 * ``solve_dykstra``: Dykstra's alternating projections onto the individual
   boxes and slabs.  Slower, but an entirely separate route to the same
   projection, kept for cross-validation.
@@ -28,7 +32,6 @@ import numpy as np
 
 from .errors import Infeasible, MaxIterations
 
-_DEP_TOL = 1e-11  # below this, a normal counts as dependent on the working set
 _TOL = 1e-10  # active-set multipliers and slacks count as negative below -_TOL
 _DYKSTRA_TOL = 1e-12  # Dykstra stops after a sweep that moves no coordinate this far
 _DYKSTRA_MAX_SWEEPS = 100_000
@@ -48,10 +51,15 @@ class QpProblem:
     difference_constraints: tuple[tuple[int, int, float, float], ...] = ()
 
     def __post_init__(self):
+        d = len(self.center)
+        if len(self.bounds) > d:
+            raise ValueError(f"{len(self.bounds)} bounds for {d} variables")
         for lo, hi in self.bounds:
             if lo is not None and hi is not None and lo > hi:
                 raise ValueError(f"empty bound interval [{lo}, {hi}]")
         for i, j, lo, hi in self.difference_constraints:
+            if not (0 <= i < d and 0 <= j < d):
+                raise ValueError(f"difference constraint ({i}, {j}) outside variables 0..{d - 1}")
             if i == j:
                 raise ValueError("difference constraint needs two distinct variables")
             if lo > hi:
@@ -139,53 +147,133 @@ def constraint_rows(problem: QpProblem):
     return list(zip(normals[:, :d], rows.rhs.tolist(), rows.eq.tolist()))
 
 
-class _WorkingSet:
-    """Working rows with their oriented normals N and the inverse of N Nᵀ.
+_NODE, _SIZE, _ROW, _SIGN = range(4)  # the fields of a tree, one array row each
 
-    Rows keep the order they entered in.  They stay linearly independent,
-    so at most min(d, rows) are ever held and every buffer is sized once.
+
+class _Forest:
+    """The working rows as a forest over the variables and the zero node.
+
+    Row ``sign (e_i - e_j)`` is an edge between nodes i and j; a bound row
+    ends at node d, which stands for the constant 0 and stays the root of
+    its tree.  Such rows are linearly independent exactly when their edges
+    close no cycle, so a row whose ends share a tree is dependent.
+
+    A tree is a 4 x size int array over its nodes in preorder: the node,
+    its subtree size, the row to its parent and that row's sign as a flow
+    out of the subtree (row and sign are unused at the root).  A subtree is
+    then a slice, and the ancestors of the node at position p are the
+    positions q <= p whose slice reaches p.  No two trees share memory.
+    Trees are numbered; the zero node's tree keeps number d throughout.
     """
 
-    def __init__(self, capacity: int, width: int):
-        self.size = 0
-        self.rows = np.empty(capacity, dtype=np.intp)  # indices into the rows
-        self.mults = np.empty(capacity)  # for the working orientation, kept >= 0
-        self.normals = np.zeros((capacity, width))
-        self.inverse = np.empty((capacity, capacity))
-        self._outer = np.empty((capacity, capacity))
+    def __init__(self, d: int):
+        self.zero = d
+        self.tree = np.arange(d + 1)  # tree id of each node
+        self.pos = np.zeros(d + 1, dtype=np.intp)  # its position in the tree
+        self.at = np.arange(d + 1)
+        single = np.zeros((d + 1, 4, 1), dtype=np.intp)
+        single[:, _NODE, 0] = self.at
+        single[:, _SIZE, 0] = 1
+        self.trees = list(single)  # by tree id
 
-    def project(self, a: np.ndarray, i: int, j: int, sign: float):
-        """r = (N Nᵀ)⁻¹ N a and the residual z = a - Nᵀ r of the row
-        a = sign (e_i - e_j), whose product with N reads off two columns."""
-        k = self.size
-        normals = self.normals[:k]
-        r = self.inverse[:k, :k] @ (sign * (normals[:, i] - normals[:, j]))
-        return r, a - normals.T @ r
+    def _path(self, tree: np.ndarray, p: int) -> np.ndarray:
+        """Positions of the node at p and its ancestors, root first."""
+        return (tree[_SIZE, : p + 1] > p - self.at[: p + 1]).nonzero()[0]
 
-    def add(self, row: int, a: np.ndarray, r: np.ndarray, schur: float, mult: float):
-        """Append row a; ``schur`` = |z|² is the Schur complement of the new
-        Gram matrix, so the inverse grows by the block formula."""
-        k = self.size
-        inverse = self.inverse
-        inverse[:k, :k] += np.outer(r, r / schur, out=self._outer[:k, :k])
-        inverse[:k, k] = inverse[k, :k] = (0.0 - r) / schur
-        inverse[k, k] = 1.0 / schur
-        self.normals[k] = a
-        self.rows[k] = row
-        self.mults[k] = mult
-        self.size = k + 1
+    def direction(self, i: int, j: int, sign: float):
+        """Split the normal a of row ``sign (e_i - e_j)`` along the working
+        rows: a = z + Nᵀ r with z orthogonal to every working row.
 
-    def drop(self, p: int):
-        """Delete working row p; the inverse takes a rank-one downdate."""
-        k = self.size
-        inverse = self.inverse[:k, :k]
-        col = inverse[:, p].copy()
-        inverse -= np.outer(col, col / col[p], out=self._outer[:k, :k])
-        self.inverse[p : k - 1, :k] = self.inverse[p + 1 : k, :k]
-        self.inverse[: k - 1, p : k - 1] = self.inverse[: k - 1, p + 1 : k]
-        for buf in (self.normals, self.rows, self.mults):
-            buf[p : k - 1] = buf[p + 1 : k]
-        self.size = k - 1
+        Returns (|z|², shifts, rows, r).  z is constant on each tree: on the
+        trees of i and j it is the tree's mean of a, on the zero node's tree
+        and every other tree it is zero; ``shifts`` pairs each tree's nodes
+        with its nonzero constant.  r is the flow that carries a's entries
+        to those means, given on ``rows``.
+        """
+        tree, pos, zero = self.tree, self.pos, self.zero
+        ti, tj = tree.item(i), tree.item(j)
+        if ti == tj:
+            t = self.trees[ti]
+            flow = np.zeros(t.shape[1])
+            flow[self._path(t, pos.item(i))] += sign
+            flow[self._path(t, pos.item(j))] -= sign
+            return 0.0, (), t[_ROW, 1:], t[_SIGN, 1:] * flow[1:]
+        znorm2 = 0.0
+        shifts = []
+        parts = []
+        for k, v, coeff in ((ti, i, sign), (tj, j, 0.0 - sign)):
+            t = self.trees[k]
+            n = t.shape[1]
+            if k != zero:
+                znorm2 += 1.0 / n
+                shifts.append((t[_NODE], coeff / n))
+                if n > 1:
+                    flow = t[_SIZE] * (0.0 - coeff / n)
+                    flow[self._path(t, pos.item(v))] += coeff
+                    parts.append((t[_ROW, 1:], t[_SIGN, 1:] * flow[1:]))
+            elif v != zero:
+                path = self._path(t, pos.item(v))[1:]
+                parts.append((t[_ROW, path], t[_SIGN, path] * coeff))
+        if len(parts) == 2:
+            (rows_i, r_i), (rows_j, r_j) = parts
+            return znorm2, shifts, np.concatenate((rows_i, rows_j)), np.concatenate((r_i, r_j))
+        rows, r = parts[0] if parts else (self.at[:0], np.empty(0))
+        return znorm2, shifts, rows, r
+
+    def _place(self, k: int, tree: np.ndarray) -> None:
+        self.trees[k] = tree
+        self.tree[tree[_NODE]] = k
+        self.pos[tree[_NODE]] = self.at[: tree.shape[1]]
+
+    def _reroot(self, k: int, v: int) -> None:
+        """Make v the root of tree k, turning the rows on its root path."""
+        t = self.trees[k]
+        p = self.pos.item(v)
+        if p == 0:
+            return
+        n = t.shape[1]
+        path = self._path(t, p)
+        span = t[_SIZE, path]
+        # The root-path subtrees nest; a node's new preorder position puts
+        # the innermost subtree that holds it first.
+        starts = np.bincount(path, minlength=n + 1)
+        depth = np.cumsum(starts - np.bincount(path + span, minlength=n + 1))
+        order = np.argsort(0 - depth[:n], kind="stable")
+        t[_SIZE, path[:-1]] = n - span[1:]
+        t[_SIZE, p] = n
+        t[_ROW, path[:-1]] = t[_ROW, path[1:]]
+        t[_SIGN, path[:-1]] = 0 - t[_SIGN, path[1:]]
+        self._place(k, t[:, order])
+
+    def link(self, row: int, i: int, j: int, sign: float) -> None:
+        """Add row ``sign (e_i - e_j)``, whose ends lie in different trees:
+        the tree of one end is re-rooted there and hung under the other."""
+        ti, tj = self.tree.item(i), self.tree.item(j)
+        smaller = self.trees[ti].shape[1] <= self.trees[tj].shape[1]
+        if tj == self.zero or (ti != self.zero and smaller):
+            top, hung, u, v, orient = tj, ti, j, i, sign
+        else:
+            top, hung, u, v, orient = ti, tj, i, j, 0.0 - sign
+        self._reroot(hung, v)
+        sub = self.trees[hung]
+        sub[_ROW, 0], sub[_SIGN, 0] = row, orient
+        t = self.trees[top]
+        p = self.pos.item(u)
+        t[_SIZE, self._path(t, p)] += sub.shape[1]
+        self.trees[hung] = None
+        self._place(top, np.concatenate((t[:, : p + 1], sub, t[:, p + 1 :]), axis=1))
+
+    def cut(self, i: int, j: int) -> None:
+        """Drop working row (i, j); the subtree of its child end, the one
+        later in preorder, becomes a tree."""
+        k = self.tree.item(i)
+        t = self.trees[k]
+        p = max(self.pos.item(i), self.pos.item(j))
+        size = t.item(_SIZE, p)
+        t[_SIZE, self._path(t, p)[:-1]] -= size
+        self._place(k, np.concatenate((t[:, :p], t[:, p + size :]), axis=1))
+        self.trees.append(None)
+        self._place(len(self.trees) - 1, t[:, p : p + size])
 
 
 def _first_blocking(ratios: np.ndarray) -> int:
@@ -193,7 +281,7 @@ def _first_blocking(ratios: np.ndarray) -> int:
     replaces the current one only if smaller by more than 1e-15."""
     pick = 0
     while True:
-        later = np.flatnonzero(ratios[pick + 1 :] < ratios[pick] - 1e-15)
+        later = (ratios[pick + 1 :] < ratios[pick] - 1e-15).nonzero()[0]
         if not later.size:
             return pick
         pick += 1 + int(later[0])
@@ -207,18 +295,21 @@ def solve_active_set(problem: QpProblem) -> QpSolution:
     bounded dual step, ``MaxIterations`` past the defensive cap of
     max(100, 10 r**2) steps for r constraint rows.
 
-    The working normals N stay linearly independent, and the inverse of
-    their Gram matrix N Nᵀ is updated per added or dropped row, so a step
-    costs matrix-vector products only.
+    The working rows form a forest (``_Forest``), so a step touches only
+    the two trees holding the ends of the row it brings in.
     """
     rows = _row_arrays(problem)
     d = len(problem.center)
     x = _padded(problem.center, d)
-    max_iter = max(100, 10 * len(rows.rhs) ** 2)
+    n_rows = len(rows.rhs)
+    max_iter = max(100, 10 * n_rows**2)
 
-    ws = _WorkingSet(min(d, len(rows.rhs)), d + 1)
+    forest = _Forest(d)
+    mults = np.zeros(n_rows)  # for the working orientation, kept >= 0
+    entered = np.full(n_rows, -1)  # the step a working row entered at, -1 elsewhere
+    ineq = ~rows.eq
     priced_out = rows.eq.copy()  # equalities and working rows
-    flipped = np.zeros(len(rows.rhs), dtype=bool)
+    flipped = np.zeros(n_rows, dtype=bool)
     iterations = 0
 
     def steps_onto(target: int) -> None:
@@ -226,24 +317,19 @@ def solve_active_set(problem: QpProblem) -> QpSolution:
         # along the way.  Equalities with positive slack are approached from
         # the other side by flipping the normal, so steps stay nonnegative.
         nonlocal iterations
-        i, j = rows.i[target], rows.j[target]
-        sign, b, eq = rows.sign[target], rows.rhs[target], rows.eq[target]
-        if eq and sign * (x[i] - x[j]) - b > 0:
+        i, j = rows.i.item(target), rows.j.item(target)
+        sign, b, eq = rows.sign.item(target), rows.rhs.item(target), rows.eq.item(target)
+        if eq and sign * (x.item(i) - x.item(j)) - b > 0:
             sign, b = 0.0 - sign, 0.0 - b
             flipped[target] = True
-        a = np.zeros(d + 1)
-        a[i] = sign
-        a[j] = 0.0 - sign
-        a[d] = 0.0  # the padding variable of a bound row
         accumulated = 0.0
         while True:
             iterations += 1
             if iterations > max_iter:
                 raise MaxIterations(f"no convergence within {max_iter} active-set steps")
-            r, z = ws.project(a, i, j, sign)
-            znorm2 = float(z @ z)
-            slack = float(sign * (x[i] - x[j]) - b)
-            if eq and znorm2 <= _DEP_TOL:
+            znorm2, shifts, working, r = forest.direction(i, j, sign)
+            slack = sign * (x.item(i) - x.item(j)) - b
+            if eq and not znorm2:
                 # Dependent equality: consistent exactly when already tight.
                 # Consistent ones can be skipped for good, because at this
                 # stage the working set holds only equalities, which never
@@ -252,30 +338,36 @@ def solve_active_set(problem: QpProblem) -> QpSolution:
                     return
                 raise Infeasible("inconsistent equality constraints")
 
-            # Longest step before some inequality multiplier turns negative.
-            mults = ws.mults[: ws.size]
+            # Longest step before some inequality multiplier turns negative,
+            # scanning the working rows in the order they entered.
             t_dual = math.inf
             drop = -1
-            blocking = np.flatnonzero((r > _TOL) & ~rows.eq[ws.rows[: ws.size]])
+            blocking = ((r > _TOL) & ineq[working]).nonzero()[0] if r.size else r
             if blocking.size:
-                ratios = mults[blocking] / r[blocking]
+                if blocking.size > 1:
+                    blocking = blocking[np.argsort(entered[working[blocking]])]
+                ratios = mults[working[blocking]] / r[blocking]
                 pick = _first_blocking(ratios)
                 t_dual = float(ratios[pick])
-                drop = int(blocking[pick])
-            t_full = -slack / znorm2 if znorm2 > _DEP_TOL else math.inf
+                drop = int(working[blocking[pick]])
+            t_full = -slack / znorm2 if znorm2 else math.inf
             step = min(t_dual, t_full)
             if step == math.inf:
                 raise Infeasible("constraint cannot be reached: empty feasible set")
-            if znorm2 > _DEP_TOL:
-                x[:] = x + step * z
-            mults -= step * r
+            for nodes, shift in shifts:
+                x[nodes] += step * shift
+            if r.size:
+                mults[working] -= step * r
             accumulated += step
             if t_full <= t_dual:
-                ws.add(target, a, r, znorm2, accumulated)
+                forest.link(target, i, j, sign)
+                mults[target] = accumulated
+                entered[target] = iterations
                 priced_out[target] = True
                 return
-            priced_out[ws.rows[drop]] = False
-            ws.drop(drop)
+            forest.cut(rows.i.item(drop), rows.j.item(drop))
+            entered[drop] = -1
+            priced_out[drop] = False
 
     # Install equality rows first.  Dual steps never drop them, so any
     # dependencies found later cannot disturb rows skipped here.
@@ -290,14 +382,12 @@ def solve_active_set(problem: QpProblem) -> QpSolution:
         steps_onto(worst)
         # A dropped row may have drifted back out; the loop re-checks all.
 
-    work = ws.rows[: ws.size]
-    order = np.argsort(work, kind="stable")
-    active, mults = work[order], ws.mults[: ws.size][order]
+    active = np.flatnonzero(entered >= 0)
     return QpSolution(
         point=tuple(x[:d].tolist()),
         active_set=tuple(active.tolist()),
         iterations=iterations,
-        multipliers=tuple(np.where(flipped[active], 0.0 - mults, mults).tolist()),
+        multipliers=tuple(np.where(flipped[active], 0.0 - mults[active], mults[active]).tolist()),
     )
 
 

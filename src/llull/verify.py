@@ -20,7 +20,7 @@ from .generate import ProfileGenerator, candidate_names, random_matrix
 from .matrix import Grid, LlullMatrix, aggregate, numerators, write_matrix
 from .ordering import enumerate_admissible_orders
 from .pipeline import tally
-from .projection import project_details
+from .projection import project_details, turnout_qp
 from .qp import (
     QpProblem,
     kkt_residual,
@@ -755,6 +755,13 @@ def _case_paths(rng: random.Random) -> None:
 
 
 def _case_qp_agreement(rng: random.Random) -> None:
+    if rng.random() < 0.25:
+        # A tally's own program: tie equalities, and bound rows that hang
+        # trees of the working set on the zero node.
+        matrix = random_matrix(rng, rng.randint(4, 7))
+        details = project_details(matrix, rng.choice(list(Variant)))
+        check_qp_agreement(turnout_qp(details.t, details.im))
+        return
     d = rng.randint(1, 15)
     feasible = [rng.uniform(-1.0, 2.0) for _ in range(d)]
     bounds: list[tuple[float | None, float | None]] = []

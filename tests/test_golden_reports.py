@@ -25,6 +25,7 @@ INPUTS = (
     "debian2006.csv",
     "wide20_lstsq.csv",
     "huge_weights.ballots",
+    "wide30.csv",
 )
 EXACT = ("candidates", "config", "ranking", "schema", "total_voters")
 EXACT_INTERMEDIATES = ("v", "t", "vstar", "vbar", "m", "copeland", "xi", "msigma")

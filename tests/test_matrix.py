@@ -146,6 +146,33 @@ class TestInvariants:
             )
 
 
+class TestFromAbsolute:
+    """``from_absolute`` makes the checks of direct construction itself."""
+
+    def test_refuses_a_negative_count(self):
+        # The turnout 1 + (-1) is covered, so only the sign check can catch it.
+        with pytest.raises(ValueError, match=r"score v\[0\]\[1\] = -1/2 outside \[0, 1\]"):
+            LlullMatrix.from_absolute(CandidateSet("ab"), [[0, -1], [1, 0]], Fraction(2))
+
+    def test_refuses_a_misshapen_grid(self):
+        with pytest.raises(ValueError, match="does not match the candidate count"):
+            LlullMatrix.from_absolute(CandidateSet("ab"), [[0, 1, 0], [1, 0, 0]], Fraction(2))
+
+    def test_builds_what_direct_construction_builds(self, monkeypatch, royal):
+        cands, _, matrix = royal
+        counts = [[matrix.absolute(x, y) for y in range(6)] for x in range(6)]
+        direct = LlullMatrix(cands, matrix.scores, matrix.total)
+
+        def post_init(self):
+            raise AssertionError("from_absolute checked its counts already")
+
+        monkeypatch.setattr(LlullMatrix, "__post_init__", post_init)
+        built = LlullMatrix.from_absolute(cands, counts, 6)
+        assert built == direct
+        assert type(built.total) is Fraction
+        assert all(type(v) is Fraction for row in built.scores for v in row)
+
+
 class TestCsv:
     def test_roundtrip(self, royal):
         _, _, matrix = royal

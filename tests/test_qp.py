@@ -13,8 +13,12 @@ from llull.matrix import aggregate, numerators, turnouts
 from llull.ordering import admissible_order
 from llull.projection import intermediate_margins, turnout_qp
 from llull.qp import (
+    _NODE,
+    _ROW,
+    _SIZE,
     QpProblem,
     QpSolution,
+    _Forest,
     _row_arrays,
     constraint_rows,
     kkt_residual,
@@ -133,6 +137,17 @@ def dense_row_arrays(problem: QpProblem) -> list[tuple[list[float], float, bool]
         a[j] = -float(sign)
         out.append((a[:d], float(rhs), bool(eq)))
     return out
+
+
+class TestProblem:
+    @pytest.mark.parametrize("i, j", [(0, 1), (1, 0), (-1, 0), (0, -1)])
+    def test_difference_constraint_outside_the_variables(self, i, j):
+        with pytest.raises(ValueError, match="outside variables 0..0"):
+            QpProblem((5.0,), (), ((i, j, -1.0, 1.0),))
+
+    def test_more_bounds_than_variables(self):
+        with pytest.raises(ValueError, match="2 bounds for 1 variables"):
+            QpProblem((5.0,), ((0.0, 1.0), (2.0, 3.0)))
 
 
 class TestActiveSet:
@@ -255,20 +270,105 @@ class TestActiveSet:
 
 
 class TestTallyScale:
-    """Turnout programs of the size a 20- or 30-candidate tally solves."""
+    """Turnout programs of the size a 20- to 50-candidate tally solves."""
 
-    @pytest.mark.parametrize("n, seed", [(20, 0), (20, 1), (30, 2)])
+    @pytest.mark.parametrize("n, seed", [(20, 0), (20, 1), (30, 2), (40, 3), (50, 4)])
     def test_random_matrix_programs(self, n, seed):
         problem = matrix_problem(random_matrix(random.Random(seed), n))
         assert len(problem.center) == n * (n - 1) // 2
         first = solve_active_set(problem)
         assert kkt_residual(problem, first) <= 1e-9
         assert solve_active_set(problem) == first
+
+    @pytest.mark.parametrize("n, seed", [(20, 0), (20, 1), (30, 2)])
+    def test_row_arrays_match_reference(self, n, seed):
+        problem = matrix_problem(random_matrix(random.Random(seed), n))
         reference = reference_rows(problem)
         assert dense_row_arrays(problem) == reference
         assert [
             (a.tolist(), b, eq) for a, b, eq in constraint_rows(problem)
         ] == reference
+
+
+class TestForest:
+    """One pin per branch of the working-set forest.  Node d, one past the
+    last variable, is the zero node that bound rows end at."""
+
+    @pytest.fixture
+    def cuts(self, monkeypatch):
+        """Records (row, cut from the zero node's tree, size of the part cut
+        off) for every dropped working row."""
+        seen = []
+        cut = _Forest.cut
+
+        def spy(forest, i, j):
+            tree = forest.trees[forest.tree.item(i)]
+            child = max(forest.pos[[i, j]])
+            row = int(tree[_ROW, child])
+            seen.append((row, tree[_NODE, 0] == forest.zero, int(tree[_SIZE, child])))
+            cut(forest, i, j)
+
+        monkeypatch.setattr(_Forest, "cut", spy)
+        return seen
+
+    @staticmethod
+    def solve_and_check(problem: QpProblem) -> QpSolution:
+        solution = solve_active_set(problem)
+        assert kkt_residual(problem, solution) <= 1e-12
+        oracle = solve_dykstra(problem)
+        assert max(abs(a - b) for a, b in zip(solution.point, oracle.point)) <= 1e-6
+        return solution
+
+    def test_dependent_row_through_zero_node_drops_a_bound(self, cuts):
+        # Rows: 0: x0 >= 0, 1: x1 >= 1, 2: x1 - x0 >= -10, 3: x1 - x0 <= 0.5.
+        # Both bounds enter first; then row 3 closes the cycle x0, d, x1, so
+        # it is dependent, and the dual step drops bound row 0.
+        problem = QpProblem((-1.0, 0.0), ((0.0, None), (1.0, None)), ((1, 0, -10.0, 0.5),))
+        solution = self.solve_and_check(problem)
+        assert cuts == [(0, True, 1)]
+        assert solution.point == pytest.approx((0.5, 1.0), abs=1e-15)
+        assert solution.active_set == (1, 3)
+        assert solution.multipliers == pytest.approx((2.5, 1.5), abs=1e-15)
+        assert solution.iterations == 4
+
+    def test_drop_cuts_two_nodes_off_the_zero_tree(self, cuts):
+        # x1 >= 1.5 hangs x1 on the zero node, x0 >= 1 hangs x0, and
+        # x1 - x2 <= 0.5 hangs x2 under x1.  Then x1 - x0 >= 1 is dependent
+        # and drops x1 >= 1.5, which cuts {x1, x2} off the zero node's tree;
+        # the next step moves that tree by its mean.
+        problem = QpProblem(
+            (-1.0, -2.0, -1.0),
+            ((1.0, None), (1.5, None), (None, None)),
+            ((1, 2, -1.0, 0.5), (1, 0, 1.0, 1.5)),
+        )
+        solution = self.solve_and_check(problem)
+        assert cuts == [(1, True, 2)]
+        assert solution.point == pytest.approx((1.0, 2.0, 1.5), abs=1e-15)
+        assert solution.active_set == (0, 3, 4)
+
+    def test_dependent_row_inside_a_tree_of_equalities(self, cuts):
+        # Row 0 is the equality x0 - x2 = -0.5; rows 3 and 5 then hang x1
+        # and x3 on its tree.  Row 1 (x1 - x3 >= 0.5) has both ends in that
+        # tree; its path runs through the equality, which never blocks, and
+        # the dual step drops row 3.
+        problem = QpProblem(
+            (-1.0, -2.0, -1.0, -2.0),
+            (),
+            ((0, 2, -0.5, -0.5), (1, 3, 0.5, 1.0), (1, 2, -0.5, 1.0), (3, 0, 0.0, 2.0)),
+        )
+        solution = self.solve_and_check(problem)
+        assert cuts == [(3, False, 1)]
+        assert solution.point == pytest.approx((-1.75, -1.25, -1.25, -1.75), abs=1e-15)
+        assert solution.active_set == (0, 1, 5)
+
+    def test_violated_row_across_equalities_only_is_infeasible(self):
+        # x0 = x1 = x2 by equalities leaves x0 - x2 >= 1e-9 no room: the
+        # row's ends share a tree, and no inequality on its path can drop.
+        problem = QpProblem(
+            (0.0, 1.0, 2.0), (), ((0, 1, 0.0, 0.0), (1, 2, 0.0, 0.0), (0, 2, 1e-9, 1.0))
+        )
+        with pytest.raises(Infeasible, match="constraint cannot be reached"):
+            solve_active_set(problem)
 
 
 class TestRows:
