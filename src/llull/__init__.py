@@ -8,6 +8,7 @@ projected onto a structured score set, and read out as rank-like rates in
 
 from .ballots import (
     Ballot,
+    BallotTable,
     CandidateSet,
     InterpretationRules,
     Listed,

@@ -16,7 +16,10 @@ import enum
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, NamedTuple
+from itertools import repeat
+from typing import Iterable, Iterator, NamedTuple, Sequence
+
+import numpy as np
 
 from .errors import (
     DuplicateCandidate,
@@ -140,52 +143,22 @@ def _tokenize(text: str, offset: int = 0) -> list[_Token]:
     ]
 
 
-# A plain line: an optional ASCII integer weight, then names joined by ">"
-# and "=" with no space between them; no "/" and no "#".  Space may stand
-# only at either end and around the weight's ":".
-_PLAIN = re.compile(rf"\s*(?:([0-9]+)\s*:)?\s*({_NAME_PATTERN}(?:[>=]{_NAME_PATTERN})*)\s*")
-_ONE = Fraction(1)
-
-
-def _parse_plain(text: str, index: dict[str, int]) -> Ballot | None:
-    """The ballot of a plain line, or None for any other line.
-
-    None also stands for every plain line the general parser rejects: a
-    zero weight, an unknown name (an index miss) or a repeated one (which
-    ``Ballot`` refuses).  So this never raises, and the general parser
-    reports every error.
-    """
-    m = _PLAIN.fullmatch(text)
-    if m is None:
-        return None
-    weight, body = m.groups()
-    groups = []
-    for part in body.split(">"):
-        if "=" in part:
-            group = [index.get(name) for name in part.split("=")]
-            if None in group:
-                return None
-            group.sort()
-            groups.append(tuple(group))
-        else:
-            c = index.get(part)
-            if c is None:
-                return None
-            groups.append((c,))
-    try:
-        return Ballot(tuple(groups), None, _ONE if weight is None else Fraction(int(weight)))
-    except ValueError:
-        return None
+# A plain line: an optional ASCII integer or integer-ratio weight, then names
+# joined by ">" and "=" with no space between them; no cutoff "/" and no "#".
+# Space may stand only at either end and around the weight's ":".
+_PLAIN = re.compile(
+    rf"\s*(?:([0-9]+(?:/[0-9]+)?)\s*:)?\s*({_NAME_PATTERN}(?:[>=]{_NAME_PATTERN})*)\s*"
+)
+_GT, _EQ, _NL = b">=\n"
+# Distinct line texts parsed together; bounds the block's temporaries.
+_BLOCK = 2048
 
 
 def parse_ballot_line(
     text: str, candidates: CandidateSet, line: int = 1
 ) -> Ballot:
     """Parse one ballot line; raises the ballot errors with line/column."""
-    ballot = _parse_plain(text, candidates.index)
-    if ballot is None:
-        ballot = _parse_general(text, candidates, line)
-    return ballot
+    return _parse_general(text, candidates, line)
 
 
 def _parse_general(text: str, candidates: CandidateSet, line: int) -> Ballot:
@@ -336,44 +309,224 @@ def ballot_to_pairwise(
     return out
 
 
-def read_ballot_file(text: str) -> tuple[CandidateSet, list[Ballot]]:
+def _rank_row(ballot: Ballot, n: int) -> tuple[list[int], int]:
+    """The effective rank row of a ballot and its effective group count: a
+    listed candidate ranks at its group's index, an unlisted one at the count."""
+    groups = effective_groups(ballot)
+    row = [len(groups)] * n
+    for gi, group in enumerate(groups):
+        for c in group:
+            row[c] = gi
+    return row, len(groups)
+
+
+def _ballot_rows(
+    ballots: list[Ballot], n: int, weights: _Weights
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rank rows, group counts and weight ids of ballots, one at a time."""
+    rows = [_rank_row(b, n) for b in ballots]
+    return (
+        np.array([row for row, _ in rows], dtype=np.int16).reshape(len(rows), n),
+        np.array([count for _, count in rows], dtype=np.int16),
+        np.array([weights.id(b.weight) for b in ballots], dtype=np.int64),
+    )
+
+
+class _Weights:
+    """Distinct ballot weights, numbered in order of first use."""
+
+    def __init__(self):
+        self.fractions: list[Fraction] = []
+        self._ids: dict[Fraction, int] = {}
+        self._texts: dict[str | None, int] = {}
+
+    def id(self, weight: Fraction) -> int:
+        i = self._ids.get(weight)
+        if i is None:
+            i = self._ids[weight] = len(self.fractions)
+            self.fractions.append(weight)
+        return i
+
+    def of_texts(self, texts: list[str | None]) -> np.ndarray:
+        """The ids of plain lines' weight texts (None for no weight), each
+        text read once; -1 marks a weight the tokenizer must report: zero,
+        over a zero denominator, or longer than ``int`` reads."""
+        for text in dict.fromkeys(texts):
+            if text in self._texts:
+                continue
+            try:
+                weight = Fraction(1 if text is None else text)
+            except (ValueError, ZeroDivisionError):
+                weight = Fraction(0)
+            self._texts[text] = self.id(weight) if weight > 0 else -1
+        return np.fromiter(map(self._texts.__getitem__, texts), dtype=np.int64, count=len(texts))
+
+
+def _plain_rows(
+    texts: Sequence[str], index: dict[str, int], weights: _Weights
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rank rows, group counts and weight ids of the plain lines among
+    ``texts``, read in bulk.
+
+    A weight id of -1 marks a text left to the tokenizer, whose row and
+    count are then undefined: a line that is not plain, names an unknown or
+    repeated candidate, or has a weight the tokenizer refuses.
+    """
+    m, n = len(texts), len(index)
+    ranks = np.empty((m, n), dtype=np.int16)
+    groups = np.empty(m, dtype=np.int16)
+    ids = np.full(m, -1, dtype=np.int64)
+    matches = list(map(_PLAIN.fullmatch, texts))
+    rows = [i for i, match in enumerate(matches) if match is not None]
+    if not rows:
+        return ranks, groups, ids
+    plain = [matches[i] for i in rows]
+    p = len(plain)
+    body = "\n".join([match[2] for match in plain])
+    names = body.replace(">", "\n").replace("=", "\n").split("\n")
+    # Separators are ASCII, so they are whole bytes of the UTF-8 text; the
+    # one after each name ends its group (">"), continues it ("=") or ends
+    # its line (newline).
+    scan = np.frombuffer((body + "\n").encode(), dtype=np.uint8)
+    ends = scan[(scan == _GT) | (scan == _EQ) | (scan == _NL)]
+    last, gt = ends == _NL, ends == _GT
+    line = np.cumsum(last) - last
+    first = np.concatenate(([0], np.flatnonzero(last)[:-1] + 1))
+    # A name's group counts the ">" before it on its line.
+    before = np.cumsum(gt) - gt
+    group = before - before[first][line]
+    cand = np.fromiter(map(index.get, names, repeat(-1)), dtype=np.int64, count=len(names))
+    known = cand >= 0
+    placed = np.full((p, n), -1, dtype=np.int16)
+    placed[line[known], cand[known]] = group[known]
+    count = group[last] + 1
+    # An unknown name is never placed and a repeated one is placed once, so
+    # either leaves fewer listed candidates than names.
+    whole = np.count_nonzero(placed >= 0, axis=1) == np.bincount(line, minlength=p)
+    wid = weights.of_texts([match[1] for match in plain])
+    ranks[rows] = np.where(placed < 0, count[:, None], placed)
+    groups[rows] = count
+    ids[rows] = np.where(whole, wid, -1)
+    return ranks, groups, ids
+
+
+class BallotTable:
+    """A profile counted by kind: one effective rank row per distinct ballot.
+
+    In row ``i`` of ``ranks`` (int16, one column per candidate) a listed
+    candidate holds the index of its group among the kind's effective
+    groups (``effective_groups``) and an unlisted one holds the group count
+    ``groups[i]``.  Kind ``i`` weighs ``weights[weight_ids[i]]`` and is cast
+    ``counts[i]`` times; ``order`` holds the kind of every ballot in profile
+    order.  ``kinds[i]`` is the kind's line text, or its ``Ballot`` for a
+    table built by ``from_ballots``.
+    """
+
+    def __init__(self, candidates, kinds, order, ranks, groups, weight_ids, weights):
+        self.candidates: CandidateSet = candidates
+        self.kinds: tuple[str | Ballot, ...] = kinds
+        self.order: np.ndarray = order
+        self.ranks: np.ndarray = ranks
+        self.groups: np.ndarray = groups
+        self.weight_ids: np.ndarray = weight_ids
+        self.weights: tuple[Fraction, ...] = weights
+        self.counts: np.ndarray = np.bincount(order, minlength=len(kinds))
+
+    @classmethod
+    def from_ballots(cls, ballots: Iterable[Ballot], candidates: CandidateSet) -> BallotTable:
+        """Count equal ballots as one kind."""
+        kinds: dict[Ballot, int] = {}
+        order = [kinds.setdefault(b, len(kinds)) for b in ballots]
+        weights = _Weights()
+        ranks, groups, ids = _ballot_rows(list(kinds), len(candidates), weights)
+        return cls(
+            candidates,
+            tuple(kinds),
+            np.array(order, dtype=np.intp),
+            ranks,
+            groups,
+            ids,
+            tuple(weights.fractions),
+        )
+
+    def __len__(self) -> int:
+        return len(self.order)
+
+    def ballots(self) -> list[Ballot]:
+        """The profile as ``Ballot``s in order, repeats sharing one object.
+
+        Line texts are read again by the tokenizer, which cannot fail on
+        them: they were read against the same candidates.
+        """
+        kinds = [
+            k if isinstance(k, Ballot) else _parse_general(k, self.candidates, 1)
+            for k in self.kinds
+        ]
+        return [kinds[i] for i in self.order.tolist()]
+
+
+def read_ballot_file(text: str) -> tuple[CandidateSet, BallotTable]:
     """Read a ballot file: comments and blanks skipped, one ballot per line.
 
     The first effective line may be ``candidates: a b c`` to fix the name
     order; otherwise names are collected in order of first appearance.
-    Each distinct line text is parsed once, and its repeats share the
-    (frozen) ballot.
+    Each distinct line text is one kind of the returned table.  Plain lines
+    are read in bulk, a block of distinct texts at a time; every other line
+    goes through the tokenizer in file order, so the first error raised is
+    the one of the earliest bad line.
     """
     candidates: CandidateSet | None = None
     names: dict[str, None] = {}
-    ballot_lines: list[tuple[int, str]] = []
+    kinds: dict[str, int] = {}
+    first_lines: list[int] = []
+    order: list[int] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         body = raw.split("#", 1)[0]
-        stripped = body.strip()
-        if not stripped:
-            continue
-        if candidates is None and not ballot_lines and stripped.startswith("candidates:"):
-            candidates = _read_candidates_line(body, lineno)
-            continue
-        if candidates is None:
-            # Names follow the weight, which may hold a "/" of its own.
-            head, colon, rest = body.partition(":")
-            names.update(dict.fromkeys(_NAME.findall(rest if colon else head)))
-        ballot_lines.append((lineno, body))
+        kind = kinds.get(body)
+        if kind is None:
+            stripped = body.strip()
+            if not stripped:
+                continue
+            if candidates is None and not order and stripped.startswith("candidates:"):
+                candidates = _read_candidates_line(body, lineno)
+                continue
+            if candidates is None:
+                # Names follow the weight, which may hold a "/" of its own.
+                head, colon, rest = body.partition(":")
+                names.update(dict.fromkeys(_NAME.findall(rest if colon else head)))
+            kind = kinds[body] = len(first_lines)
+            first_lines.append(lineno)
+        order.append(kind)
 
     if candidates is None:
         if not names:
             raise MalformedSyntax("no candidates found", 1, 1)
         candidates = CandidateSet(names)
 
-    parsed: dict[str, Ballot] = {}
-    ballots = []
-    for lineno, body in ballot_lines:
-        ballot = parsed.get(body)
-        if ballot is None:
-            ballot = parsed[body] = parse_ballot_line(body, candidates, lineno)
-        ballots.append(ballot)
-    return candidates, ballots
+    n = len(candidates)
+    texts = tuple(kinds)
+    weights = _Weights()
+    blocks = []
+    # One block at least, so that a file without ballots has its empty arrays.
+    for start in range(0, len(texts) or 1, _BLOCK):
+        block = texts[start : start + _BLOCK]
+        ranks, groups, ids = _plain_rows(block, candidates.index, weights)
+        left = np.flatnonzero(ids < 0)
+        parsed = [
+            _parse_general(block[i], candidates, first_lines[start + i]) for i in left.tolist()
+        ]
+        ranks[left], groups[left], ids[left] = _ballot_rows(parsed, n, weights)
+        blocks.append((ranks, groups, ids))
+    ranks, groups, ids = map(np.concatenate, zip(*blocks))
+    return candidates, BallotTable(
+        candidates,
+        texts,
+        np.array(order, dtype=np.intp),
+        ranks,
+        groups,
+        ids,
+        tuple(weights.fractions),
+    )
 
 
 def _read_candidates_line(body: str, line: int) -> CandidateSet:

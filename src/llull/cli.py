@@ -140,7 +140,8 @@ def _cmd_verify(args) -> int:
     fixture = None
     if args.input is not None:
         try:
-            fixture = read_ballot_file(Path(args.input).read_text(encoding="utf-8"))
+            candidates, table = read_ballot_file(Path(args.input).read_text(encoding="utf-8"))
+            fixture = (candidates, table.ballots())
         except (OSError, UnicodeDecodeError, BallotError) as exc:
             print(f"error: {args.input}: {exc}", file=sys.stderr)
             return EXIT_PARSE

@@ -8,22 +8,20 @@ denominator (``numerators``).
 from __future__ import annotations
 
 import math
-from collections import Counter, defaultdict
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, groupby
-from operator import attrgetter
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .ballots import (
     Ballot,
+    BallotTable,
     CandidateSet,
     InterpretationRules,
     Listed,
     Unlisted,
-    effective_groups,
 )
 from .errors import MatrixFormatError, TotalVotersTooSmall
 
@@ -125,35 +123,23 @@ def check_total_voters(
                 )
 
 
-def _half_votes(kinds: Counter, rules: InterpretationRules, n: int) -> np.ndarray:
-    """Integer half-vote counts ``h[x, y]`` of equally weighted ballot kinds.
+def _half_votes(table: BallotTable, rules: InterpretationRules, votes: np.ndarray) -> np.ndarray:
+    """Half-vote counts ``h[x, y]`` of a counted table, kind ``i`` cast
+    ``votes[i]`` times.
 
-    ``kinds`` counts ballots by their effective groups.  A listed candidate
-    ranks at its group index and an unlisted one at the number of groups, so
     ``x`` over ``y`` earns two half-votes per ballot where it ranks strictly
     higher and one where the two tie; ``rules`` drop the comparisons that
-    involve unlisted candidates.  A count is at most twice the number of
-    ballots, so int64 is exact.
+    involve unlisted candidates.  The counts have the dtype of ``votes``.
     """
-
-    def rank_row(groups):
-        row = [len(groups)] * n
-        for gi, group in enumerate(groups):
-            for c in group:
-                row[c] = gi
-        return row
-
-    k = len(kinds)
-    flat = chain.from_iterable(map(rank_row, kinds))
-    ranks = np.fromiter(flat, dtype=np.int16, count=n * k).reshape(k, n).T
-    listed = ranks < np.fromiter(map(len, kinds), dtype=np.int16, count=k)
-    mult = np.fromiter(kinds.values(), dtype=np.int64, count=k)
+    n = table.ranks.shape[1]
+    ranks = np.ascontiguousarray(table.ranks.T)
+    listed = ranks < table.groups
     # Ranks tie either inside a listed group or between two unlisted
     # candidates, and rank strictly higher either over a later listed group
     # or, from a listed candidate, over an unlisted one.
     unlisted_tie = rules.unlisted_pair is Unlisted.TIED
     over_unlisted = rules.listed_vs_unlisted is Listed.PREFERRED
-    half = np.zeros((n, n), dtype=np.int64)
+    half = np.zeros((n, n), dtype=votes.dtype)
     for x in range(n):
         rx = ranks[x]
         for y in range(x + 1, n):
@@ -165,43 +151,47 @@ def _half_votes(kinds: Counter, rules: InterpretationRules, n: int) -> np.ndarra
             if not over_unlisted:
                 above &= listed[y]
                 below &= listed[x]
-            ties = mult @ tie
-            half[x, y] = 2 * (mult @ above) + ties
-            half[y, x] = 2 * (mult @ below) + ties
+            ties = votes @ tie
+            half[x, y] = 2 * (votes @ above) + ties
+            half[y, x] = 2 * (votes @ below) + ties
     return half
 
 
 def aggregate(
-    profile: Iterable[Ballot],
+    profile: BallotTable | Iterable[Ballot],
     rules: InterpretationRules,
     candidates: CandidateSet,
     total_voters: Fraction | None = None,
 ) -> LlullMatrix:
     """Sum weighted ballot contributions into a relative Llull matrix.
 
-    Ballots are counted as distinct kinds per weight, in integer half-votes,
-    and each weight enters once per matrix cell; ``ballot_to_pairwise`` is
-    the per-ballot reference for the same counts.  The denominator defaults
-    to the sum of ballot weights; an explicit ``total_voters`` must cover
-    every absolute turnout.
+    The profile is a counted ``BallotTable``, or ballots, which are counted
+    into one first.  Each kind is weighed as an integer over the common
+    denominator of the weights and counted in half-votes, so every matrix
+    cell is one exact division; ``ballot_to_pairwise`` is the per-ballot
+    reference for the same counts.  The denominator defaults to the sum of
+    ballot weights; an explicit ``total_voters`` must cover every absolute
+    turnout.
     """
+    if not isinstance(profile, BallotTable):
+        profile = BallotTable.from_ballots(profile, candidates)
     n = len(candidates)
-    # Consecutive ballots of one weight form a run, so a weight is hashed
-    # once per run, not once per ballot.
-    by_weight: defaultdict[Fraction, Counter] = defaultdict(Counter)
-    for weight, run in groupby(profile, attrgetter("weight")):
-        by_weight[weight].update(map(effective_groups, run))
+    den = math.lcm(*(w.denominator for w in profile.weights))
+    scale = [w.numerator * (den // w.denominator) for w in profile.weights]
+    per_weight = np.zeros(len(scale), dtype=np.int64)
+    np.add.at(per_weight, profile.weight_ids, profile.counts)
+    weight_sum = sum(map(operator.mul, scale, per_weight.tolist()))
+    # A half-vote count is at most twice the weight sum.
+    small = max([weight_sum, *scale]) < _INT64_BOUND
+    votes = np.array(scale, dtype=np.int64 if small else object)[profile.weight_ids]
+    half = _half_votes(profile, rules, votes * profile.counts)
 
-    counts = [[Fraction(0)] * n for _ in range(n)]
-    weight_sum = Fraction(0)
-    for weight, kinds in by_weight.items():
-        weight_sum += weight * sum(kinds.values())
-        half = _half_votes(kinds, rules, n)
-        for x, y in zip(*np.nonzero(half)):
-            counts[x][y] += weight * Fraction(int(half[x, y]), 2)
-
+    zero = Fraction(0)
+    counts = [
+        [Fraction(int(h), 2 * den) if h else zero for h in row] for row in half.tolist()
+    ]
     if total_voters is None:
-        total_voters = weight_sum if weight_sum > 0 else Fraction(1)
+        total_voters = Fraction(weight_sum, den) if weight_sum > 0 else Fraction(1)
     return LlullMatrix.from_absolute(candidates, counts, total_voters)
 
 

@@ -61,8 +61,8 @@ def load_input(text: str, config: RunConfig) -> LlullMatrix:
             ]
             matrix = LlullMatrix.from_absolute(matrix.candidates, counts, config.total_voters)
         return matrix
-    candidates, ballots = read_ballot_file(text)
-    return aggregate(ballots, config.rules, candidates, config.total_voters)
+    candidates, table = read_ballot_file(text)
+    return aggregate(table, config.rules, candidates, config.total_voters)
 
 
 def run(text: str, config: RunConfig) -> str:

@@ -376,7 +376,11 @@ def solve_active_set(problem: QpProblem) -> QpSolution:
 
     while not priced_out.all():
         slacks = np.where(priced_out, math.inf, rows.slacks(x))
-        worst = int(np.argmin(slacks))  # the lowest index among ties
+        # The lowest index among float-equal slacks.  Rows whose slacks tie
+        # exactly in rationals (tie equalities make many) are told apart by
+        # their last-bit rounding, so which of them enters, and with it the
+        # final active set, depends on the order of float operations.
+        worst = int(np.argmin(slacks))
         if not slacks[worst] < -_TOL:
             break
         steps_onto(worst)

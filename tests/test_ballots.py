@@ -5,14 +5,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from llull.ballots import (
+    _NAME,
     Ballot,
     CandidateSet,
     InterpretationRules,
     Listed,
     Unlisted,
     _parse_general,
-    _parse_plain,
+    _plain_rows,
+    _rank_row,
     _tokenize,
+    _Weights,
     ballot_to_pairwise,
     parse_ballot_line,
     read_ballot_file,
@@ -26,6 +29,7 @@ from llull.errors import (
     NonPositiveWeight,
     UnknownCandidate,
 )
+from llull.matrix import aggregate
 
 ABCDEF = CandidateSet("abcdef")
 ABC = CandidateSet("abc")
@@ -172,8 +176,18 @@ class TestTokenizer:
         assert (err.value.line, err.value.column) == (3, 7)
 
 
+def bulk_row(text, cands):
+    """The bulk step's rank row, group count and weight of one line, or
+    None when it leaves the line to the tokenizer."""
+    weights = _Weights()
+    ranks, groups, ids = _plain_rows([text], cands.index, weights)
+    if ids[0] < 0:
+        return None
+    return ranks[0].tolist(), int(groups[0]), weights.fractions[ids[0]]
+
+
 class TestPlainLines:
-    """The one-regex path for plain lines, and its agreement with the tokenizer."""
+    """The bulk step for plain lines, and the lines it leaves to the tokenizer."""
 
     @pytest.mark.parametrize(
         "text, ballot",
@@ -182,20 +196,36 @@ class TestPlainLines:
             ("c=a", Ballot(((0, 2),))),
             (" 007 :\u3000b>c ", Ballot(((1,), (2,)), None, Fraction(7))),
             ("2:a", Ballot(((0,),), None, Fraction(2))),
+            ("1/2: a", Ballot(((0,),), None, Fraction(1, 2))),
+            ("06/4 :c>b=a", Ballot(((2,), (0, 1)), None, Fraction(3, 2))),
         ],
     )
     def test_plain_lines_take_the_fast_path(self, text, ballot):
-        assert _parse_plain(text, ABC.index) == ballot
+        assert bulk_row(text, ABC) == (*_rank_row(ballot, 3), ballot.weight)
         assert _parse_general(text, ABC, 1) == ballot
 
     @pytest.mark.parametrize(
         "text",
         ["0: a", "00:a", "a>z", "a>b>a", "a=a", "a>", "=a", "a>>b", "a > b", "a>b/",
-         "/a", "a#b", "1_0: a", "\u0663: a", "1/2: a", "2.5: a", "", "3:",
-         pytest.param("1" * 5000 + ": a", id="5000-digit-weight")],
+         "/a", "a#b", "1_0: a", "\u0663: a", "1/0: a", "0/3: a", "1/2/3: a", "1 /2: a",
+         "2.5: a", "", "3:",
+         pytest.param("1" * 5000 + ": a", id="5000-digit-weight"),
+         pytest.param("1/" + "1" * 5000 + ": a", id="5000-digit-denominator")],
     )
     def test_other_lines_are_left_to_the_tokenizer(self, text):
-        assert _parse_plain(text, ABC.index) is None
+        assert bulk_row(text, ABC) is None
+
+    def test_a_block_reads_each_line_apart(self):
+        # Group indices restart on every line, and a refused line in the
+        # middle of a block leaves its neighbours' rows alone.
+        texts = ["a>b=c", "c>z", "b", "3: c=a>b", "a>b>a", "1/2: c>a"]
+        weights = _Weights()
+        ranks, groups, ids = _plain_rows(texts, ABC.index, weights)
+        assert ids.tolist() == [0, -1, 0, 1, -1, 2]
+        assert weights.fractions == [1, 3, Fraction(1, 2)]
+        taken = [0, 2, 3, 5]
+        assert ranks[taken].tolist() == [[0, 1, 1], [1, 0, 1], [0, 1, 0], [1, 2, 0]]
+        assert groups[taken].tolist() == [2, 1, 2, 2]
 
 
 MIXED = CandidateSet(["a", "b", "c", "7", "00"])
@@ -220,8 +250,10 @@ def near_plain_lines(draw):
         names = draw(st.lists(st.sampled_from(known + ["z"]), max_size=4))
     else:
         names = draw(st.lists(st.sampled_from(known), min_size=1, max_size=5, unique=True))
-    weights = ["0:", "00:", "1_0:", "\u0663:", "1/2:", "-2:", "x:", ":"]
-    parts = [pick("space", [""], SPACES), pick("weight", ["", "1:", "2 :", "007: "], weights)]
+    weights = ["0:", "00:", "1_0:", "\u0663:", "-2:", "x:", ":", "1/0:", "0/3:", "2.5:",
+               "1/2/3:", "1 /2:", "9" * 5000 + ":"]
+    plain_weights = ["", "1:", "2 :", "007: ", "1/2:", "06/4 :", "3/1: "]
+    parts = [pick("space", [""], SPACES), pick("weight", plain_weights, weights)]
     for i, name in enumerate(names):
         if i:
             parts.append(pick("space", [""], SPACES))
@@ -232,17 +264,54 @@ def near_plain_lines(draw):
     return "".join(parts)
 
 
-def outcome(parse, text):
+@st.composite
+def ballot_files(draw):
+    """Files of near-plain lines, each drawn line cast one or more times in
+    shuffled order among blanks and comments, with or without a
+    ``candidates:`` line."""
+    pool = draw(st.lists(near_plain_lines(), min_size=1, max_size=8))
+    lines = draw(st.lists(st.sampled_from(pool + ["", "  # note"]), min_size=1, max_size=16))
+    header = draw(st.sampled_from(["candidates: a b c 7 00", "candidates: 00 c b a 7", None]))
+    return "\n".join(([header] if header else []) + lines) + "\n"
+
+
+def read_line_by_line(text):
+    """The reference reading of a file: the names of its ``candidates:``
+    line or in order of appearance, then each ballot line parsed alone by
+    the tokenizer, in file order."""
+    lines = list(enumerate(text.splitlines(), start=1))
+    if lines[0][1].startswith("candidates:"):
+        cands = CandidateSet(lines.pop(0)[1].split()[1:])
+    else:
+        names = {}
+        for _, line in lines:
+            head, colon, tail = line.split("#", 1)[0].partition(":")
+            names.update(dict.fromkeys(_NAME.findall(tail if colon else head)))
+        if not names:
+            raise MalformedSyntax("no candidates found", 1, 1)
+        cands = CandidateSet(names)
+    bodies = [(lineno, line.split("#", 1)[0]) for lineno, line in lines]
+    return cands, [_parse_general(body, cands, lineno) for lineno, body in bodies if body.strip()]
+
+
+ALL_RULES = [InterpretationRules(listed, unlisted) for listed in Listed for unlisted in Unlisted]
+
+
+def file_outcome(read, text):
     try:
-        return parse(text, MIXED, 3)
+        cands, profile = read(text)
     except BallotError as exc:
         return type(exc), str(exc), exc.line, exc.column
+    return cands, [aggregate(profile, rules, cands) for rules in ALL_RULES]
 
 
-@given(near_plain_lines())
-@settings(max_examples=600, deadline=None)
-def test_fast_path_agrees_with_the_tokenizer(text):
-    assert outcome(parse_ballot_line, text) == outcome(_parse_general, text)
+@given(ballot_files())
+@settings(max_examples=400, deadline=None)
+def test_file_parse_agrees_with_the_tokenizer(text):
+    expected = file_outcome(read_line_by_line, text)
+    assert file_outcome(read_ballot_file, text) == expected
+    if isinstance(expected[0], CandidateSet):
+        assert read_ballot_file(text)[1].ballots() == read_line_by_line(text)[1]
 
 
 class TestPairwise:
@@ -379,8 +448,8 @@ class TestBallotFile:
 
     def test_file_roundtrip(self):
         text = "candidates: a b c\n2: b>a/>c\n/\na=c\n"
-        cands, ballots = read_ballot_file(text)
-        assert serialize_ballot_file(cands, ballots) == text.replace("  ", " ")
+        cands, table = read_ballot_file(text)
+        assert serialize_ballot_file(cands, table.ballots()) == text.replace("  ", " ")
 
     def test_error_carries_line_number(self):
         with pytest.raises(UnknownCandidate) as err:
@@ -394,7 +463,8 @@ class TestBallotFile:
         assert cands.names == ("b", "a", "d", "e", "f")
 
     def test_repeated_lines_share_one_ballot(self):
-        cands, ballots = read_ballot_file("a>b\n2: b\na>b # again\na>b\n")
+        cands, table = read_ballot_file("a>b\n2: b\na>b # again\na>b\n")
+        ballots = table.ballots()
         assert ballots == [Ballot(((0,), (1,))), Ballot(((1,),), None, Fraction(2))] + [
             Ballot(((0,), (1,)))
         ] * 2
@@ -405,6 +475,27 @@ class TestBallotFile:
         with pytest.raises(UnknownCandidate) as err:
             read_ballot_file(text)
         assert (err.value.line, err.value.column) == (5, 5)
+
+    @pytest.mark.parametrize(
+        "lines, error",
+        [
+            # A plain line the bulk step refuses, then a line for the tokenizer.
+            (["a>b", "c>z", "a>>b"], (UnknownCandidate, 3, 3)),
+            # The reverse order.
+            (["a>b", "a>b/c/", "c>z"], (MalformedSyntax, 3, 5)),
+            # A bad line counts where it first stands, not where it repeats.
+            (["a>b", "b=a=b", "c", "b=a=b", "a>>b"], (DuplicateCandidate, 3, 5)),
+            (["1/2: a", "c/", "0/3: b", "1/2: a", "a>>b", "0/3: b"], (NonPositiveWeight, 4, 1)),
+            # The bad line stands in the second block of distinct lines, after
+            # a tokenizer line of the first.
+            ([f"{k}: a>b" for k in range(1, 2500)] + ["b/", "c>a>c", "a>>b"],
+             (DuplicateCandidate, 2502, 5)),
+        ],
+    )
+    def test_the_first_bad_line_in_file_order_is_reported(self, lines, error):
+        with pytest.raises(BallotError) as err:
+            read_ballot_file("\n".join(["candidates: a b c", *lines]) + "\n")
+        assert (type(err.value), err.value.line, err.value.column) == error
 
     @pytest.mark.parametrize(
         "line, error",

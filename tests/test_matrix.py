@@ -32,8 +32,8 @@ ALL_RULES = [InterpretationRules(listed, unlisted) for listed in Listed for unli
 
 @pytest.fixture(scope="module")
 def royal(royal_text):
-    cands, ballots = read_ballot_file(royal_text)
-    return cands, ballots, aggregate(ballots, RULES, cands)
+    cands, table = read_ballot_file(royal_text)
+    return cands, table.ballots(), aggregate(table, RULES, cands)
 
 
 class TestAggregate:

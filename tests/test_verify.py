@@ -33,7 +33,8 @@ RULES = InterpretationRules()
 
 @pytest.fixture(scope="module")
 def pcs(pcs_text):
-    return read_ballot_file(pcs_text)
+    cands, table = read_ballot_file(pcs_text)
+    return cands, table.ballots()
 
 
 class TestCandidateNames:
@@ -97,16 +98,16 @@ class TestChecks:
             check_monotonicity(matrix, 2, other)
 
     def test_decomposition_on_handmade_profile(self):
-        cands, ballots = read_ballot_file(
+        cands, table = read_ballot_file(
             "candidates: a b c d\na=b>c>d\nb>a>d\na>b>c\n"
         )
-        check_decomposition(cands, ballots, frozenset({0, 1}))
+        check_decomposition(cands, table.ballots(), frozenset({0, 1}))
 
     def test_unanimous_first_gets_rate_one(self):
-        cands, ballots = read_ballot_file("candidates: a b c\na>b>c\na>c\na\n")
-        result = tally(aggregate(ballots, RULES, cands))
+        cands, table = read_ballot_file("candidates: a b c\na>b>c\na>c\na\n")
+        result = tally(aggregate(table, RULES, cands))
         assert result.rates.rates[0] == pytest.approx(1.0, abs=1e-9)
-        check_decomposition(cands, ballots, frozenset({0}))
+        check_decomposition(cands, table.ballots(), frozenset({0}))
 
     def test_continuity_on_a_tied_profile(self):
         rng = random.Random(7)
@@ -114,8 +115,8 @@ class TestChecks:
         check_continuity(matrix, {(0, 1): Fraction(1, 3)})
 
     def test_duplication_renaming_on_royal(self, royal_text):
-        cands, ballots = read_ballot_file(royal_text)
-        check_duplication_renaming(cands, ballots, 3, (5, 4, 3, 2, 1, 0))
+        cands, table = read_ballot_file(royal_text)
+        check_duplication_renaming(cands, table.ballots(), 3, (5, 4, 3, 2, 1, 0))
 
 
 class TestApprovalAgreement:
@@ -136,9 +137,9 @@ class TestApprovalAgreement:
         assert names == [["A", "C"], ["B"], ["D"], ["E"]]
 
     def test_single_approval_ballot_ranks_approved_first(self):
-        cands, ballots = read_ballot_file("candidates: a b c\na=b/\n")
-        check_approval_agreement(cands, ballots)
-        result = tally(aggregate(ballots, RULES, cands), Variant.MARGIN_BASED)
+        cands, table = read_ballot_file("candidates: a b c\na=b/\n")
+        check_approval_agreement(cands, table.ballots())
+        result = tally(aggregate(table, RULES, cands), Variant.MARGIN_BASED)
         groups = [[cands.names[x] for x in g] for g in result.ranking.groups]
         assert groups == [["a", "b"], ["c"]]
 
@@ -173,8 +174,8 @@ class TestSuiteRunner:
         assert report.failures[0].replay.startswith("candidates:")
 
     def test_fixture_case_prepended(self, pcs_text, tmp_path):
-        cands, ballots = read_ballot_file(pcs_text)
-        report = run_suite("approval-agreement", 2, seed=0, fixture=(cands, ballots))
+        cands, table = read_ballot_file(pcs_text)
+        report = run_suite("approval-agreement", 2, seed=0, fixture=(cands, table.ballots()))
         assert len(report.outcomes) == 3
         assert report.outcomes[0].case == "fixture"
         assert report.passed
