@@ -47,7 +47,6 @@ from .matrix import (
     LlullMatrix,
     aggregate,
     margins,
-    numerators,
     read_matrix,
     turnouts,
     write_matrix,

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import enum
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
@@ -29,6 +30,22 @@ from .errors import (
 )
 
 RESERVED = set(">=/:#")
+
+
+def read_fraction(text: str) -> Fraction:
+    """``Fraction(text)``, refused with ``ValueError`` before it is built when
+    an integer in it, with the decimal exponent added, has more digits than
+    Python prints as an int: such a number can take unbounded time to build."""
+    mantissa, _, exponent = text.upper().partition("E")
+    try:
+        shift = abs(int(exponent or 0))
+    except ValueError:
+        shift = 0  # Fraction refuses the exponent itself
+    digits = max(sum(map(str.isdecimal, part)) for part in mantissa.split("/"))
+    # 4300 is the default limit, used where it is off or the interpreter has none.
+    if digits + shift > (getattr(sys, "get_int_max_str_digits", int)() or 4300):
+        raise ValueError(f"number {text!r} has too many digits")
+    return Fraction(text)
 
 
 class CandidateSet:
@@ -172,7 +189,7 @@ def _parse_general(text: str, candidates: CandidateSet, line: int) -> Ballot:
         offset = len(head) + 1
         head = head.strip()
         try:
-            weight = Fraction(head)
+            weight = read_fraction(head)
         except (ValueError, ZeroDivisionError):
             raise MalformedSyntax(f"cannot read weight {head!r}", line, 1) from None
         if weight <= 0:

@@ -10,10 +10,9 @@ from __future__ import annotations
 
 import argparse
 import sys
-from fractions import Fraction
 from pathlib import Path
 
-from .ballots import InterpretationRules, Listed, Unlisted, read_ballot_file
+from .ballots import InterpretationRules, Listed, Unlisted, read_ballot_file, read_fraction
 from .errors import (
     BallotError,
     Infeasible,
@@ -100,7 +99,7 @@ def _cmd_run(args) -> int:
         print(f"error: {args.input}: {exc}", file=sys.stderr)
         return EXIT_PARSE
     try:
-        total_voters = None if args.total_voters is None else Fraction(args.total_voters)
+        total_voters = None if args.total_voters is None else read_fraction(args.total_voters)
     except (ValueError, ZeroDivisionError):
         print(f"error: cannot read the voter total {args.total_voters!r}", file=sys.stderr)
         return EXIT_PARSE

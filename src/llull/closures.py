@@ -4,8 +4,8 @@ The max-min closure scores a path by its weakest link and takes the best
 path; the min-max closure scores a path by its strongest link and takes the
 worst path.  Min and max commute with positive scaling, so both closures
 run on the integer numerators of the scores over their common denominator D
-(``matrix.numerators``): n Floyd-Warshall passes, each one numpy broadcast.
-Every closure entry is one of the input numerators, so the result is exact
+(``matrix.w`` over ``matrix.den``): n Floyd-Warshall passes, each one numpy
+broadcast.  Every closure entry is one of the input numerators, so the result is exact
 over the same D.  The min-max closure goes through the duality with the
 max-min closure of the complemented transpose.
 """
@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -71,14 +70,11 @@ class IndirectScores:
 
 
 def margin_completion(matrix: LlullMatrix) -> LlullMatrix:
-    """Replace each missing comparison by a proper tie: v' = (1 + m) / 2."""
-    v = matrix.scores
-    n = matrix.n
-    scores = tuple(
-        tuple((1 + v[x][y] - v[y][x]) / 2 if x != y else Fraction(0) for y in range(n))
-        for x in range(n)
-    )
-    return LlullMatrix(matrix.candidates, scores, matrix.total)
+    """Replace each missing comparison by a proper tie: v' = (1 + m) / 2,
+    numerators D + w - w.T over 2D; every turnout is 1, so valid."""
+    w = matrix.den + margins(matrix.w)
+    np.fill_diagonal(w, 0)
+    return LlullMatrix.lowest_terms(matrix.candidates, w, 2 * matrix.den, matrix.total)
 
 
 def indirect_scores(w: np.ndarray, den: int, variant: Variant) -> IndirectScores:

@@ -87,4 +87,4 @@ def random_matrix(rng: random.Random, n: int, denominator: int = 12) -> LlullMat
             forward = rng.randint(0, turnout)
             scores[x][y] = Fraction(forward, denominator)
             scores[y][x] = Fraction(turnout - forward, denominator)
-    return LlullMatrix(candidates, tuple(tuple(r) for r in scores), Fraction(1))
+    return LlullMatrix.from_scores(candidates, scores)

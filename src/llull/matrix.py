@@ -1,8 +1,8 @@
-"""The Llull matrix of pairwise scores, with exact rational entries.
+"""The Llull matrix of pairwise scores, as exact integer numerators.
 
-``LlullMatrix`` is the validated input in Fractions.  The tally stages
-share one exact format, owned here: integer numerators over one positive
-denominator (``numerators``).
+``LlullMatrix`` holds integer numerators over one least common denominator,
+the one exact format of every stage from the parsed input to the report;
+``from_scores`` is the entry for hand-built grids of Fractions.
 """
 
 from __future__ import annotations
@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -22,70 +23,101 @@ from .ballots import (
     InterpretationRules,
     Listed,
     Unlisted,
+    read_fraction,
 )
 from .errors import MatrixFormatError, TotalVotersTooSmall
-
-Grid = tuple[tuple[Fraction, ...], ...]
 
 # Numerators and common denominators below this bound run on int64, larger
 # ones on Python ints.
 _INT64_BOUND = 2**62
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LlullMatrix:
-    """Relative pairwise scores v[x][y] with v_xy + v_yx <= 1."""
+    """Relative pairwise scores v_xy = w[x, y] / den with v_xy + v_yx <= 1.
+
+    ``den`` is the least common denominator of the scores, every numerator
+    lies in [0, den] and the diagonal is 0.  ``w`` is a read-only int64
+    array while ``den`` is below 2**62, so that two numerators add without
+    overflow, and an ``object`` array of Python ints above.  ``total`` is
+    the voter denominator V.
+    """
 
     candidates: CandidateSet
-    scores: Grid  # relative, diagonal unused (kept at 0)
-    total: Fraction  # the voter denominator V
+    w: np.ndarray
+    den: int
+    total: Fraction
 
-    def __post_init__(self):
-        n = len(self.candidates)
-        scores = tuple(tuple(Fraction(x) for x in row) for row in self.scores)
-        object.__setattr__(self, "scores", scores)
-        object.__setattr__(self, "total", Fraction(self.total))
-        if self.total <= 0:
-            raise ValueError("total voters must be positive")
-        _check_shape(n, self.scores)
-        _check_scores(self.scores)
+    # Equal scores have equal (w, den), so matrices compare by value; like
+    # its CandidateSet, a matrix is unhashable.
+    def __eq__(self, other):
+        if not isinstance(other, LlullMatrix):
+            return NotImplemented
+        return (
+            (self.candidates, self.den, self.total) == (other.candidates, other.den, other.total)
+            and self.w.tolist() == other.w.tolist()
+        )
+
+    __hash__ = None
 
     @property
     def n(self) -> int:
         return len(self.candidates)
 
+    @cached_property
+    def scores(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The scores as a grid of Fractions, for oracles and tests."""
+        return tuple(tuple(Fraction(p, self.den) for p in row) for row in self.w.tolist())
+
     def absolute(self, x: int, y: int) -> Fraction:
-        return self.scores[x][y] * self.total
+        return Fraction(int(self.w[x, y]), self.den) * self.total
 
     @classmethod
-    def from_absolute(
-        cls, candidates: CandidateSet, counts: Sequence[Sequence[Fraction]], total: Fraction
-    ) -> "LlullMatrix":
-        """Divide absolute counts (Fractions or ints) by the voter total,
-        which must be positive and cover every pair's absolute turnout; the
-        diagonal is ignored.
+    def lowest_terms(cls, candidates, w: np.ndarray, den: int, total: Fraction) -> LlullMatrix:
+        """Valid score numerators ``w`` over ``den``, divided by their gcd with ``den``."""
+        g = math.gcd(den, *w.ravel().tolist())
+        w = (w // g).astype(np.int64 if den // g < _INT64_BOUND else object, copy=False)
+        w.flags.writeable = False
+        return cls(candidates, w, den // g, total)
 
-        The checks of direct construction run here once, on the counts, so
-        the result is built without ``__post_init__``: covered turnouts and
-        nonnegative counts put every score in [0, 1].
-        """
+    @classmethod
+    def from_scores(cls, candidates, scores: Sequence[Sequence], total=1) -> LlullMatrix:
+        """The matrix of a hand-built grid of scores, which ``Fraction``
+        reads; the diagonal is ignored."""
+        total = Fraction(total)
+        if total <= 0:
+            raise ValueError("total voters must be positive")
+        _check_shape(len(candidates), scores)
+        w, den = _over_common_denominator([[Fraction(x) for x in row] for row in scores])
+        np.fill_diagonal(w, 0)
+        _check_scores(w, den, np.triu(w + w.T > den, 1))
+        return cls.lowest_terms(candidates, w, den, total)
+
+    @classmethod
+    def from_absolute(cls, candidates, counts: np.ndarray, den: int, total) -> LlullMatrix:
+        """The matrix of absolute counts ``counts[x, y] / den``, a square
+        int64 or ``object`` array over a positive int, with the diagonal
+        ignored.  The voter total must be positive and cover every pair's
+        turnout, and no count may be negative."""
         total = Fraction(total)
         if total <= 0:
             raise TotalVotersTooSmall(f"the voter total V = {total} is not positive")
         _check_shape(len(candidates), counts)
-        check_total_voters(candidates, counts, total)
-        zero = Fraction(0)
-        scores = tuple(
-            tuple(c / total if i != j else zero for j, c in enumerate(row))
-            for i, row in enumerate(counts)
-        )
-        if any(v.numerator < 0 for row in scores for v in row):
-            _check_scores(scores)  # raises, naming the first negative score
-        matrix = object.__new__(cls)
-        object.__setattr__(matrix, "candidates", candidates)
-        object.__setattr__(matrix, "scores", scores)
-        object.__setattr__(matrix, "total", total)
-        return matrix
+        # For the total p / q the scores are counts * q over den * p.
+        p, q = total.as_integer_ratio()
+        size = max(den * p, int(abs(counts).max(initial=0)) * q)
+        w = counts.astype(np.int64 if size < _INT64_BOUND else object) * q
+        np.fill_diagonal(w, 0)
+        over = np.triu(w + w.T > den * p, 1)
+        if over.any():
+            x, y = divmod(int(np.argmax(over)), len(over))
+            turnout = Fraction(int(counts[x, y] + counts[y, x]), den)
+            raise TotalVotersTooSmall(
+                f"pair ({candidates.names[x]}, {candidates.names[y]}) has absolute turnout "
+                f"{turnout} > V = {total}"
+            )
+        _check_scores(w, den * p, over)
+        return cls.lowest_terms(candidates, w, den * p, total)
 
 
 def _check_shape(n: int, grid: Sequence[Sequence]) -> None:
@@ -93,34 +125,24 @@ def _check_shape(n: int, grid: Sequence[Sequence]) -> None:
         raise ValueError("score grid does not match the candidate count")
 
 
-def _check_scores(scores: Grid) -> None:
-    """Raise unless every off-diagonal score lies in [0, 1] and no pair's
-    turnout exceeds 1."""
-    n = len(scores)
-    for x in range(n):
-        for y in range(n):
-            if x == y:
-                continue
-            v = scores[x][y]
-            if not 0 <= v <= 1:
-                raise ValueError(f"score v[{x}][{y}] = {v} outside [0, 1]")
-            if x < y and v + scores[y][x] > 1:
-                raise ValueError(f"pair ({x}, {y}) has turnout above 1")
+def _over_common_denominator(grid: list[list]) -> tuple[np.ndarray, int]:
+    """Rationals as Python-int numerators over their least common denominator."""
+    den = math.lcm(*(x.denominator for row in grid for x in row))
+    nums = [[x.numerator * (den // x.denominator) for x in row] for row in grid]
+    return np.array(nums, dtype=object), den
 
 
-def check_total_voters(
-    candidates: CandidateSet, counts: Sequence[Sequence[Fraction]], total: Fraction
-) -> None:
-    """Raise unless every pair's absolute turnout is at most ``total``."""
-    n = len(candidates)
-    for x in range(n):
-        for y in range(x + 1, n):
-            turnout = counts[x][y] + counts[y][x]
-            if turnout > total:
-                raise TotalVotersTooSmall(
-                    f"pair ({candidates.names[x]}, {candidates.names[y]}) has "
-                    f"absolute turnout {turnout} > V = {total}"
-                )
+def _check_scores(w: np.ndarray, den: int, over: np.ndarray) -> None:
+    """Raise the first failure, in row-major order, of a score ``w / den``
+    outside [0, 1] or, above the diagonal and after that pair's own score,
+    of a turnout marked in ``over``.  ``w`` has a zero diagonal."""
+    outside = (w < 0) | (w > den)
+    fails = outside | over
+    if fails.any():
+        x, y = divmod(int(np.argmax(fails)), len(fails))
+        if outside[x, y]:
+            raise ValueError(f"score v[{x}][{y}] = {Fraction(int(w[x, y]), den)} outside [0, 1]")
+        raise ValueError(f"pair ({x}, {y}) has turnout above 1")
 
 
 def _half_votes(table: BallotTable, rules: InterpretationRules, votes: np.ndarray) -> np.ndarray:
@@ -167,15 +189,14 @@ def aggregate(
 
     The profile is a counted ``BallotTable``, or ballots, which are counted
     into one first.  Each kind is weighed as an integer over the common
-    denominator of the weights and counted in half-votes, so every matrix
-    cell is one exact division; ``ballot_to_pairwise`` is the per-ballot
-    reference for the same counts.  The denominator defaults to the sum of
-    ballot weights; an explicit ``total_voters`` must cover every absolute
-    turnout.
+    denominator of the weights and counted in half-votes, and the matrix is
+    built from these integer counts; ``ballot_to_pairwise`` is the
+    per-ballot reference for the same counts.  The denominator defaults to
+    the sum of ballot weights; an explicit ``total_voters`` must cover every
+    absolute turnout.
     """
     if not isinstance(profile, BallotTable):
         profile = BallotTable.from_ballots(profile, candidates)
-    n = len(candidates)
     den = math.lcm(*(w.denominator for w in profile.weights))
     scale = [w.numerator * (den // w.denominator) for w in profile.weights]
     per_weight = np.zeros(len(scale), dtype=np.int64)
@@ -186,36 +207,9 @@ def aggregate(
     votes = np.array(scale, dtype=np.int64 if small else object)[profile.weight_ids]
     half = _half_votes(profile, rules, votes * profile.counts)
 
-    zero = Fraction(0)
-    counts = [
-        [Fraction(int(h), 2 * den) if h else zero for h in row] for row in half.tolist()
-    ]
     if total_voters is None:
         total_voters = Fraction(weight_sum, den) if weight_sum > 0 else Fraction(1)
-    return LlullMatrix.from_absolute(candidates, counts, total_voters)
-
-
-def numerators(grid: Grid) -> tuple[np.ndarray, int]:
-    """The exact format of the tally stages: the off-diagonal entries of
-    ``grid`` as integer numerators over their least common denominator D.
-
-    Returns ``(w, D)``.  ``w`` is int64 while D and every numerator stay
-    below 2**62, so the sum or difference of two score numerators cannot
-    overflow, and an ``object`` array of Python ints otherwise.  The
-    diagonal reads as 0.
-    """
-    n = len(grid)
-    ratios = [
-        (0, 1) if i == j else x.as_integer_ratio()
-        for i, row in enumerate(grid)
-        for j, x in enumerate(row)
-    ]
-    denominators = {q for _, q in ratios}
-    d = math.lcm(*denominators)
-    scale = {q: d // q for q in denominators}
-    nums = [p * scale[q] for p, q in ratios]
-    small = max(d, max(nums, default=0), -min(nums, default=0)) < _INT64_BOUND
-    return np.array(nums, dtype=np.int64 if small else object).reshape(n, n), d
+    return LlullMatrix.from_absolute(candidates, half, 2 * den, total_voters)
 
 
 def turnouts(w: np.ndarray) -> np.ndarray:
@@ -231,14 +225,15 @@ def margins(w: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # CSV serialization: a header row of candidate names, one "V=" line with the
 # voter total, then one row per candidate.  Entries are absolute counts in
-# any Fraction-readable form ("321.5" and "643/2" both work); the diagonal
-# is written as "*" and read as "*", an empty cell or any zero.
+# any Fraction-readable form ("321.5" and "643/2" both work; ``int`` reads
+# the plain integers, as Fraction would).  The diagonal is written as "*" and
+# read as "*", an empty cell or any zero.
 
 
 def read_matrix(text: str) -> LlullMatrix:
     header: tuple[str, ...] | None = None
     total, total_line = Fraction(1), None
-    rows: list[list[Fraction]] = []
+    rows: list[list[int | Fraction]] = []
     row_lines: list[int] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -250,7 +245,7 @@ def read_matrix(text: str) -> LlullMatrix:
                     f"second voter total line; the first is line {total_line}", lineno
                 )
             try:
-                total = Fraction(line.split("=", 1)[1].strip())
+                total = read_fraction(line.split("=", 1)[1].strip())
             except (ValueError, ZeroDivisionError):
                 raise MatrixFormatError("cannot read the voter total", lineno) from None
             total_line = lineno
@@ -274,19 +269,23 @@ def read_matrix(text: str) -> LlullMatrix:
         parsed = []
         for j, cell in enumerate(cells):
             if j == len(rows) and cell in ("*", ""):
-                parsed.append(Fraction(0))
+                parsed.append(0)
                 continue
             try:
-                parsed.append(Fraction(cell))
-            except (ValueError, ZeroDivisionError):
-                raise MatrixFormatError(f"cannot read entry {cell!r}", lineno) from None
-            if j == len(rows) and parsed[-1] != 0:
+                value = int(cell)
+            except ValueError:
+                try:
+                    value = read_fraction(cell)
+                except (ValueError, ZeroDivisionError):
+                    raise MatrixFormatError(f"cannot read entry {cell!r}", lineno) from None
+            if j == len(rows) and value != 0:
                 raise MatrixFormatError(f"diagonal entry {cell!r} is not '*' or 0", lineno)
-            if parsed[-1].numerator < 0:
+            if value < 0:
                 raise MatrixFormatError(
                     f"pair ({header[len(rows)]}, {header[j]}) has negative entry {cell!r}",
                     lineno,
                 )
+            parsed.append(value)
         rows.append(parsed)
         row_lines.append(lineno)
 
@@ -296,8 +295,9 @@ def read_matrix(text: str) -> LlullMatrix:
         raise MatrixFormatError(
             f"expected {len(header)} rows, found {len(rows)}", row_lines[-1] if row_lines else 1
         )
+    counts, den = _over_common_denominator(rows)
     try:
-        return LlullMatrix.from_absolute(candidates, rows, total)
+        return LlullMatrix.from_absolute(candidates, counts, den, total)
     except TotalVotersTooSmall as exc:
         raise MatrixFormatError(str(exc), total_line or row_lines[0]) from None
 

@@ -55,11 +55,11 @@ def load_input(text: str, config: RunConfig) -> LlullMatrix:
     if config.matrix_input:
         matrix = read_matrix(text)
         if config.total_voters is not None:
-            counts = [
-                [matrix.absolute(x, y) for y in range(matrix.n)]
-                for x in range(matrix.n)
-            ]
-            matrix = LlullMatrix.from_absolute(matrix.candidates, counts, config.total_voters)
+            p, q = matrix.total.as_integer_ratio()  # counts are w * p over den * q
+            counts = matrix.w.astype(object) * p
+            matrix = LlullMatrix.from_absolute(
+                matrix.candidates, counts, matrix.den * q, config.total_voters
+            )
         return matrix
     candidates, table = read_ballot_file(text)
     return aggregate(table, config.rules, candidates, config.total_voters)
@@ -92,11 +92,6 @@ def render_text(result: TallyResult) -> str:
     )
     lines.append("ranking: " + ranking)
     return "\n".join(lines) + "\n"
-
-
-def _frac_grid(grid) -> list[list[str]]:
-    n = len(grid)
-    return [[str(grid[x][y]) if x != y else "0" for y in range(n)] for x in range(n)]
 
 
 def _numerator_grid(w: np.ndarray, den: int) -> list[list[str]]:
@@ -134,7 +129,7 @@ def _intermediates_json(details: ProjectionDetails) -> dict:
         for i in range(n)
     ]
     return {
-        "v": _frac_grid(details.matrix.scores),
+        "v": _numerator_grid(details.matrix.w, details.matrix.den),
         "t": _numerator_grid(details.t, den),
         "vstar": _numerator_grid(details.scores.vstar, den),
         "vbar": None if vbar is None else _numerator_grid(vbar, den),

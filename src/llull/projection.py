@@ -3,11 +3,11 @@
 Given variant margins and an admissible order, this runs the three stages
 that turn raw turnouts into projected scores: rectangle-minimized margins,
 the nearest-point turnout program, and the interval construction whose
-endpoints are the projected scores.  The exact stages run on integer
-numerators over one denominator D; they cross over to binary64 at the entry
-of the quadratic program, as Python-int divisions by D, which round
-correctly.  ``project_details`` is the one place that
-composes these stages with the closures and the order.
+endpoints are the projected scores.  The exact stages run on the matrix's
+integer numerators over its denominator D (``matrix.w`` over ``matrix.den``);
+they cross over to binary64 at the entry of the quadratic program, as
+Python-int divisions by D, which round correctly.  ``project_details`` is
+the one place that composes these stages with the closures and the order.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from .closures import (
     variant_margins,
 )
 from .errors import LawViolation
-from .matrix import LlullMatrix, numerators, turnouts
+from .matrix import LlullMatrix, turnouts
 from .ordering import AdmissibleOrder, admissible_order
 from .qp import QpProblem, QpSolution, solve_active_set
 
@@ -304,15 +304,14 @@ def project_details(
     rank.
     """
     effective = margin_completion(matrix) if variant is Variant.MARGIN_BASED else matrix
-    w, den = numerators(effective.scores)
-    scores = indirect_scores(w, den, variant)
+    scores = indirect_scores(effective.w, effective.den, variant)
     vm = variant_margins(scores)
     if xi is None:
         xi = admissible_order(vm, matrix.candidates)
     im = intermediate_margins(vm, xi)
-    t = turnouts(w)
+    t = turnouts(effective.w)
     pt = project_turnouts(t, im)
     intervals = build_intervals(pt, im)
     pm = projected_scores(intervals, xi)
     pm.check_structure()
-    return ProjectionDetails(matrix, scores, vm, xi, im, t, den, pt, intervals, pm)
+    return ProjectionDetails(matrix, scores, vm, xi, im, t, effective.den, pt, intervals, pm)

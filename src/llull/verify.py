@@ -17,7 +17,7 @@ from .ballots import Ballot, CandidateSet, InterpretationRules, serialize_ballot
 from .closures import Variant, maxmin_closure_grid, minmax_closure_grid
 from .errors import LlullError, NotAdmissible
 from .generate import ProfileGenerator, candidate_names, random_matrix
-from .matrix import Grid, LlullMatrix, aggregate, numerators, write_matrix
+from .matrix import LlullMatrix, aggregate, write_matrix
 from .ordering import enumerate_admissible_orders
 from .pipeline import tally
 from .projection import project_details, turnout_qp
@@ -53,12 +53,12 @@ def _replay(candidates: CandidateSet, ballots: list[Ballot]) -> str:
 # Brute-force path closures, used as the oracle for the Floyd-Warshall route.
 
 
-def oracle_paths(matrix: LlullMatrix) -> tuple[Grid, Grid]:
+def oracle_paths(matrix: LlullMatrix) -> tuple[list[list[Fraction]], list[list[Fraction]]]:
     """Max-min and min-max closures by enumerating all simple paths."""
     n = matrix.n
     v = matrix.scores
-    best: list[list[Fraction]] = [[Fraction(0)] * n for _ in range(n)]
-    worst: list[list[Fraction]] = [[Fraction(0)] * n for _ in range(n)]
+    best = [[Fraction(0)] * n for _ in range(n)]
+    worst = [[Fraction(0)] * n for _ in range(n)]
 
     def walk(x: int, y: int):
         others = [z for z in range(n) if z not in (x, y)]
@@ -76,11 +76,11 @@ def oracle_paths(matrix: LlullMatrix) -> tuple[Grid, Grid]:
         for y in range(n):
             if x != y:
                 best[x][y], worst[x][y] = walk(x, y)
-    return tuple(map(tuple, best)), tuple(map(tuple, worst))
+    return best, worst
 
 
 def check_paths(matrix: LlullMatrix) -> None:
-    w, den = numerators(matrix.scores)
+    w, den = matrix.w, matrix.den
     closures = (maxmin_closure_grid(w), minmax_closure_grid(w, den))
     for name, got, want in zip(("max-min", "min-max"), closures, oracle_paths(matrix)):
         # An entry times den equals the numerator it scales to.
@@ -172,7 +172,7 @@ def matrix_from_floats(candidates: CandidateSet, grid) -> LlullMatrix:
             if excess > 0:  # a few ulps from the float stage
                 scores[x][y] -= excess / 2
                 scores[y][x] -= excess / 2
-    return LlullMatrix(candidates, tuple(map(tuple, scores)), Fraction(1))
+    return LlullMatrix.from_scores(candidates, scores)
 
 
 def check_idempotence(matrix: LlullMatrix, variant: Variant = Variant.MAIN) -> None:
@@ -273,13 +273,7 @@ def check_clone_consistency(matrix: LlullMatrix, clones: frozenset[int]) -> None
 
     kept = outsiders + [witness]
     names = candidate_names(len(kept))
-    quotient = LlullMatrix(
-        names,
-        tuple(
-            tuple(v[p][q] if p != q else Fraction(0) for q in kept) for p in kept
-        ),
-        matrix.total,
-    )
+    quotient = LlullMatrix.from_scores(names, [[v[p][q] for q in kept] for p in kept], matrix.total)
     qrates = _rates(quotient)
     pos = {c: i for i, c in enumerate(kept)}
 
@@ -479,7 +473,7 @@ def check_continuity(
         scores = [list(row) for row in matrix.scores]
         for (x, y), step in direction.items():
             scores[x][y] += step * scale
-        return LlullMatrix(matrix.candidates, tuple(map(tuple, scores)), matrix.total)
+        return LlullMatrix.from_scores(matrix.candidates, scores, matrix.total)
 
     drifts = []
     for exponent in range(2, 7):
@@ -650,7 +644,7 @@ def _case_clone_consistency(rng: random.Random) -> None:
                 forward = rng.randint(0, turnout)
                 scores[a][b] = Fraction(forward, 12)
                 scores[b][a] = Fraction(turnout - forward, 12)
-    matrix = LlullMatrix(candidate_names(n), tuple(map(tuple, scores)), Fraction(1))
+    matrix = LlullMatrix.from_scores(candidate_names(n), scores)
     check_clone_consistency(matrix, clones)
 
 
@@ -674,7 +668,7 @@ def _case_monotonicity(rng: random.Random) -> None:
                                            drop.denominator)
             changed = True
     # A case that changed nothing is the trivial equality check.
-    perturbed = LlullMatrix(matrix.candidates, tuple(map(tuple, scores)), matrix.total)
+    perturbed = LlullMatrix.from_scores(matrix.candidates, scores, matrix.total)
     check_monotonicity(matrix, favored, perturbed)
 
 
@@ -720,7 +714,7 @@ def _case_continuity(rng: random.Random) -> None:
     x, y = rng.sample(range(n), 2)
     tied = min(scores[x][y], scores[y][x])
     scores[x][y] = scores[y][x] = tied  # an exact tie the order can flip over
-    matrix = LlullMatrix(matrix.candidates, tuple(map(tuple, scores)), matrix.total)
+    matrix = LlullMatrix.from_scores(matrix.candidates, scores, matrix.total)
     direction: dict[tuple[int, int], Fraction] = {}
     wanted = rng.randint(1, 4)
     pairs = [(p, q) for p in range(n) for q in range(n) if p != q]

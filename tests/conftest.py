@@ -1,7 +1,9 @@
+import math
 import sys
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -36,3 +38,20 @@ def run_cli(*args: str):
 def fractions(w, den):
     """Integer numerators over ``den`` back as a tuple grid of Fractions."""
     return tuple(tuple(Fraction(p, den) for p in row) for row in w.tolist())
+
+
+def numerators(grid):
+    """The inverse of ``fractions`` for a bare grid, one that need not be a
+    Llull matrix (a closure, margins): numerators over the least common
+    denominator, int64 below 2**62 and Python ints above; the diagonal
+    reads 0."""
+    n = len(grid)
+    cells = [
+        Fraction(x) if i != j else Fraction(0)
+        for i, row in enumerate(grid)
+        for j, x in enumerate(row)
+    ]
+    den = math.lcm(*(x.denominator for x in cells))
+    nums = [int(x * den) for x in cells]
+    small = max(den, *map(abs, nums)) < 2**62
+    return np.array(nums, dtype=np.int64 if small else object).reshape(n, n), den

@@ -5,7 +5,7 @@ from itertools import permutations
 import numpy as np
 import pytest
 
-from conftest import fractions
+from conftest import fractions, numerators
 from llull.ballots import CandidateSet, InterpretationRules, read_ballot_file
 from llull.closures import (
     Variant,
@@ -16,34 +16,27 @@ from llull.closures import (
     variant_margins,
 )
 from llull.generate import random_matrix
-from llull.matrix import LlullMatrix, aggregate, numerators
+from llull.matrix import LlullMatrix, aggregate
 from llull.projection import project_details
 
 
 def grid_matrix(rows, total=1):
     n = len(rows)
-    return LlullMatrix(
-        CandidateSet("abcdefgh"[:n]),
-        tuple(tuple(Fraction(v) for v in row) for row in rows),
-        Fraction(total),
-    )
+    return LlullMatrix.from_scores(CandidateSet("abcdefgh"[:n]), rows, total)
 
 
-def maxmin_closure(grid):
-    """The max-min closure of a Fraction grid, as Fractions."""
-    w, den = numerators(grid)
+def maxmin_closure(w, den):
+    """The max-min closure of numerators over ``den``, as Fractions."""
     return fractions(maxmin_closure_grid(w), den)
 
 
 def minmax_closure(matrix):
     """The min-max closure of a matrix, as Fractions."""
-    w, den = numerators(matrix.scores)
-    return fractions(minmax_closure_grid(w, den), den)
+    return fractions(minmax_closure_grid(matrix.w, matrix.den), matrix.den)
 
 
 def margins_of(matrix, variant):
-    w, den = numerators(matrix.scores)
-    return variant_margins(indirect_scores(w, den, variant))
+    return variant_margins(indirect_scores(matrix.w, matrix.den, variant))
 
 
 def maxmin_closure_loop(v):
@@ -136,7 +129,7 @@ def royal(royal_text):
 
 class TestMaxMin:
     def test_royal_closure_matches_printed_matrix(self, royal):
-        star = maxmin_closure(royal.scores)
+        star = maxmin_closure(royal.w, royal.den)
         expected = [
             [0, 2, 5, 4, 3, 5],
             [4, 0, 6, 6, 4, 5],
@@ -151,7 +144,7 @@ class TestMaxMin:
 
     def test_two_candidates_closure_is_identity(self):
         m = grid_matrix([[0, Fraction(1, 3)], [Fraction(1, 2), 0]])
-        assert maxmin_closure(m.scores) == m.scores
+        assert maxmin_closure(m.w, m.den) == m.scores
         assert minmax_closure(m) == m.scores
 
     @pytest.mark.parametrize("seed", range(12))
@@ -159,7 +152,7 @@ class TestMaxMin:
         rng = random.Random(seed)
         matrix = random_matrix(rng, rng.randint(3, 5))
         best, worst = enumerate_paths(matrix)
-        star = maxmin_closure(matrix.scores)
+        star = maxmin_closure(matrix.w, matrix.den)
         bar = minmax_closure(matrix)
         for x in range(matrix.n):
             for y in range(matrix.n):
@@ -168,7 +161,7 @@ class TestMaxMin:
                     assert bar[x][y] == worst[x][y]
 
     def test_closure_dominates_scores_and_stays_in_range(self, royal):
-        star = maxmin_closure(royal.scores)
+        star = maxmin_closure(royal.w, royal.den)
         for x in range(royal.n):
             for y in range(royal.n):
                 if x != y:
@@ -179,8 +172,8 @@ class TestMaxMin:
     def test_closure_is_idempotent_and_transitive(self, seed):
         rng = random.Random(100 + seed)
         matrix = random_matrix(rng, 5)
-        star = maxmin_closure(matrix.scores)
-        assert maxmin_closure(star) == star
+        star = maxmin_closure(matrix.w, matrix.den)
+        assert maxmin_closure(*numerators(star)) == star
         for x in range(5):
             for y in range(5):
                 for z in range(5):
@@ -192,7 +185,7 @@ class TestMinMax:
     def test_complete_case_duality(self):
         cands, ballots = read_ballot_file("candidates: a b c\na>b>c\nb>c>a\nc>a>b\na=b=c\n")
         matrix = aggregate(ballots, InterpretationRules(), cands)
-        star = maxmin_closure(matrix.scores)
+        star = maxmin_closure(matrix.w, matrix.den)
         bar = minmax_closure(matrix)
         for x in range(3):
             for y in range(3):
@@ -257,7 +250,7 @@ class TestVariantMargins:
                 [Fraction(1, 3), 0, 0],
             ]
         )
-        star = maxmin_closure(m.scores)
+        star = maxmin_closure(m.w, m.den)
         bar = minmax_closure(m)
         vm = margins_of(m, Variant.BALANCED)
         balanced = fractions(vm.m, vm.den)
@@ -276,7 +269,7 @@ class TestVariantMargins:
         rng = random.Random(denominator)
         for _ in range(20):
             matrix = random_matrix(rng, rng.randint(2, 7), denominator)
-            mstar = margins_loop(maxmin_closure(matrix.scores))
+            mstar = margins_loop(maxmin_closure(matrix.w, matrix.den))
             mbar = margins_loop(minmax_closure(matrix))
             vm = margins_of(matrix, Variant.BALANCED)
             assert fractions(vm.m, vm.den) == balanced_margins_loop(mstar, mbar)
@@ -290,14 +283,16 @@ class TestIntegerKernel:
         rng = random.Random(700 + n)
         for denominator in (1, 2, 12, 97, 1000):
             matrix = random_matrix(rng, n, denominator)
-            assert_same_grid(maxmin_closure(matrix.scores), maxmin_closure_loop(matrix.scores))
+            star = maxmin_closure(matrix.w, matrix.den)
+            assert_same_grid(star, maxmin_closure_loop(matrix.scores))
             assert_same_grid(minmax_closure(matrix), minmax_closure_loop(matrix))
 
     @pytest.mark.parametrize("seed", range(6))
     def test_margin_completed_matrices(self, seed):
         rng = random.Random(800 + seed)
         completed = margin_completion(random_matrix(rng, rng.randint(3, 9)))
-        assert_same_grid(maxmin_closure(completed.scores), maxmin_closure_loop(completed.scores))
+        star = maxmin_closure(completed.w, completed.den)
+        assert_same_grid(star, maxmin_closure_loop(completed.scores))
         assert_same_grid(minmax_closure(completed), minmax_closure_loop(completed))
 
     @pytest.mark.parametrize("seed", range(6))
@@ -308,7 +303,7 @@ class TestIntegerKernel:
         bar = minmax_closure_loop(matrix)
         # a min-max closure has row pairs summing above one: a bare grid
         for grid in (star, bar):
-            assert_same_grid(maxmin_closure(grid), maxmin_closure_loop(grid))
+            assert_same_grid(maxmin_closure(*numerators(grid)), maxmin_closure_loop(grid))
 
     def test_diagonal_never_raises_an_entry(self):
         # thirds, with diagonal entries far above and below the others
@@ -325,8 +320,9 @@ class TestIntegerKernel:
         n = rng.randint(3, 7)
         for denominator in (2**70, 2**64 + 13):
             matrix = random_matrix(rng, n, denominator)
-            assert numerators(matrix.scores)[0].dtype == object
-            assert_same_grid(maxmin_closure(matrix.scores), maxmin_closure_loop(matrix.scores))
+            assert matrix.w.dtype == object
+            star = maxmin_closure(matrix.w, matrix.den)
+            assert_same_grid(star, maxmin_closure_loop(matrix.scores))
             assert_same_grid(minmax_closure(matrix), minmax_closure_loop(matrix))
         scores = [[Fraction(0)] * n for _ in range(n)]
         for x in range(n):
@@ -335,6 +331,7 @@ class TestIntegerKernel:
                 total = a + b + rng.randint(1, 5)
                 scores[x][y], scores[y][x] = Fraction(a, total), Fraction(b, total)
         matrix = grid_matrix(scores)
-        assert numerators(matrix.scores)[0].dtype == object
-        assert_same_grid(maxmin_closure(matrix.scores), maxmin_closure_loop(matrix.scores))
+        assert matrix.w.dtype == object
+        star = maxmin_closure(matrix.w, matrix.den)
+        assert_same_grid(star, maxmin_closure_loop(matrix.scores))
         assert_same_grid(minmax_closure(matrix), minmax_closure_loop(matrix))

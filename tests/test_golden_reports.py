@@ -16,6 +16,7 @@ import pytest
 
 from conftest import FIXTURES
 from llull.closures import Variant
+from llull.matrix import LlullMatrix
 from llull.pipeline import RunConfig, run
 
 GOLDEN = FIXTURES / "golden_reports.json.gz"
@@ -72,6 +73,31 @@ def test_report_matches_golden(golden, name, variant):
         assert flat(got["intermediates"][field]) == pytest.approx(
             flat(want["intermediates"][field]), abs=FLOAT_TOL
         ), field
+
+
+@pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
+@pytest.mark.parametrize("name", INPUTS)
+def test_no_fraction_grid_between_parse_and_report(monkeypatch, name, variant):
+    """Every report, text and JSON, comes out the same when building a grid
+    of Fractions raises: the tally path runs on the integer matrix alone."""
+    text = (FIXTURES / name).read_text()
+    configs = [
+        RunConfig(
+            variant=variant,
+            json_output=detail,
+            intermediates=detail,
+            matrix_input=name.endswith(".csv"),
+        )
+        for detail in (False, True)
+    ]
+    want = [run(text, config) for config in configs]
+
+    def refuse(*args):
+        raise AssertionError("a Fraction grid was built on the tally path")
+
+    monkeypatch.setattr(LlullMatrix, "scores", property(refuse))
+    monkeypatch.setattr(LlullMatrix, "from_scores", classmethod(refuse))
+    assert [run(text, config) for config in configs] == want
 
 
 if __name__ == "__main__":

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -13,13 +14,15 @@ from llull.ballots import (
     ballot_to_pairwise,
     read_ballot_file,
 )
+from llull import matrix as matrix_module
+from llull.closures import margin_completion
 from llull.errors import MatrixFormatError, TotalVotersTooSmall
-from conftest import fractions
+from llull.pipeline import RunConfig, load_input
+from conftest import FIXTURES, fractions
 from llull.matrix import (
     LlullMatrix,
     aggregate,
     margins,
-    numerators,
     read_matrix,
     turnouts,
     write_matrix,
@@ -87,23 +90,31 @@ class TestAggregate:
 class TestDerivedMatrices:
     def test_royal_numerators(self, royal):
         _, _, matrix = royal
-        w, den = numerators(matrix.scores)
-        assert den == 6 and w.dtype == np.int64
-        assert fractions(w, den) == matrix.scores
+        assert matrix.den == 6 and matrix.w.dtype == np.int64
+        assert matrix.w.tolist() == [
+            [0, 2, 5, 3, 3, 5],
+            [4, 0, 6, 6, 4, 5],
+            [1, 0, 0, 1, 0, 0],
+            [2, 0, 3, 0, 2, 2],
+            [3, 2, 3, 3, 0, 3],
+            [1, 1, 5, 4, 3, 0],
+        ]
+        assert not matrix.w.flags.writeable
 
     def test_numerators_take_python_ints_past_2_62(self):
+        ab = CandidateSet("ab")
         for d, dtype in ((2**62 - 1, np.int64), (2**62, object), (2**64 + 13, object)):
-            w, den = numerators(((0, Fraction(1, d)), (Fraction(d - 1, d), 0)))
-            assert den == d and w.dtype == dtype
-            assert w.tolist() == [[0, 1], [d - 1, 0]]
+            matrix = LlullMatrix.from_scores(ab, ((0, Fraction(1, d)), (Fraction(d - 1, d), 0)))
+            assert matrix.den == d and matrix.w.dtype == dtype
+            assert matrix.w.tolist() == [[0, 1], [d - 1, 0]]
         # the diagonal reads 0 whatever the grid holds there
         third = Fraction(1, 3)
-        w, den = numerators(((Fraction(5), third), (third, Fraction(-2))))
-        assert den == 3 and w.tolist() == [[0, 1], [1, 0]]
+        matrix = LlullMatrix.from_scores(ab, ((Fraction(5), third), (third, Fraction(-2))))
+        assert matrix.den == 3 and matrix.w.tolist() == [[0, 1], [1, 0]]
 
     def test_royal_turnouts(self, royal):
         _, _, matrix = royal
-        w, den = numerators(matrix.scores)
+        w, den = matrix.w, matrix.den
         t = fractions(turnouts(w), den)
         assert t[0][3] * matrix.total == 5
         assert t[3][0] * matrix.total == 5
@@ -111,66 +122,95 @@ class TestDerivedMatrices:
 
     def test_complete_profile_turnout_one(self):
         cands, ballots = read_ballot_file("candidates: a b c\na>b>c\nc>a>b\n")
-        w, den = numerators(aggregate(ballots, RULES, cands).scores)
+        matrix = aggregate(ballots, RULES, cands)
+        w, den = matrix.w, matrix.den
         t = turnouts(w)
         assert all(v == den for x, row in enumerate(t) for y, v in enumerate(row) if x != y)
 
     def test_royal_margins(self, royal):
         _, _, matrix = royal
-        w, den = numerators(matrix.scores)
-        m = fractions(margins(w), den)
+        m = fractions(margins(matrix.w), matrix.den)
         assert m[1][0] == Fraction(1, 3)
         assert m[0][1] == -Fraction(1, 3)
 
     def test_margin_bounded_by_turnout(self, royal):
         _, _, matrix = royal
-        w, _ = numerators(matrix.scores)
+        w = matrix.w
         assert (abs(margins(w)) <= turnouts(w)).all()
 
 
 class TestInvariants:
     def test_rejects_turnout_above_one(self):
-        with pytest.raises(ValueError):
-            LlullMatrix(
-                CandidateSet("ab"),
-                ((Fraction(0), Fraction(3, 4)), (Fraction(1, 2), Fraction(0))),
-                Fraction(1),
+        with pytest.raises(ValueError, match=r"^pair \(0, 1\) has turnout above 1$"):
+            LlullMatrix.from_scores(
+                CandidateSet("ab"), ((Fraction(0), Fraction(3, 4)), (Fraction(1, 2), Fraction(0)))
             )
 
     def test_rejects_scores_outside_unit_interval(self):
-        with pytest.raises(ValueError):
-            LlullMatrix(
-                CandidateSet("ab"),
-                ((Fraction(0), Fraction(-1, 4)), (Fraction(1, 2), Fraction(0))),
-                Fraction(1),
+        with pytest.raises(ValueError, match=r"^score v\[0\]\[1\] = -1/4 outside \[0, 1\]$"):
+            LlullMatrix.from_scores(
+                CandidateSet("ab"), ((Fraction(0), Fraction(-1, 4)), (Fraction(1, 2), Fraction(0)))
             )
+
+    def test_names_the_first_failure_in_loop_order(self):
+        # (0, 1) is in range but its pair's turnout is not; the later cell
+        # (1, 2) is out of range.  A score check precedes its pair's turnout.
+        grid = ((0, Fraction(3, 4), 0), (Fraction(1, 2), 0, -1), (0, 0, 0))
+        with pytest.raises(ValueError, match=r"^pair \(0, 1\) has turnout above 1$"):
+            LlullMatrix.from_scores(CandidateSet("abc"), grid)
+        grid = ((0, 2, 0), (-1, 0, 0), (0, 0, 0))
+        with pytest.raises(ValueError, match=r"^score v\[0\]\[1\] = 2 outside \[0, 1\]$"):
+            LlullMatrix.from_scores(CandidateSet("abc"), grid)
+
+    def test_rejects_a_nonpositive_total(self):
+        with pytest.raises(ValueError, match="^total voters must be positive$"):
+            LlullMatrix.from_scores(CandidateSet("ab"), ((0, 0), (0, 0)), 0)
+
+    def test_equality_compares_values_and_matrices_are_unhashable(self, royal):
+        cands, _, matrix = royal
+        again = LlullMatrix.from_scores(cands, matrix.scores, matrix.total)
+        assert again == matrix and again.w is not matrix.w
+        assert again != LlullMatrix.from_scores(cands, matrix.scores, 2 * matrix.total)
+        with pytest.raises(TypeError):
+            hash(matrix)
 
 
 class TestFromAbsolute:
-    """``from_absolute`` makes the checks of direct construction itself."""
+    """``from_absolute`` checks integer counts over a count denominator."""
 
     def test_refuses_a_negative_count(self):
         # The turnout 1 + (-1) is covered, so only the sign check can catch it.
         with pytest.raises(ValueError, match=r"score v\[0\]\[1\] = -1/2 outside \[0, 1\]"):
-            LlullMatrix.from_absolute(CandidateSet("ab"), [[0, -1], [1, 0]], Fraction(2))
+            LlullMatrix.from_absolute(CandidateSet("ab"), np.array([[0, -1], [1, 0]]), 1, 2)
 
     def test_refuses_a_misshapen_grid(self):
         with pytest.raises(ValueError, match="does not match the candidate count"):
-            LlullMatrix.from_absolute(CandidateSet("ab"), [[0, 1, 0], [1, 0, 0]], Fraction(2))
+            LlullMatrix.from_absolute(
+                CandidateSet("ab"), np.array([[0, 1, 0], [1, 0, 0]]), 1, Fraction(2)
+            )
+
+    def test_names_the_first_pair_above_the_total(self):
+        counts = np.array([[0, 1, 3], [1, 0, 4], [1, 1, 0]])
+        with pytest.raises(
+            TotalVotersTooSmall, match=r"^pair \(a, c\) has absolute turnout 2 > V = 3/2$"
+        ):
+            LlullMatrix.from_absolute(CandidateSet("abc"), counts, 2, Fraction(3, 2))
 
     def test_builds_what_direct_construction_builds(self, monkeypatch, royal):
         cands, _, matrix = royal
-        counts = [[matrix.absolute(x, y) for y in range(6)] for x in range(6)]
-        direct = LlullMatrix(cands, matrix.scores, matrix.total)
-
-        def post_init(self):
-            raise AssertionError("from_absolute checked its counts already")
-
-        monkeypatch.setattr(LlullMatrix, "__post_init__", post_init)
-        built = LlullMatrix.from_absolute(cands, counts, 6)
-        assert built == direct
+        counts = np.array(
+            [[int(matrix.absolute(x, y)) for y in range(6)] for x in range(6)], dtype=object
+        )
+        direct = LlullMatrix.from_scores(cands, matrix.scores, matrix.total)
+        checks = []
+        check = matrix_module._check_scores
+        monkeypatch.setattr(
+            matrix_module, "_check_scores", lambda *args: checks.append(1) or check(*args)
+        )
+        built = LlullMatrix.from_absolute(cands, counts, 1, 6)
+        assert built == direct and checks == [1]
         assert type(built.total) is Fraction
-        assert all(type(v) is Fraction for row in built.scores for v in row)
+        assert built.w.dtype == direct.w.dtype == np.int64
 
 
 class TestCsv:
@@ -289,6 +329,12 @@ def profiles(draw):
     return cands, profile, total
 
 
+def integer_counts(counts):
+    """Fraction counts as integers over their least common denominator."""
+    den = math.lcm(*(c.denominator for row in counts for c in row))
+    return np.array([[int(c * den) for c in row] for row in counts], dtype=object), den
+
+
 def pairwise_reference(profile, rules, cands):
     """Absolute counts summed ballot by ballot from ``ballot_to_pairwise``."""
     n = len(cands)
@@ -308,11 +354,131 @@ def test_aggregate_matches_per_ballot_reference(case):
         counts = pairwise_reference(profile, rules, cands)
         if total is None:
             weight_sum = sum((b.weight for b in profile), Fraction(0))
-            expected = LlullMatrix.from_absolute(cands, counts, weight_sum or Fraction(1))
+            expected = LlullMatrix.from_absolute(
+                cands, *integer_counts(counts), weight_sum or Fraction(1)
+            )
         elif any(counts[x][y] + counts[y][x] > total for x in range(n) for y in range(n)):
             with pytest.raises(TotalVotersTooSmall):
                 aggregate(profile, rules, cands, total)
             continue
         else:
-            expected = LlullMatrix.from_absolute(cands, counts, total)
-        assert aggregate(profile, rules, cands, total) == expected
+            expected = LlullMatrix.from_absolute(cands, *integer_counts(counts), total)
+        got = aggregate(profile, rules, cands, total)
+        assert got == expected
+        assert_normal_form(got)
+        assert_normal_form(margin_completion(got))
+
+
+def assert_normal_form(matrix):
+    """``(w, den)`` is what ``from_scores`` makes of the same scores: the
+    numerators over the least common denominator, in the same dtype."""
+    again = LlullMatrix.from_scores(matrix.candidates, matrix.scores, matrix.total)
+    assert matrix.den == again.den
+    assert matrix.w.dtype == again.w.dtype
+    assert matrix.w.tolist() == again.w.tolist()
+
+
+CSV_INPUTS = ("debian2006.csv", "wide20_lstsq.csv", "wide30.csv")
+BALLOT_INPUTS = ("royal1652.ballots", "pcs2006.ballots", "huge_weights.ballots")
+
+
+@pytest.mark.parametrize("factor", [None, 1, Fraction(7, 2), 2**70])
+@pytest.mark.parametrize("name", CSV_INPUTS + BALLOT_INPUTS)
+def test_fixture_matrices_are_in_normal_form(name, factor):
+    """Each fixture as read, and with its voter total multiplied by ``factor``
+    through ``--total-voters``."""
+    text = (FIXTURES / name).read_text()
+    config = RunConfig(matrix_input=name.endswith(".csv"))
+    matrix = load_input(text, config)
+    if factor is not None:
+        total = matrix.total * factor
+        matrix = load_input(text, RunConfig(total_voters=total, matrix_input=config.matrix_input))
+        assert matrix.total == total
+    assert_normal_form(matrix)
+    assert_normal_form(margin_completion(matrix))
+    if name == "huge_weights.ballots":
+        assert matrix.w.dtype == object
+
+
+def count_cells():
+    """Matrix cells as written: integers, decimals and ratios, some past 2**62."""
+    ints = st.one_of(st.integers(0, 60), st.integers(0, 2**70))
+    return st.one_of(
+        ints.map(str),
+        st.builds("{}.{}".format, st.integers(0, 99), st.sampled_from(["5", "25", "125"])),
+        st.builds("{}/{}".format, ints, st.sampled_from([1, 2, 3, 7, 2**62, 2**64 + 13])),
+    )
+
+
+@given(
+    st.integers(2, 4).flatmap(lambda n: st.lists(count_cells(), min_size=n * n, max_size=n * n)),
+    st.sampled_from([None, "1", "421", "5/3", "1e30", str(2**80)]),
+    st.sampled_from([None, 1, Fraction(7, 2), 10**40]),
+)
+@settings(max_examples=150, deadline=None)
+def test_read_matrices_and_rescales_are_in_normal_form(cells, total, rescale):
+    n = math.isqrt(len(cells))
+    names = "abcd"[:n]
+    rows = [
+        ",".join("*" if x == y else cells[x * n + y] for y in range(n)) for x in range(n)
+    ]
+    text = "\n".join([",".join(names), *([f"V={total}"] if total else []), *rows]) + "\n"
+    try:
+        matrix = read_matrix(text)
+    except MatrixFormatError:
+        return  # a turnout above the voter total
+    assert_normal_form(matrix)
+    assert_normal_form(margin_completion(matrix))
+    if rescale is not None:
+        try:
+            rescaled = load_input(text, RunConfig(total_voters=rescale, matrix_input=True))
+        except TotalVotersTooSmall:
+            return
+        assert_normal_form(rescaled)
+        assert rescaled.total == rescale
+        assert all(
+            rescaled.absolute(x, y) == matrix.absolute(x, y) for x in range(n) for y in range(n)
+        )
+
+
+def parent_cell(cell, diagonal):
+    """Reference for one cell of row a at line 2: read by ``Fraction`` alone."""
+    if diagonal and cell in ("*", ""):
+        return Fraction(0)
+    try:
+        value = Fraction(cell)
+    except (ValueError, ZeroDivisionError):
+        raise MatrixFormatError(f"cannot read entry {cell!r}", 2) from None
+    if diagonal and value != 0:
+        raise MatrixFormatError(f"diagonal entry {cell!r} is not '*' or 0", 2)
+    if value < 0:
+        raise MatrixFormatError(
+            f"pair (a, {'a' if diagonal else 'b'}) has negative entry {cell!r}", 2
+        )
+    return value
+
+
+# Short enough that no exponent makes a number too long to print, which the
+# reader refuses on purpose (see the hostile-number tests).
+CELL_TEXT = st.text(alphabet="0179+-_./eE \t\u0661\u0662\u00b2*x", max_size=5)
+CELL_CASES = [
+    "12", "+5", "-0", "-3", "007", "1_000", "1__0", "_1", "1_", "\u0661\u0662", " 42 ",
+    "9" * 4300, "9" * 4301, "1e3", "1E-3", "3.0", "0.5", "321.5", "643/2", "3/0", "*", "",
+    "\u00b2", "1 000", "0x10",
+]
+
+
+@given(st.one_of(st.sampled_from(CELL_CASES), CELL_TEXT), st.booleans())
+@settings(max_examples=400, deadline=None)
+def test_cells_read_as_fraction_reads_them(cell, diagonal):
+    row = f"{cell},0" if diagonal else f"*,{cell}"
+    text = f"a,b\n{row}\n0,*\nV={'9' * 4300}\n"
+    try:
+        expected = parent_cell(cell.strip(), diagonal)
+    except MatrixFormatError as exc:
+        with pytest.raises(MatrixFormatError) as err:
+            read_matrix(text)
+        assert (str(err.value), err.value.line) == (str(exc), exc.line)
+        return
+    matrix = read_matrix(text)
+    assert matrix.absolute(0, 0 if diagonal else 1) == expected

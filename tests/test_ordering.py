@@ -7,7 +7,8 @@ import pytest
 from llull.ballots import CandidateSet, InterpretationRules, read_ballot_file
 from llull.closures import Variant, VariantMargins, indirect_scores, variant_margins
 from llull.errors import NotAdmissible
-from llull.matrix import aggregate, numerators
+from conftest import numerators
+from llull.matrix import aggregate
 from llull.ordering import (
     _check_admissible,
     admissible_order,
@@ -39,8 +40,7 @@ def margins_grid(rows):
 
 
 def margins_of(matrix):
-    w, den = numerators(matrix.scores)
-    return variant_margins(indirect_scores(w, den, Variant.MAIN))
+    return variant_margins(indirect_scores(matrix.w, matrix.den, Variant.MAIN))
 
 
 def first_violation_loop(sequence, rows, candidates):

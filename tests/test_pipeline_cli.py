@@ -7,10 +7,36 @@ import pytest
 from conftest import FIXTURES, run_cli
 from llull import closures, ordering, pipeline, projection
 from llull.closures import Variant
-from llull.cli import EXIT_NOT_ADMISSIBLE, EXIT_NUMERICAL, EXIT_PARSE, EXIT_VERIFY
+from llull.cli import EXIT_NOT_ADMISSIBLE, EXIT_NUMERICAL, EXIT_PARSE, EXIT_VERIFY, main
 from llull.matrix import read_matrix, write_matrix
 from llull.projection import project_details, turnout_qp
 from llull.qp import kkt_residual
+
+
+class TestHostileNumbers:
+    """A number whose numerator or denominator would need more digits than
+    Python prints is refused where it is read, before it is built: each
+    site keeps its own error and exits 2, quickly and without a traceback."""
+
+    @pytest.mark.parametrize("number", ["1e5000", "1e-5000", "1e999999999"])
+    @pytest.mark.parametrize(
+        "text, flags, message",
+        [
+            ("a,b\nV=2\n*,{}\n0,*\n", ["--matrix"], "{path}: line 3: cannot read entry '{}'"),
+            ("a,b\nV={}\n*,0\n0,*\n", ["--matrix"], "{path}: line 2: cannot read the voter total"),
+            ("a>b\n{}: b>a\n", [], "{path}: line 2, column 1: cannot read weight '{}'"),
+            ("a>b\n", ["--total-voters", "{}"], "cannot read the voter total '{}'"),
+        ],
+        ids=["matrix-cell", "matrix-total", "ballot-weight", "total-voters-option"],
+    )
+    def test_refused_where_read(self, tmp_path, capsys, number, text, flags, message):
+        f = tmp_path / "input"
+        f.write_text(text.format(number))
+        args = [flag.format(number) for flag in flags]
+        assert main(["run", "--json", "--intermediates", *args, str(f)]) == EXIT_PARSE
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: " + message.format(number, path=f) + "\n"
 
 
 class TestRunCommand:
@@ -290,7 +316,7 @@ STAGES = [
     (pipeline, ("read_ballot_file", "aggregate", "read_matrix", "project_details")),
     (pipeline, ("rank_like_rates", "social_ranking", "render_json")),
     (projection, ("margin_completion", "indirect_scores", "variant_margins")),
-    (projection, ("numerators", "admissible_order", "intermediate_margins", "turnouts")),
+    (projection, ("admissible_order", "intermediate_margins", "turnouts")),
     (projection, ("turnout_qp",)),
     (projection, ("solve_active_set", "build_intervals", "projected_scores")),
     (projection.ProjectedMatrix, ("check_structure",)),

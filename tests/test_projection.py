@@ -8,7 +8,7 @@ from llull.ballots import CandidateSet, InterpretationRules, read_ballot_file
 from llull.closures import Variant, indirect_scores, variant_margins
 from llull.errors import LawViolation, LlullError
 from llull.generate import candidate_names, random_matrix
-from llull.matrix import LlullMatrix, aggregate, numerators, turnouts
+from llull.matrix import LlullMatrix, aggregate, turnouts
 from llull.ordering import AdmissibleOrder, admissible_order
 from llull.projection import (
     LAW_TOL,
@@ -57,7 +57,7 @@ class TestIntermediateMargins:
             for y in range(x + 1, n):
                 scores[x][y] = Fraction(3, 4)
                 scores[y][x] = Fraction(1, 4)
-        matrix = LlullMatrix(cands, tuple(map(tuple, scores)), Fraction(1))
+        matrix = LlullMatrix.from_scores(cands, scores)
         details = project_details(matrix)
         seq = details.xi.sequence
         for i in range(n):
@@ -108,7 +108,7 @@ class TestProjectedTurnouts:
         matrix = aggregate(ballots, RULES, cands)
         details = project_details(matrix)
         seq = details.xi.sequence
-        t = fractions(turnouts(numerators(matrix.scores)[0]), details.den)
+        t = fractions(turnouts(matrix.w), details.den)
         for i in range(3):
             for j in range(i + 1, 3):
                 assert details.pt.tsigma[i][j] == pytest.approx(
@@ -258,7 +258,7 @@ class TestProjectOperator:
                 for j in range(i + 1, n):
                     scores[i][j] = max(his[i:j])
                     scores[j][i] = min(los[i:j])
-            matrix = LlullMatrix(candidate_names(n), tuple(map(tuple, scores)), Fraction(1))
+            matrix = LlullMatrix.from_scores(candidate_names(n), scores)
             pm = project_details(matrix).pm
             for x in range(n):
                 for y in range(n):

@@ -9,7 +9,7 @@ from llull.ballots import InterpretationRules, read_ballot_file
 from llull.closures import Variant, indirect_scores, variant_margins
 from llull.errors import Infeasible
 from llull.generate import random_matrix
-from llull.matrix import aggregate, numerators, turnouts
+from llull.matrix import aggregate, turnouts
 from llull.ordering import admissible_order
 from llull.projection import intermediate_margins, turnout_qp
 from llull.qp import (
@@ -70,10 +70,9 @@ def problem_from_json(text: str) -> QpProblem:
 
 
 def matrix_problem(matrix) -> QpProblem:
-    w, den = numerators(matrix.scores)
-    vm = variant_margins(indirect_scores(w, den, Variant.MAIN))
+    vm = variant_margins(indirect_scores(matrix.w, matrix.den, Variant.MAIN))
     xi = admissible_order(vm, matrix.candidates)
-    return turnout_qp(turnouts(w), intermediate_margins(vm, xi))
+    return turnout_qp(turnouts(matrix.w), intermediate_margins(vm, xi))
 
 
 def royal_problem(royal_text) -> QpProblem:

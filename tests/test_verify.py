@@ -93,7 +93,7 @@ class TestChecks:
         scores[0][1], scores[1][0] = scores[1][0], scores[0][1]
         if scores[0][1] == scores[1][0]:
             scores[0][1] += Fraction(1, 12)
-        other = LlullMatrix(matrix.candidates, tuple(map(tuple, scores)), matrix.total)
+        other = LlullMatrix.from_scores(matrix.candidates, scores, matrix.total)
         with pytest.raises(ValueError):
             check_monotonicity(matrix, 2, other)
 
