@@ -40,6 +40,7 @@ from .errors import (
     MaxIterations,
     NonPositiveWeight,
     NotAdmissible,
+    NumberTooLong,
     TotalVotersTooSmall,
     UnknownCandidate,
 )

@@ -17,7 +17,7 @@ import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import repeat
+from itertools import compress, count
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -160,15 +160,17 @@ def _tokenize(text: str, offset: int = 0) -> list[_Token]:
     ]
 
 
-# A plain line: an optional ASCII integer or integer-ratio weight, then names
-# joined by ">" and "=" with no space between them; no cutoff "/" and no "#".
-# Space may stand only at either end and around the weight's ":".
-_PLAIN = re.compile(
-    rf"\s*(?:([0-9]+(?:/[0-9]+)?)\s*:)?\s*({_NAME_PATTERN}(?:[>=]{_NAME_PATTERN})*)\s*"
-)
+# The bulk step reads plain lines: an optional weight of the form _WEIGHT and
+# its ":", then candidate names joined by ">" and "=" with no space between
+# them; no cutoff "/" and no "#".  Space may stand only at either end and
+# around the weight's ":".
+_WEIGHT = re.compile(r"[0-9]+(?:/[0-9]+)?")
 _GT, _EQ, _NL = b">=\n"
 # Distinct line texts parsed together; bounds the block's temporaries.
 _BLOCK = 2048
+# Everything up to a line's first ":", the weight's; lines hold no newline.
+_WEIGHT_HEAD = re.compile(r"^[^:\n]*:", re.MULTILINE)
+_COMMENT = re.compile(r"#.*")
 
 
 def parse_ballot_line(
@@ -355,7 +357,7 @@ class _Weights:
     def __init__(self):
         self.fractions: list[Fraction] = []
         self._ids: dict[Fraction, int] = {}
-        self._texts: dict[str | None, int] = {}
+        self._texts: dict[str, int] = {}
 
     def id(self, weight: Fraction) -> int:
         i = self._ids.get(weight)
@@ -364,66 +366,125 @@ class _Weights:
             self.fractions.append(weight)
         return i
 
-    def of_texts(self, texts: list[str | None]) -> np.ndarray:
-        """The ids of plain lines' weight texts (None for no weight), each
-        text read once; -1 marks a weight the tokenizer must report: zero,
-        over a zero denominator, or longer than ``int`` reads."""
+    def of_texts(self, texts: list[str]) -> np.ndarray:
+        """The ids of stripped weight texts, each text read once; -1 marks a
+        weight the tokenizer must read or report: one that is not an ASCII
+        integer or integer ratio, is zero, has a zero denominator, or is
+        longer than ``int`` reads."""
         for text in dict.fromkeys(texts):
             if text in self._texts:
                 continue
-            try:
-                weight = Fraction(1 if text is None else text)
-            except (ValueError, ZeroDivisionError):
-                weight = Fraction(0)
+            weight = Fraction(0)
+            if _WEIGHT.fullmatch(text):
+                try:
+                    weight = Fraction(text)
+                except (ValueError, ZeroDivisionError):
+                    pass
             self._texts[text] = self.id(weight) if weight > 0 else -1
         return np.fromiter(map(self._texts.__getitem__, texts), dtype=np.int64, count=len(texts))
 
 
+def _utf8(text: str) -> bytes:
+    """UTF-8 bytes of ``text``; a lone surrogate, which a string built in
+    code may hold and the tokenizer reads as any other character, is
+    encoded as well."""
+    return text.encode("utf-8", "surrogatepass")
+
+
+class _NameTrie:
+    """The candidate names as a byte trie, walked one byte column at a time
+    for many name segments at once.
+
+    State 0 is the root.  The transition on byte b out of state s is stored
+    under the key ``256 * s + b`` in the sorted ``keys``, its target at the
+    same place in ``targets``, so the trie takes memory in proportion to the
+    names' total bytes.  ``final[s]`` is the candidate whose name ends at
+    state s, or -1.
+    """
+
+    def __init__(self, names: Sequence[str]):
+        spelled = [_utf8(name) for name in names]
+        edges: dict[int, int] = {}
+        ends = []
+        for name in spelled:
+            state = 0
+            for byte in name:
+                state = edges.setdefault(256 * state + byte, len(edges) + 1)
+            ends.append(state)
+        self.n = len(spelled)
+        self.width = max(map(len, spelled))
+        keys = sorted(edges)
+        # A last key above every lookup keeps each search inside the arrays.
+        self.keys = np.array(keys + [np.iinfo(np.int64).max], dtype=np.int64)
+        self.targets = np.array([edges[key] for key in keys] + [-1], dtype=np.int64)
+        self.final = np.full(len(edges) + 1, -1, dtype=np.int64)
+        self.final[ends] = np.arange(self.n)
+
+    def walk(self, data: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+        """The candidate spelled by each segment ``data[start : start +
+        length]`` of the byte array, or -1 where the segment spells none."""
+        state = np.zeros(len(starts), dtype=np.int64)
+        state[lengths > self.width] = -1
+        for column in range(self.width):
+            live = np.flatnonzero((lengths > column) & (state >= 0))
+            if not live.size:
+                break
+            key = 256 * state[live] + data[starts[live] + column]
+            at = np.searchsorted(self.keys, key)
+            state[live] = np.where(self.keys[at] == key, self.targets[at], -1)
+        return np.where(state >= 0, self.final[state], -1)
+
+
 def _plain_rows(
-    texts: Sequence[str], index: dict[str, int], weights: _Weights
+    texts: Sequence[str], trie: _NameTrie, weights: _Weights
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Rank rows, group counts and weight ids of the plain lines among
-    ``texts``, read in bulk.
+    ``texts``, read in bulk as one UTF-8 byte array.
+
+    A text holding ``:`` is split there in Python, its weight stripped and
+    its body kept; every body is stripped.  The bodies are joined by
+    newlines and encoded once.  Separators are ASCII and a multi-byte UTF-8
+    sequence holds only bytes of 0x80 and above, so every ``>``, ``=`` and
+    newline byte ends a name segment; ``_NameTrie.walk`` resolves all the
+    segments together.  The separator after each name ends its group
+    (``>``), continues it (``=``) or ends its line (newline).
 
     A weight id of -1 marks a text left to the tokenizer, whose row and
-    count are then undefined: a line that is not plain, names an unknown or
-    repeated candidate, or has a weight the tokenizer refuses.
+    count are then undefined: a segment that spells no candidate (an unknown
+    or empty name, inner space of any kind, ``/`` or ``:``), a repeated
+    name, or a weight the bulk step does not read.
     """
-    m, n = len(texts), len(index)
-    ranks = np.empty((m, n), dtype=np.int16)
-    groups = np.empty(m, dtype=np.int16)
-    ids = np.full(m, -1, dtype=np.int64)
-    matches = list(map(_PLAIN.fullmatch, texts))
-    rows = [i for i, match in enumerate(matches) if match is not None]
-    if not rows:
-        return ranks, groups, ids
-    plain = [matches[i] for i in rows]
-    p = len(plain)
-    body = "\n".join([match[2] for match in plain])
-    names = body.replace(">", "\n").replace("=", "\n").split("\n")
-    # Separators are ASCII, so they are whole bytes of the UTF-8 text; the
-    # one after each name ends its group (">"), continues it ("=") or ends
-    # its line (newline).
-    scan = np.frombuffer((body + "\n").encode(), dtype=np.uint8)
-    ends = scan[(scan == _GT) | (scan == _EQ) | (scan == _NL)]
-    last, gt = ends == _NL, ends == _GT
+    m, n = len(texts), trie.n
+    if not m:
+        return np.empty((0, n), np.int16), np.empty(0, np.int16), np.empty(0, np.int64)
+    bodies = list(texts)
+    weighted = [i for i, text in enumerate(texts) if ":" in text]
+    heads = []
+    for i in weighted:
+        head, _, bodies[i] = texts[i].partition(":")
+        heads.append(head.strip())
+    data = np.frombuffer(_utf8("\n".join(map(str.strip, bodies)) + "\n"), dtype=np.uint8)
+    ends = np.flatnonzero((data == _GT) | (data == _EQ) | (data == _NL))
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    cand = trie.walk(data, starts, ends - starts)
+    seps = data[ends]
+    last, gt = seps == _NL, seps == _GT
     line = np.cumsum(last) - last
     first = np.concatenate(([0], np.flatnonzero(last)[:-1] + 1))
     # A name's group counts the ">" before it on its line.
     before = np.cumsum(gt) - gt
     group = before - before[first][line]
-    cand = np.fromiter(map(index.get, names, repeat(-1)), dtype=np.int64, count=len(names))
     known = cand >= 0
-    placed = np.full((p, n), -1, dtype=np.int16)
+    placed = np.full((m, n), -1, dtype=np.int16)
     placed[line[known], cand[known]] = group[known]
-    count = group[last] + 1
-    # An unknown name is never placed and a repeated one is placed once, so
-    # either leaves fewer listed candidates than names.
-    whole = np.count_nonzero(placed >= 0, axis=1) == np.bincount(line, minlength=p)
-    wid = weights.of_texts([match[1] for match in plain])
-    ranks[rows] = np.where(placed < 0, count[:, None], placed)
-    groups[rows] = count
-    ids[rows] = np.where(whole, wid, -1)
+    groups = (group[last] + 1).astype(np.int16)
+    # A segment that spells no name is never placed and a repeated name is
+    # placed once, so either leaves fewer listed candidates than segments.
+    whole = np.count_nonzero(placed >= 0, axis=1) == np.bincount(line, minlength=m)
+    ranks = np.where(placed < 0, groups[:, None], placed)
+    ids = np.full(m, weights.id(Fraction(1)) if len(weighted) < m else -1, dtype=np.int64)
+    ids[weighted] = weights.of_texts(heads)
+    ids[~whole] = -1
     return ranks, groups, ids
 
 
@@ -487,62 +548,61 @@ def read_ballot_file(text: str) -> tuple[CandidateSet, BallotTable]:
 
     The first effective line may be ``candidates: a b c`` to fix the name
     order; otherwise names are collected in order of first appearance.
-    Each distinct line text is one kind of the returned table.  Plain lines
-    are read in bulk, a block of distinct texts at a time; every other line
-    goes through the tokenizer in file order, so the first error raised is
-    the one of the earliest bad line.
+    Each distinct line text, cut at its ``#``, is one kind of the returned
+    table; one ``dict`` pass over the lines numbers them.  Plain lines are
+    read in bulk by ``_plain_rows``, a block of distinct texts at a time;
+    every other line goes through the tokenizer in file order, so the first
+    error raised is the one of the earliest bad line.
     """
+    lines = text.splitlines()
+    if "#" in text:
+        # Lines hold no newline, so a comment ends where its line does.
+        lines = _COMMENT.sub("", "\n".join(lines)).split("\n")
+    # The lines before the first effective one are blank.
+    skip = next((i for i, line in enumerate(lines) if line.strip()), len(lines))
     candidates: CandidateSet | None = None
-    names: dict[str, None] = {}
-    kinds: dict[str, int] = {}
-    first_lines: list[int] = []
-    order: list[int] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        body = raw.split("#", 1)[0]
-        kind = kinds.get(body)
-        if kind is None:
-            stripped = body.strip()
-            if not stripped:
-                continue
-            if candidates is None and not order and stripped.startswith("candidates:"):
-                candidates = _read_candidates_line(body, lineno)
-                continue
-            if candidates is None:
-                # Names follow the weight, which may hold a "/" of its own.
-                head, colon, rest = body.partition(":")
-                names.update(dict.fromkeys(_NAME.findall(rest if colon else head)))
-            kind = kinds[body] = len(first_lines)
-            first_lines.append(lineno)
-        order.append(kind)
+    if skip < len(lines) and lines[skip].strip().startswith("candidates:"):
+        candidates = _read_candidates_line(lines[skip], skip + 1)
+        skip += 1
+    del lines[:skip]
+
+    # Each line maps to the index of the first line with its text.
+    first_of: dict[str, int] = {}
+    seen = np.fromiter(map(first_of.setdefault, lines, count()), dtype=np.intp, count=len(lines))
+    filled = np.fromiter(map(bool, map(str.strip, first_of)), dtype=bool, count=len(first_of))
+    # Kinds are the texts that are not blank, in order of first appearance.
+    texts = list(compress(first_of, filled))
+    firsts = np.flatnonzero(seen == np.arange(len(lines)))[filled]
+    kind = np.full(len(lines), -1, dtype=np.intp)
+    kind[firsts] = np.arange(len(firsts))
+    order = kind[seen]
+    order = order[order >= 0]
 
     if candidates is None:
+        # Names follow the weight, which may hold a "/" of its own.
+        names = _NAME.findall(_WEIGHT_HEAD.sub("", "\n".join(texts)))
         if not names:
             raise MalformedSyntax("no candidates found", 1, 1)
-        candidates = CandidateSet(names)
+        candidates = CandidateSet(dict.fromkeys(names))
 
     n = len(candidates)
-    texts = tuple(kinds)
+    trie = _NameTrie(candidates.names)
     weights = _Weights()
     blocks = []
     # One block at least, so that a file without ballots has its empty arrays.
     for start in range(0, len(texts) or 1, _BLOCK):
         block = texts[start : start + _BLOCK]
-        ranks, groups, ids = _plain_rows(block, candidates.index, weights)
+        ranks, groups, ids = _plain_rows(block, trie, weights)
         left = np.flatnonzero(ids < 0)
         parsed = [
-            _parse_general(block[i], candidates, first_lines[start + i]) for i in left.tolist()
+            _parse_general(block[i], candidates, line)
+            for i, line in zip(left.tolist(), (firsts[start + left] + skip + 1).tolist())
         ]
         ranks[left], groups[left], ids[left] = _ballot_rows(parsed, n, weights)
         blocks.append((ranks, groups, ids))
     ranks, groups, ids = map(np.concatenate, zip(*blocks))
     return candidates, BallotTable(
-        candidates,
-        texts,
-        np.array(order, dtype=np.intp),
-        ranks,
-        groups,
-        ids,
-        tuple(weights.fractions),
+        candidates, tuple(texts), order, ranks, groups, ids, tuple(weights.fractions)
     )
 
 

@@ -45,6 +45,14 @@ class TotalVotersTooSmall(LlullError):
     """The requested voter total is below an observed absolute turnout."""
 
 
+class NumberTooLong(LlullError):
+    """A number of the JSON report has more digits than Python prints.
+
+    Inputs whose numbers each pass the digit limit can compose past it: a
+    sum of weights, or a matrix cell over its voter total.
+    """
+
+
 class NotAdmissible(LlullError):
     """The candidate order violates the indirect comparison relation.
 

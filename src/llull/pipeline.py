@@ -12,6 +12,7 @@ import numpy as np
 
 from .ballots import CandidateSet, InterpretationRules, read_ballot_file
 from .closures import Variant
+from .errors import NumberTooLong
 from .matrix import LlullMatrix, aggregate, read_matrix
 from .projection import ProjectionDetails, project_details
 from .rates import RankLikeRates, RateFormula, SocialRanking, rank_like_rates, social_ranking
@@ -144,17 +145,23 @@ def _intermediates_json(details: ProjectionDetails) -> dict:
 
 
 def render_json(result: TallyResult, config: RunConfig) -> str:
+    """The JSON report; ``NumberTooLong`` when an exact number in it has
+    more digits than ``str`` of an int may print."""
     names = result.candidates.names
-    doc = {
-        "schema": 1,
-        "config": _config_json(config),
-        "candidates": list(names),
-        "total_voters": str(result.details.matrix.total),
-        "rates": {names[x]: result.rates.rates[x] for x in range(len(names))},
-        "ranking": [[names[x] for x in group] for group in result.ranking.groups],
-    }
-    if config.intermediates:
-        doc["intermediates"] = _intermediates_json(result.details)
+    try:
+        doc = {
+            "schema": 1,
+            "config": _config_json(config),
+            "candidates": list(names),
+            "total_voters": str(result.details.matrix.total),
+            "rates": {names[x]: result.rates.rates[x] for x in range(len(names))},
+            "ranking": [[names[x] for x in group] for group in result.ranking.groups],
+        }
+        if config.intermediates:
+            doc["intermediates"] = _intermediates_json(result.details)
+    except ValueError:
+        # The only ValueError here is str() of an int over the digit limit.
+        raise NumberTooLong("a number in the report has more digits than Python prints") from None
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 

@@ -15,6 +15,7 @@ from llull.ballots import (
     _plain_rows,
     _rank_row,
     _tokenize,
+    _NameTrie,
     _Weights,
     ballot_to_pairwise,
     parse_ballot_line,
@@ -180,10 +181,16 @@ def bulk_row(text, cands):
     """The bulk step's rank row, group count and weight of one line, or
     None when it leaves the line to the tokenizer."""
     weights = _Weights()
-    ranks, groups, ids = _plain_rows([text], cands.index, weights)
+    ranks, groups, ids = _plain_rows([text], _NameTrie(cands.names), weights)
     if ids[0] < 0:
         return None
     return ranks[0].tolist(), int(groups[0]), weights.fractions[ids[0]]
+
+
+# Names that are prefixes of each other ("a", "ab"), multi-byte ones and
+# names of unequal byte lengths, so that the bulk step's byte trie is
+# walked off a name, past its end and into a multi-byte sequence.
+MIXED_NAMES = ["a", "b", "c", "7", "00", "ab", "\u00e9", "\u5019\u88dc"]
 
 
 class TestPlainLines:
@@ -215,12 +222,32 @@ class TestPlainLines:
     def test_other_lines_are_left_to_the_tokenizer(self, text):
         assert bulk_row(text, ABC) is None
 
+    @pytest.mark.parametrize(
+        "text, names",
+        [
+            ("ab>a=\u00e9", MIXED_NAMES),
+            ("\u5019\u88dc>ab", MIXED_NAMES),
+            ("2: 00=7>a>b", MIXED_NAMES),
+            ("\ud800>a", ["a", "\ud800"]),
+        ],
+    )
+    def test_names_sharing_bytes_take_the_fast_path(self, text, names):
+        cands = CandidateSet(names)
+        ballot = _parse_general(text, cands, 1)
+        assert bulk_row(text, cands) == (*_rank_row(ballot, len(cands)), ballot.weight)
+
+    @pytest.mark.parametrize(
+        "text", ["abc>a", "\u5019>a", "e\u0301", "a>\u5019\u88dc\u88dc", "a\u00e9", "ab=a=ab"]
+    )
+    def test_near_names_are_left_to_the_tokenizer(self, text):
+        assert bulk_row(text, CandidateSet(MIXED_NAMES)) is None
+
     def test_a_block_reads_each_line_apart(self):
         # Group indices restart on every line, and a refused line in the
         # middle of a block leaves its neighbours' rows alone.
         texts = ["a>b=c", "c>z", "b", "3: c=a>b", "a>b>a", "1/2: c>a"]
         weights = _Weights()
-        ranks, groups, ids = _plain_rows(texts, ABC.index, weights)
+        ranks, groups, ids = _plain_rows(texts, _NameTrie(ABC.names), weights)
         assert ids.tolist() == [0, -1, 0, 1, -1, 2]
         assert weights.fractions == [1, 3, Fraction(1, 2)]
         taken = [0, 2, 3, 5]
@@ -228,7 +255,10 @@ class TestPlainLines:
         assert groups[taken].tolist() == [2, 1, 2, 2]
 
 
-MIXED = CandidateSet(["a", "b", "c", "7", "00"])
+MIXED = CandidateSet(MIXED_NAMES)
+# Unknown names near the known ones: an extension, a lead character of a
+# known name and the decomposed form of "\u00e9".
+UNKNOWN = ["z", "abc", "\u5019", "e\u0301"]
 SPACES = ["", " ", "\u00a0", "\u3000", "\t"]
 
 
@@ -247,7 +277,7 @@ def near_plain_lines(draw):
 
     known = list(MIXED.names)
     if odd in ("names", "all"):
-        names = draw(st.lists(st.sampled_from(known + ["z"]), max_size=4))
+        names = draw(st.lists(st.sampled_from(known + UNKNOWN), max_size=4))
     else:
         names = draw(st.lists(st.sampled_from(known), min_size=1, max_size=5, unique=True))
     weights = ["0:", "00:", "1_0:", "\u0663:", "-2:", "x:", ":", "1/0:", "0/3:", "2.5:",
@@ -271,7 +301,11 @@ def ballot_files(draw):
     ``candidates:`` line."""
     pool = draw(st.lists(near_plain_lines(), min_size=1, max_size=8))
     lines = draw(st.lists(st.sampled_from(pool + ["", "  # note"]), min_size=1, max_size=16))
-    header = draw(st.sampled_from(["candidates: a b c 7 00", "candidates: 00 c b a 7", None]))
+    header = draw(st.sampled_from([
+        "candidates: a b c 7 00 ab \u00e9 \u5019\u88dc",
+        "candidates: \u5019\u88dc 00 c ab b a \u00e9 7",
+        None,
+    ]))
     return "\n".join(([header] if header else []) + lines) + "\n"
 
 
@@ -469,6 +503,12 @@ class TestBallotFile:
             Ballot(((0,), (1,)))
         ] * 2
         assert ballots[0] is ballots[3]
+
+    @pytest.mark.parametrize("header", ["", "candidates: a \ud800 b\n"])
+    def test_a_lone_surrogate_reads_as_the_tokenizer_reads_it(self, header):
+        text = header + "a>b\n\ud800>a\n"
+        assert file_outcome(read_ballot_file, text) == file_outcome(read_line_by_line, text)
+        assert read_ballot_file(text)[1].ballots() == read_line_by_line(text)[1]
 
     def test_a_bad_line_after_its_good_prefix_keeps_its_line(self):
         text = "candidates: a b c\na>b\n\na>b\na>b>z\na>b>c\na>b>z\n"

@@ -9,12 +9,15 @@ on purpose:
 """
 
 import gzip
+import hashlib
 import json
+import random
 import sys
 
 import pytest
 
 from conftest import FIXTURES
+from llull.ballots import InterpretationRules, Listed, Unlisted, read_ballot_file
 from llull.closures import Variant
 from llull.matrix import LlullMatrix
 from llull.pipeline import RunConfig, run
@@ -98,6 +101,67 @@ def test_no_fraction_grid_between_parse_and_report(monkeypatch, name, variant):
     monkeypatch.setattr(LlullMatrix, "scores", property(refuse))
     monkeypatch.setattr(LlullMatrix, "from_scores", classmethod(refuse))
     assert [run(text, config) for config in configs] == want
+
+
+# Names that are prefixes of each other, multi-byte and of unequal byte lengths.
+GENERATED_NAMES = ("a", "ab", "b", "\u00e9", "\u5019\u88dc", "c", "7", "00")
+
+
+def generated_ballot_file(lines: int = 3000, seed: int = 7) -> str:
+    """A ballot file with more distinct lines than one bulk block reads:
+    rankings with ties, weights, cutoffs, odd spacing, repeats, comments
+    and blanks."""
+    rng = random.Random(seed)
+    out = ["# generated", "candidates: " + " ".join(GENERATED_NAMES)]
+    for _ in range(lines):
+        roll = rng.random()
+        if roll < 0.03:
+            out.append(rng.choice(["", "  ", "# a comment line"]))
+            continue
+        if roll < 0.15 and len(out) > 2:
+            out.append(rng.choice(out[2:]))
+            continue
+        listing = rng.sample(GENERATED_NAMES, rng.randint(1, len(GENERATED_NAMES)))
+        body = listing[0]
+        for name in listing[1:]:
+            body += rng.choice([">", ">", "=", " > ", ">/"] if "/" not in body else ">>=") + name
+        if "/" not in body and rng.random() < 0.05:
+            body = rng.choice(["/" + body, body + "/"])
+        weight = rng.choice(["", "", "", "", "2: ", "1/2:", " 3 : ", "5/3: ", "0.5: "])
+        comment = rng.choice(["", "", "", "", "", " # note"])
+        out.append(weight + body + comment)
+    return "\n".join(out) + "\n"
+
+
+# sha256 of each report of ``generated_ballot_file()`` under
+# ``--json --intermediates``, with its exact fields only: the float fields
+# come from the QP and may move in their last bits with the BLAS build.
+GENERATED_SHA256 = {
+    ("preferred", "noinfo"): "cf9298fa47b3ce67a9d00afb94e87aca4647aa08cf34db167bdc7fc64921bc92",
+    ("preferred", "tied"): "0282d2d3faa38315dd6d3c2a5169ca8276a1768d332d3887616e561dc4ab919b",
+    ("noinfo", "noinfo"): "b75115c81f295a6fd73140e331fc2a7e93f03c65cc76b308a1ab3192b34266e5",
+    ("noinfo", "tied"): "1d8cc560cf77e62ec8a9854bd52f5fa1cbfb6b8da121ba29d4a5e03ea48bc033",
+}
+
+
+def exact_sha256(report_text: str) -> str:
+    doc = json.loads(report_text)
+    exact = {field: doc[field] for field in EXACT}
+    exact["intermediates"] = {f: doc["intermediates"][f] for f in EXACT_INTERMEDIATES}
+    text = json.dumps(exact, sort_keys=True, ensure_ascii=False)
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+@pytest.mark.parametrize("rules", list(GENERATED_SHA256), ids="-".join)
+def test_generated_file_over_one_block_keeps_its_report(rules):
+    text = generated_ballot_file()
+    assert len(read_ballot_file(text)[1].kinds) > 2048
+    config = RunConfig(
+        rules=InterpretationRules(Listed(rules[0]), Unlisted(rules[1])),
+        json_output=True,
+        intermediates=True,
+    )
+    assert exact_sha256(run(text, config)) == GENERATED_SHA256[rules]
 
 
 if __name__ == "__main__":

@@ -38,6 +38,28 @@ class TestHostileNumbers:
         assert out == ""
         assert err == "error: " + message.format(number, path=f) + "\n"
 
+    @pytest.mark.parametrize(
+        "text, flags",
+        [
+            ("{0}: a>b\n{0}: b>a\n".format("9" * 4300), ["--json"]),
+            ("a,b\nV=1{}1\n*,1e-4000\n0,*\n".format("0" * 3999),
+             ["--json", "--intermediates", "--matrix"]),
+        ],
+        ids=["weight-sum", "cell-over-voter-total"],
+    )
+    def test_numbers_that_compose_past_the_limit(self, tmp_path, capsys, text, flags):
+        # Each number passes the limit where it is read; their sum, or a
+        # cell over the voter total, does not, and only the JSON report
+        # prints it exactly.
+        f = tmp_path / "input"
+        f.write_text(text)
+        assert main(["run", *flags, str(f)]) == EXIT_PARSE
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: a number in the report has more digits than Python prints\n"
+        assert main(["run", *[flag for flag in flags if flag == "--matrix"], str(f)]) == 0
+        assert "ranking: " in capsys.readouterr().out
+
 
 class TestRunCommand:
     def test_text_report(self):
