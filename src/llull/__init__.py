@@ -63,7 +63,6 @@ from .projection import (
     IntermediateMargins,
     ProjectedMatrix,
     ProjectedTurnouts,
-    ScoreInterval,
     build_intervals,
     intermediate_margins,
     project_details,

@@ -173,15 +173,9 @@ _WEIGHT_HEAD = re.compile(r"^[^:\n]*:", re.MULTILINE)
 _COMMENT = re.compile(r"#.*")
 
 
-def parse_ballot_line(
-    text: str, candidates: CandidateSet, line: int = 1
-) -> Ballot:
-    """Parse one ballot line; raises the ballot errors with line/column."""
-    return _parse_general(text, candidates, line)
-
-
-def _parse_general(text: str, candidates: CandidateSet, line: int) -> Ballot:
-    """Parse any ballot line through the tokenizer, which places every error."""
+def parse_ballot_line(text: str, candidates: CandidateSet, line: int = 1) -> Ballot:
+    """Parse any ballot line through the tokenizer, which places every error
+    by line and column."""
     # The weight prefix is split off textually: rational weights like "1/2"
     # would otherwise collide with the approval-cutoff token.
     weight = Fraction(1)
@@ -537,7 +531,7 @@ class BallotTable:
         them: they were read against the same candidates.
         """
         kinds = [
-            k if isinstance(k, Ballot) else _parse_general(k, self.candidates, 1)
+            k if isinstance(k, Ballot) else parse_ballot_line(k, self.candidates, 1)
             for k in self.kinds
         ]
         return [kinds[i] for i in self.order.tolist()]
@@ -595,7 +589,7 @@ def read_ballot_file(text: str) -> tuple[CandidateSet, BallotTable]:
         ranks, groups, ids = _plain_rows(block, trie, weights)
         left = np.flatnonzero(ids < 0)
         parsed = [
-            _parse_general(block[i], candidates, line)
+            parse_ballot_line(block[i], candidates, line)
             for i, line in zip(left.tolist(), (firsts[start + left] + skip + 1).tolist())
         ]
         ranks[left], groups[left], ids[left] = _ballot_rows(parsed, n, weights)

@@ -119,16 +119,8 @@ def _config_json(config: RunConfig) -> dict:
 def _intermediates_json(details: ProjectionDetails) -> dict:
     names = details.matrix.candidates.names
     seq = details.xi.sequence
-    n = len(seq)
     den = details.den
     vbar = details.scores.vbar
-    ordered_tsigma = [
-        [details.pt.tsigma[i][j] if i != j else 0.0 for j in range(n)] for i in range(n)
-    ]
-    ordered_pi = [
-        [details.pm.pi[seq[i]][seq[j]] if i != j else 0.0 for j in range(n)]
-        for i in range(n)
-    ]
     return {
         "v": _numerator_grid(details.matrix.w, details.matrix.den),
         "t": _numerator_grid(details.t, den),
@@ -138,9 +130,9 @@ def _intermediates_json(details: ProjectionDetails) -> dict:
         "copeland": [str(Fraction(r, 2)) for r in details.xi.copeland],
         "xi": [names[x] for x in seq],
         "msigma": _numerator_grid(details.im.msigma, den),
-        "tausigma": ordered_tsigma,
-        "gamma": [[g.lo, g.hi] for g in details.intervals],
-        "pi": ordered_pi,
+        "tausigma": details.pt.tsigma.tolist(),
+        "gamma": details.intervals.tolist(),
+        "pi": details.pm.pi[np.ix_(seq, seq)].tolist(),
     }
 
 

@@ -6,8 +6,11 @@ the nearest-point turnout program, and the interval construction whose
 endpoints are the projected scores.  The exact stages run on the matrix's
 integer numerators over its denominator D (``matrix.w`` over ``matrix.den``);
 they cross over to binary64 at the entry of the quadratic program, as
-Python-int divisions by D, which round correctly.  ``project_details`` is
-the one place that composes these stages with the closures and the order.
+Python-int divisions by D, which round correctly.  From the program's point
+on, each stage is one float64 array: the projected turnouts ``tsigma`` and
+the intervals (rows ``[lo, hi]``) by order position, and the projected
+scores ``pi`` by candidate.  ``project_details`` is the one place that
+composes these stages with the closures and the order.
 """
 
 from __future__ import annotations
@@ -98,71 +101,60 @@ def turnout_qp(t: np.ndarray, im: IntermediateMargins) -> QpProblem:
 
 @dataclass(frozen=True)
 class ProjectedTurnouts:
-    """Optimal turnouts, symmetric and indexed by order position."""
+    """Optimal turnouts, a symmetric float array indexed by order position."""
 
-    tsigma: tuple[tuple[float, ...], ...]
+    tsigma: np.ndarray
     solution: QpSolution
 
 
 def project_turnouts(t: np.ndarray, im: IntermediateMargins) -> ProjectedTurnouts:
     n = len(im.order.sequence)
     solution = solve_active_set(turnout_qp(t, im))
-    grid = [[0.0] * n for _ in range(n)]
-    for (i, j), x in zip(combinations(range(n), 2), solution.point):
-        grid[i][j] = grid[j][i] = x
-    return ProjectedTurnouts(tuple(tuple(row) for row in grid), solution)
+    # ``triu_indices`` lists the pairs in ``combinations`` order.
+    rows, cols = np.triu_indices(n, 1)
+    tsigma = np.zeros((n, n))
+    tsigma[rows, cols] = tsigma[cols, rows] = solution.point
+    return ProjectedTurnouts(tsigma, solution)
 
 
-@dataclass(frozen=True)
-class ScoreInterval:
-    lo: float
-    hi: float
-
-    @property
-    def center(self) -> float:
-        return (self.lo + self.hi) / 2.0
-
-
-def build_intervals(pt: ProjectedTurnouts, im: IntermediateMargins) -> tuple[ScoreInterval, ...]:
-    """Superdiagonal intervals ((tau - m) / 2, (tau + m) / 2).
+def build_intervals(pt: ProjectedTurnouts, im: IntermediateMargins) -> np.ndarray:
+    """Superdiagonal intervals ((tau - m) / 2, (tau + m) / 2), as rows
+    ``[lo, hi]`` by order position.
 
     Verifies the facts the interval-union step relies on: each interval
     sits inside [0, 1], consecutive ones overlap, and centers do not
-    increase along the order.
+    increase along the order.  The first failure in order of position is
+    raised, the range law at a position before the overlap law that ends
+    there.
     """
-    out = []
-    for i, margin in enumerate(im.superdiagonal):
-        tau = pt.tsigma[i][i + 1]
-        m = margin / im.den
-        out.append(ScoreInterval((tau - m) / 2.0, (tau + m) / 2.0))
-    for i, gamma in enumerate(out):
-        if gamma.lo < -LAW_TOL or gamma.hi > 1 + LAW_TOL or gamma.lo > gamma.hi + LAW_TOL:
-            raise LawViolation(
-                f"interval range law fails: interval {i} is [{gamma.lo}, {gamma.hi}]"
-            )
-        if i > 0:
-            prev = out[i - 1]
-            if gamma.hi < prev.lo - LAW_TOL or gamma.center > prev.center + LAW_TOL:
-                raise LawViolation(f"intervals {i - 1} and {i} violate the overlap law")
-    return tuple(out)
+    tau = np.diagonal(pt.tsigma, 1)
+    m = np.array([margin / im.den for margin in im.superdiagonal], dtype=float)
+    intervals = np.stack(((tau - m) / 2.0, (tau + m) / 2.0), axis=1)
+    lo, hi = intervals.T
+    center = (lo + hi) / 2.0
+    ranged = (lo < -LAW_TOL) | (hi > 1 + LAW_TOL) | (lo > hi + LAW_TOL)
+    overlap = np.zeros_like(ranged)
+    overlap[1:] = (hi[1:] < lo[:-1] - LAW_TOL) | (center[1:] > center[:-1] + LAW_TOL)
+    fails = ranged | overlap
+    if fails.any():
+        i = int(np.argmax(fails))
+        if ranged[i]:
+            lo_i, hi_i = intervals[i].tolist()
+            raise LawViolation(f"interval range law fails: interval {i} is [{lo_i}, {hi_i}]")
+        raise LawViolation(f"intervals {i - 1} and {i} violate the overlap law")
+    return intervals
 
 
 @dataclass(frozen=True)
 class ProjectedMatrix:
     """Projected scores pi, indexed by candidate like the input matrix."""
 
-    pi: tuple[tuple[float, ...], ...]
+    pi: np.ndarray
     order: AdmissibleOrder
 
     @property
     def n(self) -> int:
         return len(self.pi)
-
-    def margin(self, x: int, y: int) -> float:
-        return self.pi[x][y] - self.pi[y][x]
-
-    def turnout(self, x: int, y: int) -> float:
-        return self.pi[x][y] + self.pi[y][x]
 
     def check_structure(self) -> None:
         """Assert the structural inequalities of the projected matrix.
@@ -176,7 +168,7 @@ class ProjectedMatrix:
         tol = LAW_TOL
         seq = np.array(self.order.sequence, dtype=np.intp)
         n = len(seq)
-        pi = np.array(self.pi, dtype=float)
+        pi = self.pi
         # Rows by order position, columns by candidate: for x = seq[i],
         # r[i, z] = pi[x][z] and c[i, z] = pi[z][x].
         r = pi[seq]
@@ -253,25 +245,26 @@ def _raise_first(fails: np.ndarray, *laws: tuple[np.ndarray, str]) -> None:
             raise LawViolation(message)
 
 
-def projected_scores(intervals: tuple[ScoreInterval, ...], xi: AdmissibleOrder) -> ProjectedMatrix:
+def projected_scores(intervals: np.ndarray, xi: AdmissibleOrder) -> ProjectedMatrix:
     """Endpoints of interval unions along the order, as a score matrix.
 
     Computed by running maxima of the upper ends and running minima of the
     lower ends; the interval-union reading gives the same numbers because
     consecutive intervals overlap.
     """
-    seq = xi.sequence
+    seq = np.array(xi.sequence, dtype=np.intp)
     n = len(seq)
-    pi = [[0.0] * n for _ in range(n)]
-    for i in range(n):
-        hi = -1.0
-        lo = 2.0
-        for j in range(i + 1, n):
-            hi = max(hi, intervals[j - 1].hi)
-            lo = min(lo, intervals[j - 1].lo)
-            pi[seq[i]][seq[j]] = hi
-            pi[seq[j]][seq[i]] = lo
-    return ProjectedMatrix(tuple(tuple(row) for row in pi), xi)
+    # Row i runs over the intervals from position i on: entry [i, j - 1] is
+    # the union of intervals i to j - 1, the one between positions i and j.
+    k = np.arange(n - 1)
+    ahead = k[:, None] <= k[None, :]
+    hi = np.maximum.accumulate(np.where(ahead, intervals[:, 1], -np.inf), axis=1)
+    lo = np.minimum.accumulate(np.where(ahead, intervals[:, 0], np.inf), axis=1)
+    rows, cols = np.triu_indices(n, 1)
+    pi = np.zeros((n, n))
+    pi[seq[rows], seq[cols]] = hi[rows, cols - 1]
+    pi[seq[cols], seq[rows]] = lo[rows, cols - 1]
+    return ProjectedMatrix(pi, xi)
 
 
 @dataclass(frozen=True)
@@ -287,7 +280,7 @@ class ProjectionDetails:
     # for the margin-based variant), as numerators over den
     den: int  # the denominator of every exact stage
     pt: ProjectedTurnouts
-    intervals: tuple[ScoreInterval, ...]
+    intervals: np.ndarray  # rows [lo, hi] by order position
     pm: ProjectedMatrix
 
 

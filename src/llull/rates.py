@@ -29,15 +29,12 @@ def rank_like_rates(
     The alternative formula instead adds the column sum to 1; both agree in
     the complete case.
     """
+    # Python's sum adds in order; the diagonal 0.0 leaves every sum as is.
     n = pm.n
     if formula is RateFormula.MAIN:
-        rates = tuple(
-            n - sum(pm.pi[x][y] for y in range(n) if y != x) for x in range(n)
-        )
+        rates = tuple(n - sum(row) for row in pm.pi.tolist())
     else:
-        rates = tuple(
-            1 + sum(pm.pi[y][x] for y in range(n) if y != x) for x in range(n)
-        )
+        rates = tuple(1 + sum(column) for column in pm.pi.T.tolist())
     return RankLikeRates(rates, formula)
 
 

@@ -11,7 +11,6 @@ from llull.ballots import (
     InterpretationRules,
     Listed,
     Unlisted,
-    _parse_general,
     _plain_rows,
     _rank_row,
     _tokenize,
@@ -209,7 +208,7 @@ class TestPlainLines:
     )
     def test_plain_lines_take_the_fast_path(self, text, ballot):
         assert bulk_row(text, ABC) == (*_rank_row(ballot, 3), ballot.weight)
-        assert _parse_general(text, ABC, 1) == ballot
+        assert parse_ballot_line(text, ABC, 1) == ballot
 
     @pytest.mark.parametrize(
         "text",
@@ -233,7 +232,7 @@ class TestPlainLines:
     )
     def test_names_sharing_bytes_take_the_fast_path(self, text, names):
         cands = CandidateSet(names)
-        ballot = _parse_general(text, cands, 1)
+        ballot = parse_ballot_line(text, cands, 1)
         assert bulk_row(text, cands) == (*_rank_row(ballot, len(cands)), ballot.weight)
 
     @pytest.mark.parametrize(
@@ -325,7 +324,7 @@ def read_line_by_line(text):
             raise MalformedSyntax("no candidates found", 1, 1)
         cands = CandidateSet(names)
     bodies = [(lineno, line.split("#", 1)[0]) for lineno, line in lines]
-    return cands, [_parse_general(body, cands, lineno) for lineno, body in bodies if body.strip()]
+    return cands, [parse_ballot_line(body, cands, lineno) for lineno, body in bodies if body.strip()]
 
 
 ALL_RULES = [InterpretationRules(listed, unlisted) for listed in Listed for unlisted in Unlisted]

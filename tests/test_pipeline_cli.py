@@ -331,6 +331,25 @@ class TestVerifyCommand:
         code = cli_mod.main(["verify", "--suite", "paths", "--cases", "2"])
         assert code == EXIT_VERIFY
 
+    @pytest.mark.parametrize(
+        "name, text",
+        [
+            ("royal1652.ballots", None),  # ranked: approval agreement does not apply
+            ("huge_weights.ballots", None),
+            ("no_ballots.ballots", "candidates: a b\n"),
+            ("one_candidate.ballots", "candidates: a\na\n"),
+        ],
+    )
+    def test_valid_ballot_file_passes_as_an_extra_case(self, tmp_path, name, text):
+        path = FIXTURES / name
+        if text is not None:
+            path = tmp_path / name
+            path.write_text(text)
+        r = run_cli("verify", "--suite", "all", "--cases", "0", "--input", str(path))
+        assert r.returncode == 0, r.stdout + r.stderr
+        assert r.stderr == ""
+        assert "FAILED" not in r.stdout
+
 
 # Each stage under the name its caller looks it up by; the margin completion
 # under both names a tally could reach it by.
@@ -376,3 +395,4 @@ class TestStagesRunOnce:
         for name in unused:
             expected[name] = 0
         assert {name: calls[name] for name in expected} == expected
+

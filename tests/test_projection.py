@@ -1,6 +1,8 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
+import numpy as np
 import pytest
 
 from conftest import fractions
@@ -13,10 +15,12 @@ from llull.ordering import AdmissibleOrder, admissible_order
 from llull.projection import (
     LAW_TOL,
     ProjectedMatrix,
+    ProjectedTurnouts,
     build_intervals,
     intermediate_margins,
     project_details,
     project_turnouts,
+    projected_scores,
 )
 from llull.verify import matrix_from_floats
 
@@ -92,6 +96,15 @@ class TestProjectedTurnouts:
                 assert t[i][j] * V == pytest.approx(expected, abs=1e-9)
                 assert t[j][i] == t[i][j]
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_point_lands_in_pair_order(self, seed):
+        details = project_details(random_matrix(random.Random(seed), 6))
+        point = details.pt.solution.point
+        t = details.pt.tsigma.tolist()
+        for k, (i, j) in enumerate(combinations(range(6), 2)):
+            assert t[i][j] == t[j][i] == point[k]
+        assert np.diagonal(details.pt.tsigma).tolist() == [0.0] * 6
+
     def test_complete_case_returns_all_ones_exactly(self):
         cands, ballots = read_ballot_file(
             "candidates: a b c d\na>b>c>d\nd>c>b>a\nb=c>a=d\n"
@@ -116,20 +129,56 @@ class TestProjectedTurnouts:
                 )
 
 
+def build_intervals_loop(pt, im):
+    """Reference for ``build_intervals``: one interval at a time, each law
+    checked as soon as its interval is built."""
+    tol = LAW_TOL
+    out = []
+    for i, margin in enumerate(im.superdiagonal):
+        tau = float(pt.tsigma[i, i + 1])
+        m = margin / im.den
+        lo, hi = (tau - m) / 2.0, (tau + m) / 2.0
+        if lo < -tol or hi > 1 + tol or lo > hi + tol:
+            raise LawViolation(f"interval range law fails: interval {i} is [{lo}, {hi}]")
+        if i > 0:
+            prev_lo, prev_hi = out[-1]
+            if hi < prev_lo - tol or (lo + hi) / 2.0 > (prev_lo + prev_hi) / 2.0 + tol:
+                raise LawViolation(f"intervals {i - 1} and {i} violate the overlap law")
+        out.append([lo, hi])
+    return out
+
+
+def interval_outcome(pt, im, build):
+    """The intervals as nested lists, or the message of the law that fails."""
+    try:
+        return np.asarray(build(pt, im)).tolist()
+    except LawViolation as exc:
+        return str(exc)
+
+
+def with_superdiagonal(details, taus):
+    """The projected turnouts of ``details`` with their superdiagonal replaced."""
+    tsigma = details.pt.tsigma.copy()
+    k = np.arange(len(taus))
+    tsigma[k, k + 1] = tsigma[k + 1, k] = taus
+    return ProjectedTurnouts(tsigma, details.pt.solution)
+
+
 class TestIntervals:
     def test_royal_intervals(self, royal):
         matrix, details = royal
         V = float(matrix.total)
         gammas = details.intervals
-        assert gammas[3].lo * V == pytest.approx(13 / 6, abs=1e-9)  # f-d
-        assert gammas[3].hi * V == pytest.approx(19 / 6, abs=1e-9)
-        assert gammas[4].lo * V == pytest.approx(1.0, abs=1e-9)  # d-c
-        assert gammas[4].hi * V == pytest.approx(3.0, abs=1e-9)
+        assert gammas.shape == (5, 2)
+        assert gammas[3, 0] * V == pytest.approx(13 / 6, abs=1e-9)  # f-d
+        assert gammas[3, 1] * V == pytest.approx(19 / 6, abs=1e-9)
+        assert gammas[4, 0] * V == pytest.approx(1.0, abs=1e-9)  # d-c
+        assert gammas[4, 1] * V == pytest.approx(3.0, abs=1e-9)
 
     def test_zero_margin_makes_a_point_interval(self, royal):
         _, details = royal
         assert details.im.superdiagonal[1] == 0
-        assert details.intervals[1].lo == details.intervals[1].hi
+        assert details.intervals[1, 0] == details.intervals[1, 1]
 
     @pytest.mark.parametrize("seed", range(12))
     def test_interval_union_laws(self, seed):
@@ -169,8 +218,103 @@ class TestIntervals:
                     assert c_ij - (hi_jk - lo_jk) / 2 <= c_ik + tol
                     assert c_ik <= c_jk + (hi_ij - lo_ij) / 2 + tol
 
+    @pytest.mark.parametrize("seed", range(20))
+    def test_matches_loop_reference_on_forced_turnouts(self, seed):
+        # Superdiagonal turnouts moved past the range and overlap laws, or
+        # within their slack; the first failure and its printed floats agree.
+        rng = random.Random(700 + seed)
+        for _ in range(10):
+            details = project_details(random_matrix(rng, rng.randint(2, 7)))
+            taus = np.diagonal(details.pt.tsigma, 1).copy()
+            for _ in range(rng.choice([0, 1, 1, 2, 3])):
+                i = rng.randrange(len(taus))
+                taus[i] = rng.choice(
+                    [taus[i] + rng.choice([-1, 1]) * rng.choice([0.5, 1e-3, LAW_TOL, 3 * LAW_TOL]),
+                     -0.25, 1.5, 2.5, rng.random()]
+                )
+            pt = with_superdiagonal(details, taus)
+            assert interval_outcome(pt, details.im, build_intervals) == interval_outcome(
+                pt, details.im, build_intervals_loop
+            )
+
+    def test_range_law_at_an_interval_comes_before_its_overlap_law(self):
+        # Interval 1 leaves [0, 1] and its center passes interval 0's.
+        details = project_details(random_matrix(random.Random(5), 4))
+        taus = np.diagonal(details.pt.tsigma, 1).copy()
+        taus[1] = 3.0
+        pt = with_superdiagonal(details, taus)
+        message = interval_outcome(pt, details.im, build_intervals)
+        assert message.startswith("interval range law fails: interval 1 is [")
+        assert message == interval_outcome(pt, details.im, build_intervals_loop)
+
+    def test_overlap_law_before_a_later_range_law(self):
+        # Interval 0 is [0, m], interval 1 centers at 1/2 above it, and
+        # interval 2 leaves [0, 1].
+        details = project_details(random_matrix(random.Random(5), 4))
+        m0 = details.im.superdiagonal[0] / details.den
+        assert m0 < 0.5
+        pt = with_superdiagonal(details, np.array([m0, 1.0, 5.0]))
+        message = interval_outcome(pt, details.im, build_intervals)
+        assert message == "intervals 0 and 1 violate the overlap law"
+        assert message == interval_outcome(pt, details.im, build_intervals_loop)
+
+    def test_range_message_prints_python_floats(self):
+        cands, table = read_ballot_file("candidates: a b\n3: a>b\nb>a\n")
+        details = project_details(aggregate(table, RULES, cands))
+        pt = with_superdiagonal(details, np.array([2.1]))
+        lo, hi = (2.1 - 0.5) / 2.0, (2.1 + 0.5) / 2.0
+        with pytest.raises(LawViolation) as info:
+            build_intervals(pt, details.im)
+        assert str(info.value) == f"interval range law fails: interval 0 is [{lo}, {hi}]"
+        assert "np." not in str(info.value)
+
+    def test_one_candidate_has_no_intervals(self):
+        cands, table = read_ballot_file("candidates: a\na\n")
+        details = project_details(aggregate(table, RULES, cands))
+        assert details.intervals.shape == (0, 2)
+        assert details.pm.pi.tolist() == [[0.0]]
+
+
+def projected_scores_loop(intervals, xi):
+    """Reference for ``projected_scores``: a running maximum and minimum per
+    row, one interval at a time."""
+    seq = xi.sequence
+    n = len(seq)
+    gammas = np.asarray(intervals).tolist()
+    pi = [[0.0] * n for _ in range(n)]
+    for i in range(n):
+        hi, lo = -1.0, 2.0
+        for j in range(i + 1, n):
+            hi = max(hi, gammas[j - 1][1])
+            lo = min(lo, gammas[j - 1][0])
+            pi[seq[i]][seq[j]] = hi
+            pi[seq[j]][seq[i]] = lo
+    return pi
+
 
 class TestProjectedScores:
+    @pytest.mark.parametrize("seed", range(20))
+    def test_matches_loop_reference_exactly(self, seed):
+        # Sixteenths make point intervals and runs of equal intervals (tie
+        # groups) common; the scores must agree bit for bit.
+        rng = random.Random(800 + seed)
+        for _ in range(10):
+            n = rng.randint(1, 8)
+            gammas = []
+            for _ in range(n - 1):
+                if gammas and rng.random() < 0.3:
+                    gammas.append(gammas[-1])  # a tie with the neighbour
+                    continue
+                lo = rng.randint(0, 16)
+                hi = lo if rng.random() < 0.3 else rng.randint(lo, 16)
+                gammas.append([lo / 16, hi / 16])
+            sequence = list(range(n))
+            rng.shuffle(sequence)
+            xi = AdmissibleOrder(tuple(sequence))
+            intervals = np.array(gammas, dtype=float).reshape(n - 1, 2)
+            pm = projected_scores(intervals, xi)
+            assert pm.pi.tolist() == projected_scores_loop(intervals, xi)
+
     def test_royal_full_matrix(self, royal):
         matrix, details = royal
         V = matrix.total
@@ -192,10 +336,10 @@ class TestProjectedScores:
     def test_two_candidates_scores_are_interval_endpoints(self):
         cands, ballots = read_ballot_file("candidates: a b\n3: a>b\nb>a\n")
         details = project_details(aggregate(ballots, RULES, cands))
-        gamma = details.intervals[0]
+        lo, hi = details.intervals[0]
         seq = details.xi.sequence
-        assert details.pm.pi[seq[0]][seq[1]] == gamma.hi
-        assert details.pm.pi[seq[1]][seq[0]] == gamma.lo
+        assert details.pm.pi[seq[0]][seq[1]] == hi
+        assert details.pm.pi[seq[1]][seq[0]] == lo
 
     @pytest.mark.parametrize("seed", range(10))
     def test_union_formulation_matches_running_extrema(self, seed):
@@ -206,8 +350,8 @@ class TestProjectedScores:
         seq = details.xi.sequence
         for i in range(n):
             for j in range(i + 1, n):
-                union_lo = min(g.lo for g in details.intervals[i:j])
-                union_hi = max(g.hi for g in details.intervals[i:j])
+                union_lo = min(details.intervals[i:j, 0].tolist())
+                union_hi = max(details.intervals[i:j, 1].tolist())
                 assert details.pm.pi[seq[i]][seq[j]] == union_hi
                 assert details.pm.pi[seq[j]][seq[i]] == union_lo
 
@@ -294,7 +438,14 @@ def check_structure_loop(pm):
     tol = LAW_TOL
     seq = pm.order.sequence
     n = len(seq)
-    pi, mg, to = pm.pi, pm.margin, pm.turnout
+    pi = pm.pi.tolist()
+
+    def mg(x, y):
+        return pi[x][y] - pi[y][x]
+
+    def to(x, y):
+        return pi[x][y] + pi[y][x]
+
     for i in range(n):
         for j in range(i + 1, n):
             x, y = seq[i], seq[j]
@@ -357,11 +508,11 @@ def law_outcome(check, pm):
 def projected(rows, sequence):
     """A projected matrix whose scores by order position are ``rows``."""
     n = len(rows)
-    pi = [[0.0] * n for _ in range(n)]
+    pi = np.zeros((n, n))
     for i in range(n):
         for j in range(n):
-            pi[sequence[i]][sequence[j]] = float(rows[i][j])
-    return ProjectedMatrix(tuple(map(tuple, pi)), AdmissibleOrder(tuple(sequence)))
+            pi[sequence[i], sequence[j]] = float(rows[i][j])
+    return ProjectedMatrix(pi, AdmissibleOrder(tuple(sequence)))
 
 
 # Slack within the tolerance: some laws follow exactly from the others, so a
@@ -415,7 +566,8 @@ class TestLawChecks:
         # subadditivity and monotonicity laws, so no matrix breaks it alone:
         # one that breaks it raises an earlier law.
         pm = projected([[0, 4 * S, 8 * S], [4 * S, 0, 4 * S], [0, 4 * S, 0]], [0, 1, 2])
-        assert abs(pm.margin(0, 2)) > abs(pm.margin(0, 1)) + abs(pm.margin(1, 2)) + LAW_TOL
+        mg = np.abs(pm.pi - pm.pi.T)
+        assert mg[0, 2] > mg[0, 1] + mg[1, 2] + LAW_TOL
         assert law_outcome(ProjectedMatrix.check_structure, pm) == "chain maximum law fails"
         assert law_outcome(check_structure_loop, pm) == "chain maximum law fails"
 
@@ -454,14 +606,14 @@ class TestLawChecks:
         for _ in range(10):
             n = rng.randint(2, 7)
             pm = project_details(random_matrix(rng, n, rng.choice([4, 12, 16]))).pm
-            pi = [list(row) for row in pm.pi]
+            pi = pm.pi.copy()
             for _ in range(rng.choice([0, 1, 1, 2, 3])):
                 x, y = rng.sample(range(n), 2)
                 if rng.random() < 0.2:
                     pi[x][y] = pi[y][x]  # a tie
                 else:
                     pi[x][y] += rng.choice([-1, 1]) * float(rng.choice(steps))
-            perturbed = ProjectedMatrix(tuple(map(tuple, pi)), pm.order)
+            perturbed = ProjectedMatrix(pi, pm.order)
             assert law_outcome(ProjectedMatrix.check_structure, perturbed) == law_outcome(
                 check_structure_loop, perturbed
             )

@@ -150,7 +150,8 @@ class TestSocialRanking:
         result = tally(matrix, variant)
         pm, seq = result.details.pm, result.details.xi.sequence
         for i, margin in enumerate(result.details.im.superdiagonal):
-            assert (margin == 0) == (pm.margin(seq[i], seq[i + 1]) == 0)
+            x, y = seq[i], seq[i + 1]
+            assert (margin == 0) == (pm.pi[x, y] - pm.pi[y, x] == 0)
         flat = [x for g in result.ranking.groups for x in g]
         assert sorted(flat) == list(range(matrix.n))
         for i, x in enumerate(flat):

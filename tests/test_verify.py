@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from llull import verify
 from llull.ballots import Ballot, CandidateSet, InterpretationRules, read_ballot_file
 from llull.closures import Variant
 from llull.generate import ProfileGenerator, candidate_names, random_matrix
@@ -179,3 +180,19 @@ class TestSuiteRunner:
         assert len(report.outcomes) == 3
         assert report.outcomes[0].case == "fixture"
         assert report.passed
+
+    def test_ranked_fixture_skips_approval_agreement(self, royal_text):
+        cands, table = read_ballot_file(royal_text)
+        report = run_suite("approval-agreement", 1, seed=0, fixture=(cands, table.ballots()))
+        assert [o.case for o in report.outcomes] == [0]
+        assert report.passed
+
+    def test_fixture_error_is_a_failed_case(self, monkeypatch, royal_text):
+        def broken(matrix, variant=Variant.MAIN):
+            raise ZeroDivisionError("synthetic")
+
+        monkeypatch.setattr(verify, "check_idempotence", broken)
+        cands, table = read_ballot_file(royal_text)
+        report = run_suite("idempotence", 1, seed=0, fixture=(cands, table.ballots()))
+        assert [o.case for o in report.failures] == ["fixture", 0]
+        assert report.failures[0].detail == "ZeroDivisionError: synthetic"
