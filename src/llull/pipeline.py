@@ -2,10 +2,10 @@
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
+from json.encoder import encode_basestring_ascii as _string
 from math import gcd
 
 import numpy as np
@@ -95,66 +95,95 @@ def render_text(result: TallyResult) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _numerator_grid(w: np.ndarray, den: int) -> list[list[str]]:
-    """Numerators over ``den`` as the strings of their Fractions, each
-    distinct one rendered once; the diagonal holds 0."""
+def _block(items: list[str], pad: str, brackets: str = "[]") -> str:
+    """Encoded items in brackets, one to a line, as ``json.dumps`` lays them
+    out with ``indent=2`` when the block opens at indent ``pad``."""
+    if not items:
+        return brackets
+    inner = ",\n" + pad + "  "
+    return brackets[0] + inner[1:] + inner.join(items) + "\n" + pad + brackets[1]
+
+
+def _object(fields: dict[str, str], pad: str) -> str:
+    """A JSON object of encoded values, its keys sorted as ``sort_keys`` sorts."""
+    return _block([f"{_string(k)}: {fields[k]}" for k in sorted(fields)], pad, "{}")
+
+
+def _grid(rows: list[list[str]], pad: str) -> str:
+    return _block([_block(row, pad + "  ") for row in rows], pad)
+
+
+def _float_grid(a: np.ndarray, pad: str) -> str:
+    # The report's floats are finite, so ``repr`` writes them as JSON does.
+    return _grid([list(map(float.__repr__, row)) for row in a.tolist()], pad)
+
+
+def _numerator_grid(w: np.ndarray, den: int, pad: str) -> str:
+    """Numerators over ``den`` as the quoted strings of their Fractions,
+    each distinct one rendered once; the diagonal holds 0."""
     rows = w.tolist()
     text = {}
     for p in set(chain.from_iterable(rows)):
         g = gcd(p, den)  # positive, so the sign stays on the numerator
-        text[p] = str(p // g) if g == den else f"{p // g}/{den // g}"
-    return [[text[p] for p in row] for row in rows]
+        text[p] = f'"{p // g}"' if g == den else f'"{p // g}/{den // g}"'
+    return _grid([[text[p] for p in row] for row in rows], pad)
 
 
-def _config_json(config: RunConfig) -> dict:
-    return {
-        "variant": config.variant.value,
-        "listed_vs_unlisted": config.rules.listed_vs_unlisted.value,
-        "unlisted_pair": config.rules.unlisted_pair.value,
-        "total_voters": None if config.total_voters is None else str(config.total_voters),
-        "formula": config.formula.value,
+def _config_json(config: RunConfig) -> str:
+    total = config.total_voters
+    fields = {
+        "variant": _string(config.variant.value),
+        "listed_vs_unlisted": _string(config.rules.listed_vs_unlisted.value),
+        "unlisted_pair": _string(config.rules.unlisted_pair.value),
+        "total_voters": "null" if total is None else f'"{total}"',
+        "formula": _string(config.formula.value),
     }
+    return _object(fields, "  ")
 
 
-def _intermediates_json(details: ProjectionDetails) -> dict:
-    names = details.matrix.candidates.names
+def _intermediates_json(details: ProjectionDetails, quoted: list[str]) -> str:
     seq = details.xi.sequence
     den = details.den
     vbar = details.scores.vbar
-    return {
-        "v": _numerator_grid(details.matrix.w, details.matrix.den),
-        "t": _numerator_grid(details.t, den),
-        "vstar": _numerator_grid(details.scores.vstar, den),
-        "vbar": None if vbar is None else _numerator_grid(vbar, den),
-        "m": _numerator_grid(details.vm.m, den),
-        "copeland": [str(Fraction(r, 2)) for r in details.xi.copeland],
-        "xi": [names[x] for x in seq],
-        "msigma": _numerator_grid(details.im.msigma, den),
-        "tausigma": details.pt.tsigma.tolist(),
-        "gamma": details.intervals.tolist(),
-        "pi": details.pm.pi[np.ix_(seq, seq)].tolist(),
+    pad = "    "
+    fields = {
+        "v": _numerator_grid(details.matrix.w, details.matrix.den, pad),
+        "t": _numerator_grid(details.t, den, pad),
+        "vstar": _numerator_grid(details.scores.vstar, den, pad),
+        "vbar": "null" if vbar is None else _numerator_grid(vbar, den, pad),
+        "m": _numerator_grid(details.vm.m, den, pad),
+        "copeland": _block([f'"{Fraction(r, 2)}"' for r in details.xi.copeland], pad),
+        "xi": _block([quoted[x] for x in seq], pad),
+        "msigma": _numerator_grid(details.im.msigma, den, pad),
+        "tausigma": _float_grid(details.pt.tsigma, pad),
+        "gamma": _float_grid(details.intervals, pad),
+        "pi": _float_grid(details.pm.pi[np.ix_(seq, seq)], pad),
     }
+    return _object(fields, "  ")
 
 
 def render_json(result: TallyResult, config: RunConfig) -> str:
-    """The JSON report; ``NumberTooLong`` when an exact number in it has
+    """The JSON report, written as ``json.dumps(report, sort_keys=True,
+    indent=2)`` writes it; ``NumberTooLong`` when an exact number in it has
     more digits than ``str`` of an int may print."""
     names = result.candidates.names
+    quoted = [_string(name) for name in names]
+    rates = result.rates.rates
     try:
-        doc = {
-            "schema": 1,
+        fields = {
+            "schema": "1",
             "config": _config_json(config),
-            "candidates": list(names),
-            "total_voters": str(result.details.matrix.total),
-            "rates": {names[x]: result.rates.rates[x] for x in range(len(names))},
-            "ranking": [[names[x] for x in group] for group in result.ranking.groups],
+            "candidates": _block(quoted, "  "),
+            "total_voters": f'"{result.details.matrix.total}"',
+            "rates": _object(dict(zip(names, map(float.__repr__, rates))), "  "),
+            "ranking": _grid([[quoted[x] for x in group] for group in result.ranking.groups], "  "),
         }
         if config.intermediates:
-            doc["intermediates"] = _intermediates_json(result.details)
+            fields["intermediates"] = _intermediates_json(result.details, quoted)
     except ValueError:
         # The only ValueError here is str() of an int over the digit limit.
         raise NumberTooLong("a number in the report has more digits than Python prints") from None
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    return _object(fields, "") + "\n"
 
 
 def parse_variant(text: str) -> Variant:

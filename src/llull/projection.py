@@ -16,7 +16,6 @@ composes these stages with the closures and the order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
@@ -66,36 +65,32 @@ def intermediate_margins(vm: VariantMargins, xi: AdmissibleOrder) -> Intermediat
     return IntermediateMargins(xi, upper - upper.T, vm.den)
 
 
-def _pair_index(n: int) -> dict[tuple[int, int], int]:
-    """Variable index of each position pair i < j, in ``combinations`` order."""
-    return {pair: k for k, pair in enumerate(combinations(range(n), 2))}
-
-
 def turnout_qp(t: np.ndarray, im: IntermediateMargins) -> QpProblem:
     """Build the nearest-point program for the intermediate turnouts.
 
     ``t`` holds turnout numerators over ``im.den``.  Variables are unordered
-    position pairs; the ordered-pair objective of the tally just doubles
-    every term, so the minimizer is unchanged.
+    position pairs i < j, in ``combinations`` order; the ordered-pair
+    objective of the tally just doubles every term, so the minimizer is
+    unchanged.  Consecutive positions i, i + 1 bound their pair's turnout
+    by [m_i, 1], and against every other position z the pair (i, z) may
+    exceed (i + 1, z) by 0 to m_i.
     """
-    seq = im.order.sequence
+    seq = np.array(im.order.sequence, dtype=np.intp)
     n = len(seq)
-    pairs = _pair_index(n)
-    rows = t.tolist()
-    center = [0.0] * len(pairs)
-    for (i, j), k in pairs.items():
-        center[k] = rows[seq[i]][seq[j]] / im.den
-    bounds: list[tuple[float | None, float | None]] = [(None, None)] * len(pairs)
-    diffs: list[tuple[int, int, float, float]] = []
-    for i, margin in enumerate(im.superdiagonal):
-        m = margin / im.den
-        bounds[pairs[(i, i + 1)]] = (m, 1.0)
-        for z in range(n):
-            if z in (i, i + 1):
-                continue
-            upper = pairs[(min(i, z), max(i, z))]
-            lower = pairs[(min(i + 1, z), max(i + 1, z))]
-            diffs.append((upper, lower, 0.0, m))
+    rows, cols = np.triu_indices(n, 1)  # the pairs in ``combinations`` order
+    pair = np.zeros((n, n), dtype=np.intp)
+    pair[rows, cols] = pair[cols, rows] = np.arange(rows.size)
+    center = [turnout / im.den for turnout in t[seq[rows], seq[cols]].tolist()]
+    margins = [margin / im.den for margin in im.superdiagonal]
+    at = np.arange(n - 1)
+    bounds: list[tuple[float | None, float | None]] = [(None, None)] * rows.size
+    for k, m in zip(pair[at, at + 1].tolist(), margins):
+        bounds[k] = (m, 1.0)
+    others = np.ones((n - 1, n), dtype=bool)
+    others[at, at] = others[at, at + 1] = False
+    i, z = others.nonzero()  # by i, then z
+    upper, lower = pair[i, z].tolist(), pair[i + 1, z].tolist()
+    diffs = zip(upper, lower, [0.0] * len(upper), [margins[k] for k in i.tolist()])
     return QpProblem(tuple(center), tuple(bounds), tuple(diffs))
 
 

@@ -4,16 +4,17 @@ Problems here have an identity Hessian: find the Euclidean projection of a
 center point onto a polyhedron cut out by per-variable bounds and two-sided
 constraints on differences x_i - x_j.  Two independent solvers are provided:
 
-* ``solve_active_set``: a dual active-set iteration.  Starting from the
-  unconstrained optimum it adds the most violated constraint at a time,
-  dropping blocking ones along the way; an unbounded dual step certifies
-  infeasibility (``Infeasible``) and a defensive step cap ends a run that
-  does not converge (``MaxIterations``).  Rows are held as index arrays, so
-  pricing every row is one vectorized expression.  Every row is
+* ``solve_active_set``: a dual active-set iteration.  Every row is
   e_i - e_j or a bound on one variable, so a linearly independent working
-  set is a forest over the variables and a zero node; each step moves x by
-  one constant per tree and changes multipliers along tree paths, touching
-  only the two trees that hold the ends of the entering row.  This is the
+  set is a forest over the variables and a zero node.  The equality rows
+  enter first, in one pass: the projection onto them is known in closed
+  form, tree by tree.  Then the most violated inequality enters at a time,
+  dropping blocking ones along the way; each step moves x by one constant
+  per tree and changes multipliers along tree paths, touching only the two
+  trees that hold the ends of the entering row.  An unbounded dual step
+  certifies infeasibility (``Infeasible``) and a defensive step cap ends a
+  run that does not converge (``MaxIterations``).  Rows are held as index
+  arrays, so pricing every row is one vectorized expression.  This is the
   active-set view of isotonic-type regression (Best and Chakravarti,
   Math. Programming 47, 1990) in the dual order of Goldfarb and Idnani
   (Math. Programming 27, 1983), with no matrix stored or factorized.
@@ -26,7 +27,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -115,14 +116,9 @@ def _row_arrays(problem: QpProblem) -> _Rows:
             continue
         rows.append((i, j, 1.0, float(lo), False))
         rows.append((i, j, -1.0, 0.0 - float(hi), False))
-    i, j, sign, rhs, eq = zip(*rows) if rows else ((),) * 5
-    return _Rows(
-        np.array(i, dtype=np.intp),
-        np.array(j, dtype=np.intp),
-        np.array(sign, dtype=float),
-        np.array(rhs, dtype=float),
-        np.array(eq, dtype=bool),
-    )
+    columns = zip(*rows) if rows else ((),) * 5
+    types = (np.intp, np.intp, float, float, bool)  # i, j, sign, rhs, eq
+    return _Rows(*(np.array(column, dtype=t) for column, t in zip(columns, types)))
 
 
 def _padded(point, d: int) -> np.ndarray:
@@ -198,9 +194,7 @@ class _Forest:
             flow[self._path(t, pos.item(i))] += sign
             flow[self._path(t, pos.item(j))] -= sign
             return 0.0, (), t[_ROW, 1:], t[_SIGN, 1:] * flow[1:]
-        znorm2 = 0.0
-        shifts = []
-        parts = []
+        znorm2, shifts, parts = 0.0, [], []
         for k, v, coeff in ((ti, i, sign), (tj, j, 0.0 - sign)):
             t = self.trees[k]
             n = t.shape[1]
@@ -219,6 +213,61 @@ class _Forest:
             return znorm2, shifts, np.concatenate((rows_i, rows_j)), np.concatenate((r_i, r_j))
         rows, r = parts[0] if parts else (self.at[:0], np.empty(0))
         return znorm2, shifts, rows, r
+
+    def span(self, rows: _Rows, eq: np.ndarray, x: np.ndarray, mults: np.ndarray) -> list:
+        """Link the equality rows ``eq`` into this forest of single nodes, move
+        x from the center onto them and set their multipliers, in one pass.
+
+        Union-find in row order links the rows that steps one at a time
+        would, and returns them; a dependent row must hold at the new x.  A
+        component's tree is rooted at its largest node (the zero node when it
+        holds it) and takes that node's number.  Offsets add up ``sign * rhs``
+        down the tree; x is the offsets in the zero node's tree and the
+        offsets plus the mean of ``center - offset`` elsewhere.  A row's
+        multiplier is its sign as a flow times the subtree sum of x - center.
+        """
+        up = list(range(self.zero + 1))  # union-find links, each to a larger node
+        def root(v: int) -> int:
+            while up[v] != v:
+                up[v] = v = up[up[v]]
+            return v
+        edges: dict[int, list] = {}  # node -> (neighbour, row, its sign as a flow, rhs)
+        linked, dependent = [], []
+        ends = (a[eq].tolist() for a in (rows.i, rows.j, rows.sign, rows.rhs))
+        for r, i, j, s, b in zip(eq.tolist(), *ends):
+            low, high = sorted((root(i), root(j)))
+            if low == high:
+                dependent.append(r)
+                continue
+            up[low] = high
+            edges.setdefault(i, []).append((j, r, 0.0 - s, b))
+            edges.setdefault(j, []).append((i, r, s, b))
+        for top in sorted(v for v in edges if up[v] == v):
+            order = [(top, 0, -1, 0, 0.0)]  # node, parent position, row, sign, offset
+            stack = [(u, 0, *e) for u, *e in edges[top]]
+            while stack:  # depth first, so subtrees come out contiguous
+                v, p, r, s, b = stack.pop()
+                stack.extend((u, len(order), *e) for u, *e in edges[v] if e[0] != r)
+                order.append((v, p, r, s, order[p][4] + s * b))
+            nodes, parent, row, sign, offset = zip(*order)
+            center, point, spread = x[list(nodes)], np.array(offset), 0.0
+            if top != self.zero:
+                point += math.fsum((center - point).tolist()) / len(nodes)
+                # x - center sums to that mean's rounding: spread it evenly.
+                spread = np.mean(point - center)
+            x[list(nodes)] = point
+            size, below = [1] * len(nodes), (point - center - spread).tolist()
+            for q in range(len(nodes) - 1, 0, -1):
+                size[parent[q]] += size[q]
+                below[parent[q]] += below[q]
+            linked += row[1:]
+            mults[list(row[1:])] = [s * g for s, g in zip(sign[1:], below[1:])]
+            for v in nodes[1:]:
+                self.trees[v] = None
+            self._place(top, np.array((nodes, size, row, sign), dtype=np.intp))
+        if np.abs(rows.slacks(x)[dependent]).max(initial=0.0) > max(_TOL, 1e-9):
+            raise Infeasible("inconsistent equality constraints")
+        return linked
 
     def _place(self, k: int, tree: np.ndarray) -> None:
         self.trees[k] = tree
@@ -295,33 +344,40 @@ def solve_active_set(problem: QpProblem) -> QpSolution:
     bounded dual step, ``MaxIterations`` past the defensive cap of
     max(100, 10 r**2) steps for r constraint rows.
 
-    The working rows form a forest (``_Forest``), so a step touches only
-    the two trees holding the ends of the row it brings in.
+    The working rows form a forest (``_Forest``).  The equality rows go in
+    first, in one pass (``_Forest.span``), and count one step each, linked
+    or dependent; then each dual step touches only the two trees holding
+    the ends of the row it brings in.
     """
     rows = _row_arrays(problem)
     d = len(problem.center)
     x = _padded(problem.center, d)
     n_rows = len(rows.rhs)
     max_iter = max(100, 10 * n_rows**2)
-
     forest = _Forest(d)
-    mults = np.zeros(n_rows)  # for the working orientation, kept >= 0
+    mults = np.zeros(n_rows)  # inequality ones kept >= 0
     entered = np.full(n_rows, -1)  # the step a working row entered at, -1 elsewhere
     ineq = ~rows.eq
     priced_out = rows.eq.copy()  # equalities and working rows
-    flipped = np.zeros(n_rows, dtype=bool)
-    iterations = 0
 
-    def steps_onto(target: int) -> None:
-        # Bring row `target` to zero slack, dropping blocking inequality rows
-        # along the way.  Equalities with positive slack are approached from
-        # the other side by flipping the normal, so steps stay nonnegative.
-        nonlocal iterations
+    # Dual steps never drop equality rows, so no later step disturbs them.
+    eq = np.flatnonzero(rows.eq)
+    linked = forest.span(rows, eq, x, mults)
+    entered[linked] = np.searchsorted(eq, linked) + 1
+    iterations = eq.size
+
+    while not priced_out.all():
+        slacks = np.where(priced_out, math.inf, rows.slacks(x))
+        # The lowest index among float-equal slacks.  Rows whose slacks tie
+        # exactly in rationals (tie equalities make many) are told apart by
+        # their last-bit rounding, so which of them enters, and with it the
+        # final active set, depends on the order of float operations.
+        target = int(np.argmin(slacks))
+        if not slacks[target] < -_TOL:
+            break
+        # Bring the row to zero slack, dropping blocking rows along the way.
         i, j = rows.i.item(target), rows.j.item(target)
-        sign, b, eq = rows.sign.item(target), rows.rhs.item(target), rows.eq.item(target)
-        if eq and sign * (x.item(i) - x.item(j)) - b > 0:
-            sign, b = 0.0 - sign, 0.0 - b
-            flipped[target] = True
+        sign, b = rows.sign.item(target), rows.rhs.item(target)
         accumulated = 0.0
         while True:
             iterations += 1
@@ -329,19 +385,9 @@ def solve_active_set(problem: QpProblem) -> QpSolution:
                 raise MaxIterations(f"no convergence within {max_iter} active-set steps")
             znorm2, shifts, working, r = forest.direction(i, j, sign)
             slack = sign * (x.item(i) - x.item(j)) - b
-            if eq and not znorm2:
-                # Dependent equality: consistent exactly when already tight.
-                # Consistent ones can be skipped for good, because at this
-                # stage the working set holds only equalities, which never
-                # get dropped again.
-                if abs(slack) <= max(_TOL, 1e-9):
-                    return
-                raise Infeasible("inconsistent equality constraints")
-
             # Longest step before some inequality multiplier turns negative,
             # scanning the working rows in the order they entered.
-            t_dual = math.inf
-            drop = -1
+            t_dual, drop = math.inf, -1
             blocking = ((r > _TOL) & ineq[working]).nonzero()[0] if r.size else r
             if blocking.size:
                 if blocking.size > 1:
@@ -364,35 +410,15 @@ def solve_active_set(problem: QpProblem) -> QpSolution:
                 mults[target] = accumulated
                 entered[target] = iterations
                 priced_out[target] = True
-                return
+                break
             forest.cut(rows.i.item(drop), rows.j.item(drop))
             entered[drop] = -1
             priced_out[drop] = False
-
-    # Install equality rows first.  Dual steps never drop them, so any
-    # dependencies found later cannot disturb rows skipped here.
-    for idx in np.flatnonzero(rows.eq):
-        steps_onto(int(idx))
-
-    while not priced_out.all():
-        slacks = np.where(priced_out, math.inf, rows.slacks(x))
-        # The lowest index among float-equal slacks.  Rows whose slacks tie
-        # exactly in rationals (tie equalities make many) are told apart by
-        # their last-bit rounding, so which of them enters, and with it the
-        # final active set, depends on the order of float operations.
-        worst = int(np.argmin(slacks))
-        if not slacks[worst] < -_TOL:
-            break
-        steps_onto(worst)
         # A dropped row may have drifted back out; the loop re-checks all.
 
     active = np.flatnonzero(entered >= 0)
-    return QpSolution(
-        point=tuple(x[:d].tolist()),
-        active_set=tuple(active.tolist()),
-        iterations=iterations,
-        multipliers=tuple(np.where(flipped[active], 0.0 - mults[active], mults[active]).tolist()),
-    )
+    point, multipliers = x[:d].tolist(), mults[active].tolist()
+    return QpSolution(tuple(point), tuple(active.tolist()), iterations, tuple(multipliers))
 
 
 def kkt_residual(problem: QpProblem, solution: QpSolution) -> float:
@@ -409,12 +435,8 @@ def kkt_residual(problem: QpProblem, solution: QpSolution) -> float:
     grad = x - _padded(problem.center, d)
     np.subtract.at(grad, rows.i[active], pull)
     np.add.at(grad, rows.j[active], pull)
-    return max(
-        0.0,
-        float(infeasible.max(initial=0.0)),
-        float((0.0 - mults[~rows.eq[active]]).max(initial=0.0)),
-        float(np.abs(grad[:d]).max(initial=0.0)),
-    )
+    worst = (infeasible, 0.0 - mults[~rows.eq[active]], np.abs(grad[:d]))
+    return max(0.0, *(float(v.max(initial=0.0)) for v in worst))
 
 
 def solve_dykstra(problem: QpProblem) -> QpSolution:
@@ -424,32 +446,23 @@ def solve_dykstra(problem: QpProblem) -> QpSolution:
     same projection but only asymptotically.
     """
     d = len(problem.center)
-    x = np.asarray(problem.center, dtype=float).copy()
-
-    sets: list[tuple] = []
-    for k, (lo, hi) in enumerate(problem.bounds):
-        if lo is not None or hi is not None:
-            sets.append(("box", k, -math.inf if lo is None else lo, math.inf if hi is None else hi))
-    for i, j, lo, hi in problem.difference_constraints:
-        sets.append(("slab", i, j, lo, hi))
+    x = np.array(problem.center, dtype=float)
+    sets = [
+        (k, None, -math.inf if lo is None else lo, math.inf if hi is None else hi)
+        for k, (lo, hi) in enumerate(problem.bounds)
+        if lo is not None or hi is not None
+    ] + list(problem.difference_constraints)  # boxes (k, None, lo, hi), then slabs
     if not sets:
         return QpSolution(tuple(x), (), 0)
-
     increments = [np.zeros(d) for _ in sets]
-    sweeps = 0
-    while True:
-        sweeps += 1
-        if sweeps > _DYKSTRA_MAX_SWEEPS:
-            raise MaxIterations(f"Dykstra did not converge in {_DYKSTRA_MAX_SWEEPS} sweeps")
+    for sweeps in range(1, _DYKSTRA_MAX_SWEEPS + 1):
         delta = 0.0
-        for si, spec in enumerate(sets):
+        for si, (i, j, lo, hi) in enumerate(sets):
             y = x + increments[si]
             z = y.copy()
-            if spec[0] == "box":
-                _, k, lo, hi = spec
-                z[k] = min(max(y[k], lo), hi)
+            if j is None:
+                z[i] = min(max(y[i], lo), hi)
             else:
-                _, i, j, lo, hi = spec
                 gap = y[i] - y[j]
                 shift = (gap - min(max(gap, lo), hi)) / 2.0
                 z[i] -= shift
@@ -459,26 +472,13 @@ def solve_dykstra(problem: QpProblem) -> QpSolution:
             x = z
         if delta < _DYKSTRA_TOL:
             break
-
+    else:
+        raise MaxIterations(f"Dykstra did not converge in {_DYKSTRA_MAX_SWEEPS} sweeps")
     rows = constraint_rows(problem)
-    active = tuple(
-        idx
-        for idx, (a, b, eq) in enumerate(rows)
-        if eq or abs(float(a @ x - b)) <= 1e-8
-    )
+    active = tuple(k for k, (a, b, eq) in enumerate(rows) if eq or abs(float(a @ x - b)) <= 1e-8)
     return QpSolution(tuple(float(v) for v in x), active, sweeps)
 
 
-# --------------------------------------------------------------------------
-# Debug dumps for failure triage.
-
-
 def problem_to_json(problem: QpProblem) -> str:
-    return json.dumps(
-        {
-            "center": list(problem.center),
-            "bounds": [list(b) for b in problem.bounds],
-            "difference_constraints": [list(c) for c in problem.difference_constraints],
-        },
-        sort_keys=True,
-    )
+    """The problem as one line of JSON, for failure reports."""
+    return json.dumps(asdict(problem), sort_keys=True)

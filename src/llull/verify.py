@@ -737,13 +737,42 @@ def _case_paths(rng: random.Random) -> None:
     check_paths(random_matrix(rng, n, rng.choice(PATH_DENOMINATORS)))
 
 
+def equality_dense_problem(rng: random.Random) -> QpProblem:
+    """A feasible program whose rows are mostly equalities.  They close
+    cycles, consistent through a witness point, and bound equalities join
+    their trees to the zero node."""
+    d = rng.randint(2, 15)
+    witness = [rng.uniform(-1.0, 2.0) for _ in range(d)]
+    bounds: list[tuple[float | None, float | None]] = []
+    for w in witness:
+        roll = rng.random()
+        if roll < 0.2:
+            bounds.append((w, w))
+        elif roll < 0.5:
+            bounds.append((w - rng.random(), w + rng.random()))
+        else:
+            bounds.append((None, None))
+    diffs = []
+    for _ in range(rng.randint(d, 3 * d)):
+        i, j = rng.sample(range(d), 2)
+        gap = witness[i] - witness[j]
+        spread = 0.0 if rng.random() < 0.7 else rng.random()
+        diffs.append((i, j, gap - spread, gap + spread))
+    center = tuple(rng.uniform(-2.0, 3.0) for _ in range(d))
+    return QpProblem(center, tuple(bounds), tuple(diffs))
+
+
 def _case_qp_agreement(rng: random.Random) -> None:
-    if rng.random() < 0.25:
+    roll = rng.random()
+    if roll < 0.25:
         # A tally's own program: tie equalities, and bound rows that hang
         # trees of the working set on the zero node.
         matrix = random_matrix(rng, rng.randint(4, 7))
         details = project_details(matrix, rng.choice(list(Variant)))
         check_qp_agreement(turnout_qp(details.t, details.im))
+        return
+    if roll < 0.5:
+        check_qp_agreement(equality_dense_problem(rng))
         return
     d = rng.randint(1, 15)
     feasible = [rng.uniform(-1.0, 2.0) for _ in range(d)]

@@ -13,14 +13,25 @@ import hashlib
 import json
 import random
 import sys
+from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import FIXTURES
-from llull.ballots import InterpretationRules, Listed, Unlisted, read_ballot_file
+from llull.ballots import (
+    RESERVED,
+    CandidateSet,
+    InterpretationRules,
+    Listed,
+    Unlisted,
+    read_ballot_file,
+)
 from llull.closures import Variant
 from llull.matrix import LlullMatrix
-from llull.pipeline import RunConfig, run
+from llull.pipeline import RunConfig, render_json, run, tally
 
 GOLDEN = FIXTURES / "golden_reports.json.gz"
 INPUTS = (
@@ -101,6 +112,68 @@ def test_no_fraction_grid_between_parse_and_report(monkeypatch, name, variant):
     monkeypatch.setattr(LlullMatrix, "scores", property(refuse))
     monkeypatch.setattr(LlullMatrix, "from_scores", classmethod(refuse))
     assert [run(text, config) for config in configs] == want
+
+
+def assert_written_as_json_dumps(text: str) -> None:
+    """The report is laid out as ``json.dumps(..., sort_keys=True,
+    indent=2)`` lays out what it parses to."""
+    assert json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n" == text
+
+
+@pytest.mark.parametrize("intermediates", [False, True], ids=["json", "intermediates"])
+@pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
+@pytest.mark.parametrize("name", INPUTS)
+def test_fixture_report_layout(name, variant, intermediates):
+    config = RunConfig(
+        variant=variant,
+        json_output=True,
+        intermediates=intermediates,
+        matrix_input=name.endswith(".csv"),
+    )
+    assert_written_as_json_dumps(run((FIXTURES / name).read_text(), config))
+
+
+def small_report(names, seed: int, variant: Variant, intermediates: bool) -> str:
+    """The report of a random 7-voter matrix over ``names``, with the voter
+    total also given as an option."""
+    rng = random.Random(seed)
+    n = len(names)
+    counts = np.array([[0 if x == y else rng.randint(0, 3) for y in range(n)] for x in range(n)])
+    matrix = LlullMatrix.from_absolute(CandidateSet(names), counts, 1, 7)
+    config = RunConfig(
+        variant=variant, total_voters=Fraction(7), json_output=True, intermediates=intermediates
+    )
+    return render_json(tally(matrix, variant), config)
+
+
+@pytest.mark.parametrize("variant", [Variant.MAIN, Variant.CODUAL], ids=lambda v: v.value)
+@pytest.mark.parametrize("names", [["a"], ["a", "b"]], ids=len)
+def test_one_and_two_candidate_report_layout(names, variant):
+    text = small_report(names, 0, variant, True)
+    assert_written_as_json_dumps(text)
+    doc = json.loads(text)
+    assert (doc["intermediates"]["vbar"] is None) == (variant is Variant.MAIN)
+    assert doc["config"]["total_voters"] == "7"
+    assert len(doc["intermediates"]["gamma"]) == len(names) - 1
+
+
+# Any character a candidate name may hold, escapes and controls included.
+NAME = st.text(
+    st.characters(blacklist_characters="".join(RESERVED)), min_size=1, max_size=5
+).filter(lambda name: not any(c.isspace() for c in name))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    names=st.lists(NAME, min_size=1, max_size=4, unique=True),
+    seed=st.integers(0, 2**16),
+    variant=st.sampled_from(list(Variant)),
+    intermediates=st.booleans(),
+)
+def test_any_names_report_layout(names, seed, variant, intermediates):
+    text = small_report(names, seed, variant, intermediates)
+    assert_written_as_json_dumps(text)
+    assert json.loads(text)["candidates"] == names
 
 
 # Names that are prefixes of each other, multi-byte and of unequal byte lengths.

@@ -3,6 +3,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from llull.ballots import InterpretationRules, read_ballot_file
@@ -15,10 +16,12 @@ from llull.projection import intermediate_margins, turnout_qp
 from llull.qp import (
     _NODE,
     _ROW,
+    _SIGN,
     _SIZE,
     QpProblem,
     QpSolution,
     _Forest,
+    _padded,
     _row_arrays,
     constraint_rows,
     kkt_residual,
@@ -26,6 +29,7 @@ from llull.qp import (
     solve_active_set,
     solve_dykstra,
 )
+from llull.verify import equality_dense_problem
 
 
 def random_feasible_problem(rng: random.Random, max_vars: int = 15) -> QpProblem:
@@ -368,6 +372,135 @@ class TestForest:
         )
         with pytest.raises(Infeasible, match="constraint cannot be reached"):
             solve_active_set(problem)
+
+
+def assert_layout(forest: _Forest, rows) -> None:
+    """Every tree is a preorder of its nodes with true subtree sizes, each
+    node below the root holds the row to its parent and that row's sign as
+    a flow out of the subtree, and the node arrays agree with the trees."""
+    for k, tree in enumerate(forest.trees):
+        if tree is None:
+            continue
+        nodes, size = tree[_NODE].tolist(), tree[_SIZE].tolist()
+        assert forest.tree[nodes].tolist() == [k] * len(nodes)
+        assert forest.pos[nodes].tolist() == list(range(len(nodes)))
+        assert (nodes[0] == forest.zero) == (k == forest.zero)
+        assert size[0] == len(nodes)
+        for q in range(1, len(nodes)):
+            parent = max(p for p in range(q) if p + size[p] > q)
+            assert q + size[q] <= parent + size[parent]
+            row = int(tree[_ROW, q])
+            ends = rows.i[row], rows.j[row]
+            assert sorted(ends) == sorted((nodes[q], nodes[parent]))
+            flow = rows.sign[row] if ends[0] == nodes[q] else -rows.sign[row]
+            assert tree[_SIGN, q] == flow
+
+
+def first_spanning_rows(problem: QpProblem) -> list[int]:
+    """The equality rows that close no cycle with the rows before them."""
+    rows = _row_arrays(problem)
+    parts = [{v} for v in range(len(problem.center) + 1)]
+    spanning = []
+    for r in np.flatnonzero(rows.eq).tolist():
+        a = next(p for p in parts if rows.i[r] in p)
+        b = next(p for p in parts if rows.j[r] in p)
+        if a is not b:
+            a |= b
+            parts.remove(b)
+            spanning.append(r)
+    return spanning
+
+
+class TestEqualityInstall:
+    """The equality rows enter in one pass, as the projection onto their
+    affine set: one tree per component of their graph."""
+
+    @staticmethod
+    def solve(problem: QpProblem) -> QpSolution:
+        solution = solve_active_set(problem)
+        assert kkt_residual(problem, solution) <= 1e-12
+        return solution
+
+    def test_component_takes_the_mean(self):
+        # x1 = x2 and x0 = x2 + 0.2: all three move to x2 = mean(0.7, 0.1, 0.5).
+        problem = QpProblem((0.9, 0.1, 0.5), (), ((0, 1, 0.2, 0.2), (1, 2, 0.0, 0.0)))
+        solution = self.solve(problem)
+        x2 = 1.3 / 3
+        assert solution.point == pytest.approx((x2 + 0.2, x2, x2), abs=1e-15)
+        assert solution.active_set == (0, 1)
+        assert solution.multipliers == pytest.approx((x2 - 0.7, 0.5 - x2), abs=1e-15)
+        assert solution.iterations == 2
+
+    def test_zero_node_tree_is_fixed_by_its_offsets(self):
+        # x0 = 0.5 ties the chain to the zero node, so the center does not
+        # move it: x1 = x0 + 0.25 and x2 = x1 - 1.
+        problem = QpProblem(
+            (2.0, 0.0, 5.0),
+            ((0.5, 0.5), (None, None), (None, None)),
+            ((1, 0, 0.25, 0.25), (2, 1, -1.0, -1.0)),
+        )
+        solution = self.solve(problem)
+        assert solution.point == pytest.approx((0.5, 0.75, -0.25), abs=1e-15)
+        assert solution.active_set == (0, 1, 2)
+        assert solution.multipliers == pytest.approx((-6.0, -4.5, -5.25), abs=1e-15)
+
+    @pytest.mark.parametrize("center, multiplier", [(2.0, -1.5), (-1.0, 1.5)])
+    def test_bound_equality_multiplier_takes_the_side_of_the_center(self, center, multiplier):
+        # Row 0 reads x0 >= 0.5 held as an equality: its multiplier is
+        # x0 - center, negative when the center lies above the bound.
+        solution = self.solve(QpProblem((center,), ((0.5, 0.5),)))
+        assert solution.point == (0.5,)
+        assert solution.multipliers == pytest.approx((multiplier,), abs=1e-15)
+
+    def test_consistent_cycle_is_skipped(self):
+        # Row 2 closes the cycle 0, 1, 2 and holds where rows 0 and 1 do
+        # (up to the rounding of 0.1 + 0.2); it enters no working set but
+        # counts one step.
+        problem = QpProblem(
+            (0.0, 0.0, 0.0), (), ((0, 1, 0.1, 0.1), (1, 2, 0.2, 0.2), (0, 2, 0.3, 0.3))
+        )
+        solution = self.solve(problem)
+        shift = 0.4 / 3
+        assert solution.point == pytest.approx((shift, shift - 0.1, shift - 0.3), abs=1e-15)
+        assert solution.active_set == (0, 1)
+        assert solution.iterations == 3
+
+    @pytest.mark.parametrize(
+        "problem",
+        [
+            QpProblem((0.0, 0.0, 0.0), (), ((0, 1, 0.1, 0.1), (1, 2, 0.2, 0.2), (0, 2, 0.4, 0.4))),
+            QpProblem((0.0, 0.0), ((0.5, 0.5), (1.0, 1.0)), ((0, 1, 0.0, 0.0),)),
+        ],
+        ids=["among-variables", "through-the-zero-node"],
+    )
+    def test_inconsistent_cycle_is_infeasible(self, problem):
+        with pytest.raises(Infeasible, match="^inconsistent equality constraints$"):
+            solve_active_set(problem)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_equality_dense_programs(self, seed):
+        problem = equality_dense_problem(random.Random(seed))
+        solution = self.solve(problem)
+        oracle = solve_dykstra(problem)
+        assert max(abs(a - b) for a, b in zip(solution.point, oracle.point)) <= 1e-6
+
+    def test_trees_after_the_install(self):
+        # The programs close cycles and reach the zero node, and the forest
+        # holds exactly the rows that close no cycle, in a valid layout.
+        dependent = zero_trees = 0
+        for seed in range(40):
+            problem = equality_dense_problem(random.Random(seed))
+            rows = _row_arrays(problem)
+            eq = np.flatnonzero(rows.eq)
+            d = len(problem.center)
+            forest = _Forest(d)
+            linked = forest.span(rows, eq, _padded(problem.center, d), np.zeros(len(rows.rhs)))
+            assert sorted(linked) == first_spanning_rows(problem)
+            assert_layout(forest, rows)
+            dependent += eq.size - len(linked)
+            zero_trees += forest.trees[d].shape[1] > 1
+        assert dependent > 40
+        assert zero_trees > 10
 
 
 class TestRows:
