@@ -34,6 +34,14 @@ EXIT_VERIFY = 5
 EXIT_NUMERICAL = 6
 
 
+def nonnegative_int(text: str) -> int:
+    """An argparse type; argparse names it in the error for a bad value."""
+    value = int(text)
+    if value < 0:
+        raise ValueError(text)
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="llull",
@@ -82,7 +90,7 @@ def build_parser() -> argparse.ArgumentParser:
     verp.add_argument(
         "--suite", default="all", choices=["all", *SUITES.keys()]
     )
-    verp.add_argument("--cases", type=int, default=100)
+    verp.add_argument("--cases", type=nonnegative_int, default=100)
     verp.add_argument("--seed", type=int, default=0)
     verp.add_argument(
         "--input",

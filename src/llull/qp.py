@@ -9,15 +9,17 @@ constraints on differences x_i - x_j.  Two independent solvers are provided:
   set is a forest over the variables and a zero node.  The equality rows
   enter first, in one pass: the projection onto them is known in closed
   form, tree by tree.  Then the most violated inequality enters at a time,
-  dropping blocking ones along the way; each step moves x by one constant
-  per tree and changes multipliers along tree paths, touching only the two
-  trees that hold the ends of the entering row.  An unbounded dual step
-  certifies infeasibility (``Infeasible``) and a defensive step cap ends a
-  run that does not converge (``MaxIterations``).  Rows are held as index
-  arrays, so pricing every row is one vectorized expression.  This is the
-  active-set view of isotonic-type regression (Best and Chakravarti,
-  Math. Programming 47, 1990) in the dual order of Goldfarb and Idnani
-  (Math. Programming 27, 1983), with no matrix stored or factorized.
+  dropping the blocking row with the smallest ratio along the way (ties in
+  either choice need no rule; see ``solve_active_set``).  Each step moves x
+  by one constant per tree and changes multipliers along tree paths,
+  touching only the two trees that hold the ends of the entering row.  An
+  unbounded dual step certifies infeasibility (``Infeasible``) and a
+  defensive step cap ends a run that does not converge (``MaxIterations``).
+  Rows are held as index arrays, so pricing every row is one vectorized
+  expression.  This is the active-set view of isotonic-type regression
+  (Best and Chakravarti, Math. Programming 47, 1990) in the dual order of
+  Goldfarb and Idnani (Math. Programming 27, 1983), with no matrix stored
+  or factorized.
 * ``solve_dykstra``: Dykstra's alternating projections onto the individual
   boxes and slabs.  Slower, but an entirely separate route to the same
   projection, kept for cross-validation.
@@ -160,6 +162,7 @@ class _Forest:
     then a slice, and the ancestors of the node at position p are the
     positions q <= p whose slice reaches p.  No two trees share memory.
     Trees are numbered; the zero node's tree keeps number d throughout.
+    ``working`` marks the rows in the forest; ``span`` starts it.
     """
 
     def __init__(self, d: int):
@@ -214,25 +217,26 @@ class _Forest:
         rows, r = parts[0] if parts else (self.at[:0], np.empty(0))
         return znorm2, shifts, rows, r
 
-    def span(self, rows: _Rows, eq: np.ndarray, x: np.ndarray, mults: np.ndarray) -> list:
+    def span(self, rows: _Rows, eq: np.ndarray, x: np.ndarray, mults: np.ndarray) -> None:
         """Link the equality rows ``eq`` into this forest of single nodes, move
         x from the center onto them and set their multipliers, in one pass.
 
-        Union-find in row order links the rows that steps one at a time
-        would, and returns them; a dependent row must hold at the new x.  A
+        Union-find in row order links, and marks working, the rows that
+        steps one at a time would; a dependent row must hold at the new x.  A
         component's tree is rooted at its largest node (the zero node when it
         holds it) and takes that node's number.  Offsets add up ``sign * rhs``
         down the tree; x is the offsets in the zero node's tree and the
         offsets plus the mean of ``center - offset`` elsewhere.  A row's
         multiplier is its sign as a flow times the subtree sum of x - center.
         """
+        self.working = np.zeros(rows.rhs.size, dtype=bool)
         up = list(range(self.zero + 1))  # union-find links, each to a larger node
         def root(v: int) -> int:
             while up[v] != v:
                 up[v] = v = up[up[v]]
             return v
         edges: dict[int, list] = {}  # node -> (neighbour, row, its sign as a flow, rhs)
-        linked, dependent = [], []
+        dependent = []
         ends = (a[eq].tolist() for a in (rows.i, rows.j, rows.sign, rows.rhs))
         for r, i, j, s, b in zip(eq.tolist(), *ends):
             low, high = sorted((root(i), root(j)))
@@ -260,14 +264,13 @@ class _Forest:
             for q in range(len(nodes) - 1, 0, -1):
                 size[parent[q]] += size[q]
                 below[parent[q]] += below[q]
-            linked += row[1:]
+            self.working[list(row[1:])] = True
             mults[list(row[1:])] = [s * g for s, g in zip(sign[1:], below[1:])]
             for v in nodes[1:]:
                 self.trees[v] = None
             self._place(top, np.array((nodes, size, row, sign), dtype=np.intp))
         if np.abs(rows.slacks(x)[dependent]).max(initial=0.0) > max(_TOL, 1e-9):
             raise Infeasible("inconsistent equality constraints")
-        return linked
 
     def _place(self, k: int, tree: np.ndarray) -> None:
         self.trees[k] = tree
@@ -304,6 +307,7 @@ class _Forest:
         else:
             top, hung, u, v, orient = ti, tj, i, j, 0.0 - sign
         self._reroot(hung, v)
+        self.working[row] = True
         sub = self.trees[hung]
         sub[_ROW, 0], sub[_SIGN, 0] = row, orient
         t = self.trees[top]
@@ -319,21 +323,11 @@ class _Forest:
         t = self.trees[k]
         p = max(self.pos.item(i), self.pos.item(j))
         size = t.item(_SIZE, p)
+        self.working[t.item(_ROW, p)] = False
         t[_SIZE, self._path(t, p)[:-1]] -= size
         self._place(k, np.concatenate((t[:, :p], t[:, p + size :]), axis=1))
         self.trees.append(None)
         self._place(len(self.trees) - 1, t[:, p : p + size])
-
-
-def _first_blocking(ratios: np.ndarray) -> int:
-    """The ratio a scan in working-set order settles on, when a later ratio
-    replaces the current one only if smaller by more than 1e-15."""
-    pick = 0
-    while True:
-        later = (ratios[pick + 1 :] < ratios[pick] - 1e-15).nonzero()[0]
-        if not later.size:
-            return pick
-        pick += 1 + int(later[0])
 
 
 def solve_active_set(problem: QpProblem) -> QpSolution:
@@ -347,7 +341,21 @@ def solve_active_set(problem: QpProblem) -> QpSolution:
     The working rows form a forest (``_Forest``).  The equality rows go in
     first, in one pass (``_Forest.span``), and count one step each, linked
     or dependent; then each dual step touches only the two trees holding
-    the ends of the row it brings in.
+    the ends of the row it brings in.  Two rules choose the rows:
+
+    * the most violated inequality enters: the lowest index among
+      float-equal slacks.  Rows whose slacks tie exactly in rationals (tie
+      equalities make many) are told apart by their last-bit rounding, so
+      the lowest index of an exact tie need not be the one that enters;
+    * the blocking row with the smallest ratio of multiplier to flow
+      leaves: on float-equal ratios, the first in ``direction``'s row order.
+
+    Ties need no finer rule.  Whichever tied row is taken, every inequality
+    multiplier stays nonnegative and the working rows stay independent, so
+    the dual method still ends (Goldfarb and Idnani, 1983): a row that
+    enters raises the dual objective, since it was violated, and between
+    two entries only working rows drop.  The point it ends at is the unique
+    projection; a tie only picks among optimal working sets.
     """
     rows = _row_arrays(problem)
     d = len(problem.center)
@@ -356,22 +364,16 @@ def solve_active_set(problem: QpProblem) -> QpSolution:
     max_iter = max(100, 10 * n_rows**2)
     forest = _Forest(d)
     mults = np.zeros(n_rows)  # inequality ones kept >= 0
-    entered = np.full(n_rows, -1)  # the step a working row entered at, -1 elsewhere
     ineq = ~rows.eq
-    priced_out = rows.eq.copy()  # equalities and working rows
 
     # Dual steps never drop equality rows, so no later step disturbs them.
     eq = np.flatnonzero(rows.eq)
-    linked = forest.span(rows, eq, x, mults)
-    entered[linked] = np.searchsorted(eq, linked) + 1
+    forest.span(rows, eq, x, mults)
     iterations = eq.size
 
+    priced_out = rows.eq | forest.working
     while not priced_out.all():
         slacks = np.where(priced_out, math.inf, rows.slacks(x))
-        # The lowest index among float-equal slacks.  Rows whose slacks tie
-        # exactly in rationals (tie equalities make many) are told apart by
-        # their last-bit rounding, so which of them enters, and with it the
-        # final active set, depends on the order of float operations.
         target = int(np.argmin(slacks))
         if not slacks[target] < -_TOL:
             break
@@ -383,19 +385,16 @@ def solve_active_set(problem: QpProblem) -> QpSolution:
             iterations += 1
             if iterations > max_iter:
                 raise MaxIterations(f"no convergence within {max_iter} active-set steps")
-            znorm2, shifts, working, r = forest.direction(i, j, sign)
+            znorm2, shifts, tree_rows, r = forest.direction(i, j, sign)
             slack = sign * (x.item(i) - x.item(j)) - b
-            # Longest step before some inequality multiplier turns negative,
-            # scanning the working rows in the order they entered.
+            # Longest step before some inequality multiplier turns negative.
             t_dual, drop = math.inf, -1
-            blocking = ((r > _TOL) & ineq[working]).nonzero()[0] if r.size else r
+            blocking = ((r > _TOL) & ineq[tree_rows]).nonzero()[0] if r.size else r
             if blocking.size:
-                if blocking.size > 1:
-                    blocking = blocking[np.argsort(entered[working[blocking]])]
-                ratios = mults[working[blocking]] / r[blocking]
-                pick = _first_blocking(ratios)
+                ratios = mults[tree_rows[blocking]] / r[blocking]
+                pick = int(np.argmin(ratios))
                 t_dual = float(ratios[pick])
-                drop = int(working[blocking[pick]])
+                drop = int(tree_rows[blocking[pick]])
             t_full = -slack / znorm2 if znorm2 else math.inf
             step = min(t_dual, t_full)
             if step == math.inf:
@@ -403,20 +402,17 @@ def solve_active_set(problem: QpProblem) -> QpSolution:
             for nodes, shift in shifts:
                 x[nodes] += step * shift
             if r.size:
-                mults[working] -= step * r
+                mults[tree_rows] -= step * r
             accumulated += step
             if t_full <= t_dual:
                 forest.link(target, i, j, sign)
                 mults[target] = accumulated
-                entered[target] = iterations
-                priced_out[target] = True
                 break
             forest.cut(rows.i.item(drop), rows.j.item(drop))
-            entered[drop] = -1
-            priced_out[drop] = False
         # A dropped row may have drifted back out; the loop re-checks all.
+        priced_out = rows.eq | forest.working
 
-    active = np.flatnonzero(entered >= 0)
+    active = np.flatnonzero(forest.working)
     point, multipliers = x[:d].tolist(), mults[active].tolist()
     return QpSolution(tuple(point), tuple(active.tolist()), iterations, tuple(multipliers))
 
@@ -474,9 +470,9 @@ def solve_dykstra(problem: QpProblem) -> QpSolution:
             break
     else:
         raise MaxIterations(f"Dykstra did not converge in {_DYKSTRA_MAX_SWEEPS} sweeps")
-    rows = constraint_rows(problem)
-    active = tuple(k for k, (a, b, eq) in enumerate(rows) if eq or abs(float(a @ x - b)) <= 1e-8)
-    return QpSolution(tuple(float(v) for v in x), active, sweeps)
+    rows = _row_arrays(problem)
+    active = np.flatnonzero(rows.eq | (np.abs(rows.slacks(_padded(x, d))) <= 1e-8))
+    return QpSolution(tuple(x.tolist()), tuple(active.tolist()), sweeps)
 
 
 def problem_to_json(problem: QpProblem) -> str:

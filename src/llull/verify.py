@@ -737,6 +737,34 @@ def _case_paths(rng: random.Random) -> None:
     check_paths(random_matrix(rng, n, rng.choice(PATH_DENOMINATORS)))
 
 
+def random_feasible_problem(rng: random.Random, max_vars: int = 15) -> QpProblem:
+    """A feasible program of up to ``max_vars`` variables: bounds and
+    difference rows around a witness point, a few of them equalities."""
+    d = rng.randint(1, max_vars)
+    witness = [rng.uniform(-1.0, 2.0) for _ in range(d)]
+    bounds: list[tuple[float | None, float | None]] = []
+    for w in witness:
+        roll = rng.random()
+        if roll < 0.15:
+            bounds.append((w, w))
+        elif roll < 0.65:
+            lo = w - rng.uniform(0.0, 1.0) if rng.random() < 0.8 else None
+            hi = w + rng.uniform(0.0, 1.0) if rng.random() < 0.8 else None
+            bounds.append((lo, hi))
+        else:
+            bounds.append((None, None))
+    diffs = []
+    for _ in range(rng.randint(0, 2 * d) if d > 1 else 0):
+        i, j = rng.sample(range(d), 2)
+        gap = witness[i] - witness[j]
+        if rng.random() < 0.15:
+            diffs.append((i, j, gap, gap))
+        else:
+            diffs.append((i, j, gap - rng.uniform(0.0, 1.0), gap + rng.uniform(0.0, 1.0)))
+    center = tuple(rng.uniform(-2.0, 3.0) for _ in range(d))
+    return QpProblem(center, tuple(bounds), tuple(diffs))
+
+
 def equality_dense_problem(rng: random.Random) -> QpProblem:
     """A feasible program whose rows are mostly equalities.  They close
     cycles, consistent through a witness point, and bound equalities join
@@ -774,31 +802,7 @@ def _case_qp_agreement(rng: random.Random) -> None:
     if roll < 0.5:
         check_qp_agreement(equality_dense_problem(rng))
         return
-    d = rng.randint(1, 15)
-    feasible = [rng.uniform(-1.0, 2.0) for _ in range(d)]
-    bounds: list[tuple[float | None, float | None]] = []
-    for k in range(d):
-        roll = rng.random()
-        if roll < 0.15:
-            bounds.append((feasible[k], feasible[k]))
-        elif roll < 0.6:
-            lo = feasible[k] - rng.uniform(0.0, 1.0) if rng.random() < 0.8 else None
-            hi = feasible[k] + rng.uniform(0.0, 1.0) if rng.random() < 0.8 else None
-            bounds.append((lo, hi))
-        else:
-            bounds.append((None, None))
-    diffs = []
-    for _ in range(rng.randint(0, 2 * d)):
-        i, j = rng.sample(range(d), 2) if d > 1 else (0, 0)
-        if i == j:
-            continue
-        gap = feasible[i] - feasible[j]
-        if rng.random() < 0.15:
-            diffs.append((i, j, gap, gap))
-        else:
-            diffs.append((i, j, gap - rng.uniform(0.0, 1.0), gap + rng.uniform(0.0, 1.0)))
-    center = tuple(rng.uniform(-2.0, 3.0) for _ in range(d))
-    check_qp_agreement(QpProblem(center, tuple(bounds), tuple(diffs)))
+    check_qp_agreement(random_feasible_problem(rng))
 
 
 # ---------------------------------------------------------------------------

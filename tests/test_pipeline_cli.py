@@ -319,6 +319,13 @@ class TestVerifyCommand:
         b = run_cli("verify", "--suite", "paths", "--cases", "4", "--seed", "2")
         assert a.returncode == b.returncode == 0
 
+    @pytest.mark.parametrize("cases", ["-3", "-1"])
+    def test_negative_case_count_is_refused(self, cases):
+        r = run_cli("verify", "--suite", "paths", "--cases", cases)
+        assert r.returncode == EXIT_PARSE
+        assert r.stdout == ""
+        assert "--cases" in r.stderr
+
     def test_failure_exit_code(self, monkeypatch):
         # a stubbed suite that always fails exercises the reporting path
         import llull.cli as cli_mod

@@ -9,7 +9,7 @@ import pytest
 from llull.ballots import InterpretationRules, read_ballot_file
 from llull.closures import Variant, indirect_scores, variant_margins
 from llull.errors import Infeasible
-from llull.generate import random_matrix
+from llull.generate import ProfileGenerator, random_matrix
 from llull.matrix import aggregate, turnouts
 from llull.ordering import admissible_order
 from llull.projection import intermediate_margins, turnout_qp
@@ -29,36 +29,7 @@ from llull.qp import (
     solve_active_set,
     solve_dykstra,
 )
-from llull.verify import equality_dense_problem
-
-
-def random_feasible_problem(rng: random.Random, max_vars: int = 15) -> QpProblem:
-    d = rng.randint(1, max_vars)
-    witness = [rng.uniform(-1.0, 2.0) for _ in range(d)]
-    bounds = []
-    for k in range(d):
-        roll = rng.random()
-        if roll < 0.15:
-            bounds.append((witness[k], witness[k]))
-        elif roll < 0.65:
-            lo = witness[k] - rng.uniform(0.0, 1.0) if rng.random() < 0.8 else None
-            hi = witness[k] + rng.uniform(0.0, 1.0) if rng.random() < 0.8 else None
-            bounds.append((lo, hi))
-        else:
-            bounds.append((None, None))
-    diffs = []
-    if d > 1:
-        for _ in range(rng.randint(0, 2 * d)):
-            i, j = rng.sample(range(d), 2)
-            gap = witness[i] - witness[j]
-            if rng.random() < 0.15:
-                diffs.append((i, j, gap, gap))
-            else:
-                diffs.append(
-                    (i, j, gap - rng.uniform(0.0, 1.0), gap + rng.uniform(0.0, 1.0))
-                )
-    center = tuple(rng.uniform(-2.0, 3.0) for _ in range(d))
-    return QpProblem(center, tuple(bounds), tuple(diffs))
+from llull.verify import equality_dense_problem, random_feasible_problem
 
 
 def problem_from_json(text: str) -> QpProblem:
@@ -283,6 +254,15 @@ class TestTallyScale:
         assert kkt_residual(problem, first) <= 1e-9
         assert solve_active_set(problem) == first
 
+    def test_fifty_candidate_tally_program(self):
+        gen = ProfileGenerator(n_candidates=(50, 50), n_ballots=(500, 500), truncation=0.8, seed=1)
+        candidates, ballots = gen.profile(0)
+        problem = matrix_problem(aggregate(ballots, InterpretationRules(), candidates))
+        assert len(problem.center) == 50 * 49 // 2
+        first = solve_active_set(problem)
+        assert kkt_residual(problem, first) <= 1e-9
+        assert solve_active_set(problem) == first
+
     @pytest.mark.parametrize("n, seed", [(20, 0), (20, 1), (30, 2)])
     def test_row_arrays_match_reference(self, n, seed):
         problem = matrix_problem(random_matrix(random.Random(seed), n))
@@ -363,6 +343,28 @@ class TestForest:
         assert cuts == [(3, False, 1)]
         assert solution.point == pytest.approx((-1.75, -1.25, -1.25, -1.75), abs=1e-15)
         assert solution.active_set == (0, 1, 5)
+
+    def test_tied_blocking_rows_drop_in_direction_order(self, cuts):
+        # Rows 2 (x1 - x0 >= 0), 0 (x0 >= 0) and 1 (x2 >= 0.25) enter in
+        # that order, leaving x = (0, 0, 0.25) and multipliers 1 on rows 0
+        # and 2.  Row 4 (x1 - x2 >= -0.125) is then dependent: its path to
+        # the zero node runs through rows 2 and 0, which block at the same
+        # ratio 1, exactly.  Row 0, nearer the zero node, comes first in
+        # ``direction``'s order: it drops and cuts {x0, x1} off, and row 2,
+        # now at multiplier 0, drops next.  Either choice ends at this point.
+        problem = QpProblem(
+            (0.0, -1.0, 0.0),
+            ((0.0, None), (None, None), (0.25, None)),
+            ((1, 0, 0.0, 10.0), (1, 2, -0.125, 10.0)),
+        )
+        solution = solve_active_set(problem)
+        assert cuts == [(0, True, 2), (2, False, 1)]
+        assert solution.point == (0.0, 0.125, 0.25)
+        assert solution.active_set == (1, 4)
+        assert solution.multipliers == (1.375, 1.125)
+        assert kkt_residual(problem, solution) <= 1e-12
+        oracle = solve_dykstra(problem)
+        assert max(abs(a - b) for a, b in zip(solution.point, oracle.point)) <= 1e-9
 
     def test_violated_row_across_equalities_only_is_infeasible(self):
         # x0 = x1 = x2 by equalities leaves x0 - x2 >= 1e-9 no room: the
@@ -494,8 +496,9 @@ class TestEqualityInstall:
             eq = np.flatnonzero(rows.eq)
             d = len(problem.center)
             forest = _Forest(d)
-            linked = forest.span(rows, eq, _padded(problem.center, d), np.zeros(len(rows.rhs)))
-            assert sorted(linked) == first_spanning_rows(problem)
+            forest.span(rows, eq, _padded(problem.center, d), np.zeros(len(rows.rhs)))
+            linked = np.flatnonzero(forest.working).tolist()
+            assert linked == first_spanning_rows(problem)
             assert_layout(forest, rows)
             dependent += eq.size - len(linked)
             zero_trees += forest.trees[d].shape[1] > 1
