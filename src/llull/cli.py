@@ -13,6 +13,7 @@ import sys
 from pathlib import Path
 
 from .ballots import InterpretationRules, Listed, Unlisted, read_ballot_file, read_fraction
+from .closures import Variant
 from .errors import (
     BallotError,
     Infeasible,
@@ -54,18 +55,18 @@ def build_parser() -> argparse.ArgumentParser:
     runp.add_argument(
         "--variant",
         default="main",
-        choices=["main", "codual", "balanced", "margin-based"],
+        choices=[v.value for v in Variant],
     )
     runp.add_argument(
         "--listed-vs-unlisted",
         default="preferred",
-        choices=["preferred", "noinfo"],
+        choices=[v.value for v in Listed],
         help="how a listed/unlisted pair counts",
     )
     runp.add_argument(
         "--unlisted-pair",
         default="noinfo",
-        choices=["noinfo", "tied"],
+        choices=[v.value for v in Unlisted],
         help="how a pair absent from a ballot counts",
     )
     runp.add_argument(
@@ -73,7 +74,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="voter denominator; defaults to the sum of ballot weights",
     )
-    runp.add_argument("--formula", default="main", choices=["main", "alt"])
+    runp.add_argument("--formula", default="main", choices=[v.value for v in RateFormula])
     runp.add_argument("--json", action="store_true", help="emit JSON instead of text")
     runp.add_argument(
         "--intermediates",
@@ -176,9 +177,12 @@ def _cmd_verify(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     if args.command == "run":
         return _cmd_run(args)
+    if args.cases == 0 and args.input is None:
+        parser.error("argument --cases: 0 runs no case without --input")
     return _cmd_verify(args)
 
 

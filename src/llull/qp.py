@@ -15,7 +15,8 @@ constraints on differences x_i - x_j.  Two independent solvers are provided:
   touching only the two trees that hold the ends of the entering row.  An
   unbounded dual step certifies infeasibility (``Infeasible``) and a
   defensive step cap ends a run that does not converge (``MaxIterations``).
-  Rows are held as index arrays, so pricing every row is one vectorized
+  Each problem flattens its constraints into index arrays once, when it
+  is built (``QpProblem.rows``), so pricing every row is one vectorized
   expression.  This is the active-set view of isotonic-type regression
   (Best and Chakravarti, Math. Programming 47, 1990) in the dual order of
   Goldfarb and Idnani (Math. Programming 27, 1983), with no matrix stored
@@ -29,7 +30,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -41,45 +42,8 @@ _DYKSTRA_MAX_SWEEPS = 100_000
 
 
 @dataclass(frozen=True)
-class QpProblem:
-    """Projection target and constraints.
-
-    ``bounds[k]`` is an optional (lo, hi) pair for variable k, either side
-    may be None.  ``difference_constraints`` holds (i, j, lo, hi) meaning
-    lo <= x_i - x_j <= hi.  lo == hi makes a constraint an equality.
-    """
-
-    center: tuple[float, ...]
-    bounds: tuple[tuple[float | None, float | None], ...] = ()
-    difference_constraints: tuple[tuple[int, int, float, float], ...] = ()
-
-    def __post_init__(self):
-        d = len(self.center)
-        if len(self.bounds) > d:
-            raise ValueError(f"{len(self.bounds)} bounds for {d} variables")
-        for lo, hi in self.bounds:
-            if lo is not None and hi is not None and lo > hi:
-                raise ValueError(f"empty bound interval [{lo}, {hi}]")
-        for i, j, lo, hi in self.difference_constraints:
-            if not (0 <= i < d and 0 <= j < d):
-                raise ValueError(f"difference constraint ({i}, {j}) outside variables 0..{d - 1}")
-            if i == j:
-                raise ValueError("difference constraint needs two distinct variables")
-            if lo > hi:
-                raise ValueError(f"empty difference interval [{lo}, {hi}]")
-
-
-@dataclass(frozen=True)
-class QpSolution:
-    point: tuple[float, ...]
-    active_set: tuple[int, ...]  # indices into `constraint_rows(problem)`
-    iterations: int
-    multipliers: tuple[float, ...] = ()  # aligned with active_set
-
-
-@dataclass(frozen=True)
 class _Rows:
-    """The constraint rows as parallel arrays, in ``constraint_rows`` order.
+    """The constraint rows as parallel arrays, in ``QpProblem`` row order.
 
     Row r reads ``sign[r] * (x[i[r]] - x[j[r]]) >= rhs[r]``, an equality when
     ``eq[r]``.  Bound rows have ``j[r] == d``, a padding variable that
@@ -92,35 +56,74 @@ class _Rows:
     rhs: np.ndarray
     eq: np.ndarray
 
+    def __len__(self) -> int:
+        return self.rhs.size
+
     def slacks(self, x: np.ndarray) -> np.ndarray:
         return self.sign * (x[self.i] - x[self.j]) - self.rhs
 
 
-def _row_arrays(problem: QpProblem) -> _Rows:
-    """Flatten the problem into rows; the single definition of row order.
+@dataclass(frozen=True)
+class QpProblem:
+    """Projection target and constraints.
 
-    A two-sided constraint with lo < hi yields a lower row and then a
-    negated upper row; lo == hi yields a single equality row.
+    ``bounds[k]`` is an optional (lo, hi) pair for variable k, either side
+    may be None.  ``difference_constraints`` holds (i, j, lo, hi) meaning
+    lo <= x_i - x_j <= hi.  lo == hi makes a constraint an equality.
+
+    ``rows`` holds the constraints as rows, the one row order every solver
+    and ``QpSolution.active_set`` use: the bounds by variable, then the
+    difference constraints in order.  A constraint with lo < hi yields a
+    lower row and then a negated upper row, lo == hi a single equality row,
+    and a missing side of a bound no row.
     """
-    d = len(problem.center)
-    rows: list[tuple[int, int, float, float, bool]] = []
-    for k, (lo, hi) in enumerate(problem.bounds):
-        if lo is not None and hi is not None and lo == hi:
-            rows.append((k, d, 1.0, float(lo), True))
-            continue
-        if lo is not None:
-            rows.append((k, d, 1.0, float(lo), False))
-        if hi is not None:
-            rows.append((k, d, -1.0, 0.0 - float(hi), False))
-    for i, j, lo, hi in problem.difference_constraints:
-        if lo == hi:
-            rows.append((i, j, 1.0, float(lo), True))
-            continue
-        rows.append((i, j, 1.0, float(lo), False))
-        rows.append((i, j, -1.0, 0.0 - float(hi), False))
-    columns = zip(*rows) if rows else ((),) * 5
-    types = (np.intp, np.intp, float, float, bool)  # i, j, sign, rhs, eq
-    return _Rows(*(np.array(column, dtype=t) for column, t in zip(columns, types)))
+
+    center: tuple[float, ...]
+    bounds: tuple[tuple[float | None, float | None], ...] = ()
+    difference_constraints: tuple[tuple[int, int, float, float], ...] = ()
+    rows: _Rows = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        """Check the constraints and flatten them into ``rows``, in one pass."""
+        d = len(self.center)
+        if len(self.bounds) > d:
+            raise ValueError(f"{len(self.bounds)} bounds for {d} variables")
+        rows: list[tuple[int, int, float, float, bool]] = []
+        for k, (lo, hi) in enumerate(self.bounds):
+            if lo is not None and hi is not None:
+                if lo > hi:
+                    raise ValueError(f"empty bound interval [{lo}, {hi}]")
+                if lo == hi:
+                    rows.append((k, d, 1.0, float(lo), True))
+                    continue
+            if lo is not None:
+                rows.append((k, d, 1.0, float(lo), False))
+            if hi is not None:
+                rows.append((k, d, -1.0, 0.0 - float(hi), False))
+        for i, j, lo, hi in self.difference_constraints:
+            if not (0 <= i < d and 0 <= j < d):
+                raise ValueError(f"difference constraint ({i}, {j}) outside variables 0..{d - 1}")
+            if i == j:
+                raise ValueError("difference constraint needs two distinct variables")
+            if lo > hi:
+                raise ValueError(f"empty difference interval [{lo}, {hi}]")
+            if lo == hi:
+                rows.append((i, j, 1.0, float(lo), True))
+                continue
+            rows.append((i, j, 1.0, float(lo), False))
+            rows.append((i, j, -1.0, 0.0 - float(hi), False))
+        columns = zip(*rows) if rows else ((),) * 5
+        types = (np.intp, np.intp, float, float, bool)  # i, j, sign, rhs, eq
+        arrays = (np.array(column, dtype=t) for column, t in zip(columns, types))
+        object.__setattr__(self, "rows", _Rows(*arrays))
+
+
+@dataclass(frozen=True)
+class QpSolution:
+    point: tuple[float, ...]
+    active_set: tuple[int, ...]  # indices into `problem.rows`
+    iterations: int
+    multipliers: tuple[float, ...] = ()  # aligned with active_set
 
 
 def _padded(point, d: int) -> np.ndarray:
@@ -129,20 +132,9 @@ def _padded(point, d: int) -> np.ndarray:
     return x
 
 
-def constraint_rows(problem: QpProblem):
-    """Flatten the problem into rows (normal, rhs, is_equality).
-
-    Every row reads normal . x >= rhs.  A two-sided constraint with lo < hi
-    yields two rows; lo == hi yields a single equality row.  Row order is
-    the public indexing used in ``QpSolution.active_set``.
-    """
-    rows = _row_arrays(problem)
-    d = len(problem.center)
-    normals = np.zeros((len(rows.rhs), d + 1))
-    at = np.arange(len(rows.rhs))
-    normals[at, rows.i] = rows.sign
-    normals[at, rows.j] = 0.0 - rows.sign
-    return list(zip(normals[:, :d], rows.rhs.tolist(), rows.eq.tolist()))
+def constraint_rows(problem: QpProblem) -> _Rows:
+    """The problem's rows, ``problem.rows``; ``len`` counts them."""
+    return problem.rows
 
 
 _NODE, _SIZE, _ROW, _SIGN = range(4)  # the fields of a tree, one array row each
@@ -357,10 +349,10 @@ def solve_active_set(problem: QpProblem) -> QpSolution:
     two entries only working rows drop.  The point it ends at is the unique
     projection; a tie only picks among optimal working sets.
     """
-    rows = _row_arrays(problem)
+    rows = problem.rows
     d = len(problem.center)
     x = _padded(problem.center, d)
-    n_rows = len(rows.rhs)
+    n_rows = len(rows)
     max_iter = max(100, 10 * n_rows**2)
     forest = _Forest(d)
     mults = np.zeros(n_rows)  # inequality ones kept >= 0
@@ -419,7 +411,7 @@ def solve_active_set(problem: QpProblem) -> QpSolution:
 
 def kkt_residual(problem: QpProblem, solution: QpSolution) -> float:
     """Worst violation among feasibility, stationarity and multiplier signs."""
-    rows = _row_arrays(problem)
+    rows = problem.rows
     d = len(problem.center)
     x = _padded(solution.point, d)
     slacks = rows.slacks(x)
@@ -439,7 +431,8 @@ def solve_dykstra(problem: QpProblem) -> QpSolution:
     """Dykstra's alternating projections onto the boxes and slabs.
 
     Used as an independent check of ``solve_active_set``; converges to the
-    same projection but only asymptotically.
+    same projection but only asymptotically.  It reports the point and the
+    sweep count, and no active set.
     """
     d = len(problem.center)
     x = np.array(problem.center, dtype=float)
@@ -470,11 +463,10 @@ def solve_dykstra(problem: QpProblem) -> QpSolution:
             break
     else:
         raise MaxIterations(f"Dykstra did not converge in {_DYKSTRA_MAX_SWEEPS} sweeps")
-    rows = _row_arrays(problem)
-    active = np.flatnonzero(rows.eq | (np.abs(rows.slacks(_padded(x, d))) <= 1e-8))
-    return QpSolution(tuple(x.tolist()), tuple(active.tolist()), sweeps)
+    return QpSolution(tuple(x.tolist()), (), sweeps)
 
 
 def problem_to_json(problem: QpProblem) -> str:
     """The problem as one line of JSON, for failure reports."""
-    return json.dumps(asdict(problem), sort_keys=True)
+    inputs = {f.name: getattr(problem, f.name) for f in fields(problem) if f.init}
+    return json.dumps(inputs, sort_keys=True)

@@ -5,12 +5,14 @@ from collections import Counter
 import pytest
 
 from conftest import FIXTURES, run_cli
-from llull import closures, ordering, pipeline, projection
+from llull import cli, closures, ordering, pipeline, projection
+from llull.ballots import Listed, Unlisted
 from llull.closures import Variant
 from llull.cli import EXIT_NOT_ADMISSIBLE, EXIT_NUMERICAL, EXIT_PARSE, EXIT_VERIFY, main
 from llull.matrix import read_matrix, write_matrix
 from llull.projection import project_details, turnout_qp
 from llull.qp import kkt_residual
+from llull.rates import RateFormula
 
 
 class TestHostileNumbers:
@@ -158,6 +160,25 @@ class TestRunCommand:
         doc = json.loads(r.stdout)
         assert doc["config"]["variant"] == "margin-based"
         assert doc["config"]["formula"] == "alt"
+
+    @pytest.mark.parametrize(
+        "flag, read, member",
+        [
+            pytest.param(flag, read, member, id=f"{flag}={member.value}")
+            for flag, read, values in (
+                ("--variant", lambda c: c.variant, Variant),
+                ("--listed-vs-unlisted", lambda c: c.rules.listed_vs_unlisted, Listed),
+                ("--unlisted-pair", lambda c: c.rules.unlisted_pair, Unlisted),
+                ("--formula", lambda c: c.formula, RateFormula),
+            )
+            for member in values
+        ],
+    )
+    def test_every_option_value_reaches_the_config(self, monkeypatch, flag, read, member):
+        configs = []
+        monkeypatch.setattr(cli, "run", lambda text, config: configs.append(config) or "")
+        assert main(["run", flag, member.value, str(FIXTURES / "royal1652.ballots")]) == 0
+        assert read(configs[0]) is member
 
     def test_interpretation_rule_flags(self, tmp_path):
         f = tmp_path / "b.ballots"
@@ -322,6 +343,14 @@ class TestVerifyCommand:
     @pytest.mark.parametrize("cases", ["-3", "-1"])
     def test_negative_case_count_is_refused(self, cases):
         r = run_cli("verify", "--suite", "paths", "--cases", cases)
+        assert r.returncode == EXIT_PARSE
+        assert r.stdout == ""
+        assert "--cases" in r.stderr
+
+    @pytest.mark.parametrize("suite", ["paths", "all"])
+    def test_zero_cases_without_input_is_refused(self, suite):
+        # With --input, zero cases still checks the file alone.
+        r = run_cli("verify", "--suite", suite, "--cases", "0")
         assert r.returncode == EXIT_PARSE
         assert r.stdout == ""
         assert "--cases" in r.stderr

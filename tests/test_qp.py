@@ -22,7 +22,6 @@ from llull.qp import (
     QpSolution,
     _Forest,
     _padded,
-    _row_arrays,
     constraint_rows,
     kkt_residual,
     problem_to_json,
@@ -48,6 +47,16 @@ def matrix_problem(matrix) -> QpProblem:
     vm = variant_margins(indirect_scores(matrix.w, matrix.den, Variant.MAIN))
     xi = admissible_order(vm, matrix.candidates)
     return turnout_qp(turnouts(matrix.w), intermediate_margins(vm, xi))
+
+
+def profile_problem(n: int, n_ballots: int) -> QpProblem:
+    """The turnout program of ``ProfileGenerator(truncation=0.8, seed=1)``
+    case 0 with n candidates and n_ballots ballots."""
+    gen = ProfileGenerator(
+        n_candidates=(n, n), n_ballots=(n_ballots, n_ballots), truncation=0.8, seed=1
+    )
+    candidates, ballots = gen.profile(0)
+    return matrix_problem(aggregate(ballots, InterpretationRules(), candidates))
 
 
 def royal_problem(royal_text) -> QpProblem:
@@ -102,7 +111,7 @@ def reference_kkt_residual(problem: QpProblem, solution) -> float:
 
 def dense_row_arrays(problem: QpProblem) -> list[tuple[list[float], float, bool]]:
     """The solver's row arrays, expanded to dense rows."""
-    rows = _row_arrays(problem)
+    rows = problem.rows
     d = len(problem.center)
     out = []
     for i, j, sign, rhs, eq in zip(rows.i, rows.j, rows.sign, rows.rhs, rows.eq):
@@ -255,22 +264,26 @@ class TestTallyScale:
         assert solve_active_set(problem) == first
 
     def test_fifty_candidate_tally_program(self):
-        gen = ProfileGenerator(n_candidates=(50, 50), n_ballots=(500, 500), truncation=0.8, seed=1)
-        candidates, ballots = gen.profile(0)
-        problem = matrix_problem(aggregate(ballots, InterpretationRules(), candidates))
+        problem = profile_problem(50, 500)
         assert len(problem.center) == 50 * 49 // 2
         first = solve_active_set(problem)
         assert kkt_residual(problem, first) <= 1e-9
         assert solve_active_set(problem) == first
 
+    @pytest.mark.parametrize("n, n_ballots, n_rows", [(20, 2000, 614), (50, 500, 3890)])
+    def test_rows_of_a_tally_program(self, n, n_ballots, n_rows):
+        # The benchmark counts a program's rows as len(constraint_rows(p)),
+        # and every row the solver reports active holds with equality.
+        problem = profile_problem(n, n_ballots)
+        assert len(constraint_rows(problem)) == problem.rows.rhs.size == n_rows
+        solution = solve_active_set(problem)
+        slacks = problem.rows.slacks(_padded(solution.point, len(problem.center)))
+        assert np.abs(slacks[list(solution.active_set)]).max() <= 1e-9
+
     @pytest.mark.parametrize("n, seed", [(20, 0), (20, 1), (30, 2)])
     def test_row_arrays_match_reference(self, n, seed):
         problem = matrix_problem(random_matrix(random.Random(seed), n))
-        reference = reference_rows(problem)
-        assert dense_row_arrays(problem) == reference
-        assert [
-            (a.tolist(), b, eq) for a, b, eq in constraint_rows(problem)
-        ] == reference
+        assert dense_row_arrays(problem) == reference_rows(problem)
 
 
 class TestForest:
@@ -400,7 +413,7 @@ def assert_layout(forest: _Forest, rows) -> None:
 
 def first_spanning_rows(problem: QpProblem) -> list[int]:
     """The equality rows that close no cycle with the rows before them."""
-    rows = _row_arrays(problem)
+    rows = problem.rows
     parts = [{v} for v in range(len(problem.center) + 1)]
     spanning = []
     for r in np.flatnonzero(rows.eq).tolist():
@@ -492,7 +505,7 @@ class TestEqualityInstall:
         dependent = zero_trees = 0
         for seed in range(40):
             problem = equality_dense_problem(random.Random(seed))
-            rows = _row_arrays(problem)
+            rows = problem.rows
             eq = np.flatnonzero(rows.eq)
             d = len(problem.center)
             forest = _Forest(d)
@@ -510,9 +523,7 @@ class TestRows:
     @pytest.mark.parametrize("seed", range(10))
     def test_row_order_and_residual_match_loop_reference(self, seed):
         problem = random_feasible_problem(random.Random(seed))
-        reference = reference_rows(problem)
-        assert dense_row_arrays(problem) == reference
-        assert [(a.tolist(), b, eq) for a, b, eq in constraint_rows(problem)] == reference
+        assert dense_row_arrays(problem) == reference_rows(problem)
         solution = solve_active_set(problem)
         assert kkt_residual(problem, solution) == pytest.approx(
             reference_kkt_residual(problem, solution), abs=1e-15
@@ -530,7 +541,7 @@ class TestRows:
 
     def test_no_rows(self):
         problem = QpProblem((1.0, -2.0))
-        assert constraint_rows(problem) == []
+        assert len(constraint_rows(problem)) == 0
         solution = solve_active_set(problem)
         assert solution.point == (1.0, -2.0)
         assert kkt_residual(problem, solution) == 0.0
@@ -564,4 +575,9 @@ class TestJson:
         problem = QpProblem(
             (1.0, 2.0), ((0.0, None), (None, None)), ((0, 1, -1.0, 0.5),)
         )
-        assert problem_from_json(problem_to_json(problem)) == problem
+        text = problem_to_json(problem)
+        assert problem_from_json(text) == problem
+        assert hash(problem_from_json(text)) == hash(problem)
+        # The rows are derived: no report, comparison or repr shows them.
+        assert sorted(json.loads(text)) == ["bounds", "center", "difference_constraints"]
+        assert "rows" not in repr(problem)
