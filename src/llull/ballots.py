@@ -379,58 +379,59 @@ class _Weights:
 
 
 def _utf8(text: str) -> bytes:
-    """UTF-8 bytes of ``text``; a lone surrogate, which a string built in
-    code may hold and the tokenizer reads as any other character, is
-    encoded as well."""
+    """UTF-8 bytes of ``text``, a lone surrogate included: a string built in
+    code may hold one, and the tokenizer reads it as any other character."""
     return text.encode("utf-8", "surrogatepass")
 
 
-class _NameTrie:
-    """The candidate names as a byte trie, walked one byte column at a time
-    for many name segments at once.
-
-    State 0 is the root.  The transition on byte b out of state s is stored
-    under the key ``256 * s + b`` in the sorted ``keys``, its target at the
-    same place in ``targets``, so the trie takes memory in proportion to the
-    names' total bytes.  ``final[s]`` is the candidate whose name ends at
-    state s, or -1.
-    """
+class _NameTable:
+    """The candidate names packed into words, for looking up many name
+    segments at once: ``table[key % mod]`` is the one candidate a segment
+    with that ``pack`` key may spell, and it does when its length and words
+    equal the name's.  ``mod`` is the first of the 64 numbers from n² on that
+    gives each name key its own slot; where none does, a name may lose its
+    slot, and its lines go to the tokenizer."""
 
     def __init__(self, names: Sequence[str]):
         spelled = [_utf8(name) for name in names]
-        edges: dict[int, int] = {}
-        ends = []
-        for name in spelled:
-            state = 0
-            for byte in name:
-                state = edges.setdefault(256 * state + byte, len(edges) + 1)
-            ends.append(state)
-        self.n = len(spelled)
-        self.width = max(map(len, spelled))
-        keys = sorted(edges)
-        # A last key above every lookup keeps each search inside the arrays.
-        self.keys = np.array(keys + [np.iinfo(np.int64).max], dtype=np.int64)
-        self.targets = np.array([edges[key] for key in keys] + [-1], dtype=np.int64)
-        self.final = np.full(len(edges) + 1, -1, dtype=np.int64)
-        self.final[ends] = np.arange(self.n)
+        self.n, self.words = len(spelled), -(-max(map(len, spelled)) // 7)
+        # masks[k] keeps k bytes of a word; a count below 0 reads a trailing 0.
+        self.masks = np.array([256**k - 1 for k in range(8)] + [0] * 7 * self.words, np.uint64)
+        self.lengths = np.array(list(map(len, spelled)), dtype=np.intp)
+        data = np.frombuffer(b"".join(spelled), dtype=np.uint8)
+        self.packed, key = self.pack(data, np.cumsum(self.lengths) - self.lengths, self.lengths)
+        keys, mods = key.tolist(), range(self.n**2, self.n**2 + 64)
+        self.mod = next((m for m in mods if len({k % m for k in keys}) == self.n), mods[0])
+        # An empty slot's -1 reads the last name, which no segment there spells.
+        self.table = np.full(self.mod, -1, dtype=np.intp)
+        self.table[key % np.uint64(self.mod)] = np.arange(self.n)
 
-    def walk(self, data: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-        """The candidate spelled by each segment ``data[start : start +
-        length]`` of the byte array, or -1 where the segment spells none."""
-        state = np.zeros(len(starts), dtype=np.int64)
-        state[lengths > self.width] = -1
-        for column in range(self.width):
-            live = np.flatnonzero((lengths > column) & (state >= 0))
-            if not live.size:
-                break
-            key = 256 * state[live] + data[starts[live] + column]
-            at = np.searchsorted(self.keys, key)
-            state[live] = np.where(self.keys[at] == key, self.targets[at], -1)
-        return np.where(state >= 0, self.final[state], -1)
+    def pack(self, data: np.ndarray, starts: np.ndarray, lengths: np.ndarray):
+        """Each segment ``data[start : start + length]`` as ``words`` words of
+        7 bytes, zero past its end, and its key: its length in the first
+        word's free top byte, and each later word mixed in with wraparound."""
+        padded = np.concatenate((data, np.zeros(7 * self.words + 1, dtype=np.uint8)))
+        # Element i holds the 8 bytes from padded[i] on.
+        at = np.ndarray((padded.size - 7,), dtype="<u8", buffer=padded, strides=(1,))
+        packed = [at[starts + 7 * w] & self.masks[np.minimum(lengths - 7 * w, 7)]
+                  for w in range(self.words)]
+        key = lengths.astype(np.uint64) << np.uint64(56) | packed[0]
+        for word in packed[1:]:
+            key = key * np.uint64(0x9E3779B97F4A7C15) ^ word
+        return packed, key
+
+    def find(self, data: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+        """The candidate each segment ``data[start : start + length]`` spells, or -1."""
+        packed, key = self.pack(data, starts, lengths)
+        cand = self.table[key % np.uint64(self.mod)]
+        spells = self.lengths[cand] == lengths
+        for name_word, word in zip(self.packed, packed):
+            spells &= name_word[cand] == word
+        return np.where(spells, cand, -1)
 
 
 def _plain_rows(
-    texts: Sequence[str], trie: _NameTrie, weights: _Weights
+    texts: Sequence[str], names: _NameTable, weights: _Weights
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Rank rows, group counts and weight ids of the plain lines among
     ``texts``, read in bulk as one UTF-8 byte array.
@@ -439,7 +440,7 @@ def _plain_rows(
     its body kept; every body is stripped.  The bodies are joined by
     newlines and encoded once.  Separators are ASCII and a multi-byte UTF-8
     sequence holds only bytes of 0x80 and above, so every ``>``, ``=`` and
-    newline byte ends a name segment; ``_NameTrie.walk`` resolves all the
+    newline byte ends a name segment; ``_NameTable.find`` resolves all the
     segments together.  The separator after each name ends its group
     (``>``), continues it (``=``) or ends its line (newline).
 
@@ -448,7 +449,7 @@ def _plain_rows(
     or empty name, inner space of any kind, ``/`` or ``:``), a repeated
     name, or a weight the bulk step does not read.
     """
-    m, n = len(texts), trie.n
+    m, n = len(texts), names.n
     if not m:
         return np.empty((0, n), np.int16), np.empty(0, np.int16), np.empty(0, np.int64)
     bodies = list(texts)
@@ -460,7 +461,7 @@ def _plain_rows(
     data = np.frombuffer(_utf8("\n".join(map(str.strip, bodies)) + "\n"), dtype=np.uint8)
     ends = np.flatnonzero((data == _GT) | (data == _EQ) | (data == _NL))
     starts = np.concatenate(([0], ends[:-1] + 1))
-    cand = trie.walk(data, starts, ends - starts)
+    cand = names.find(data, starts, ends - starts)
     seps = data[ends]
     last, gt = seps == _NL, seps == _GT
     line = np.cumsum(last) - last
@@ -579,20 +580,19 @@ def read_ballot_file(text: str) -> tuple[CandidateSet, BallotTable]:
             raise MalformedSyntax("no candidates found", 1, 1)
         candidates = CandidateSet(dict.fromkeys(names))
 
-    n = len(candidates)
-    trie = _NameTrie(candidates.names)
+    name_table = _NameTable(candidates.names)
     weights = _Weights()
     blocks = []
     # One block at least, so that a file without ballots has its empty arrays.
     for start in range(0, len(texts) or 1, _BLOCK):
         block = texts[start : start + _BLOCK]
-        ranks, groups, ids = _plain_rows(block, trie, weights)
+        ranks, groups, ids = _plain_rows(block, name_table, weights)
         left = np.flatnonzero(ids < 0)
         parsed = [
             parse_ballot_line(block[i], candidates, line)
             for i, line in zip(left.tolist(), (firsts[start + left] + skip + 1).tolist())
         ]
-        ranks[left], groups[left], ids[left] = _ballot_rows(parsed, n, weights)
+        ranks[left], groups[left], ids[left] = _ballot_rows(parsed, name_table.n, weights)
         blocks.append((ranks, groups, ids))
     ranks, groups, ids = map(np.concatenate, zip(*blocks))
     return candidates, BallotTable(

@@ -1,12 +1,15 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import FIXTURES
 from llull.ballots import (
     _NAME,
     Ballot,
+    BallotTable,
     CandidateSet,
     InterpretationRules,
     Listed,
@@ -14,7 +17,8 @@ from llull.ballots import (
     _plain_rows,
     _rank_row,
     _tokenize,
-    _NameTrie,
+    _utf8,
+    _NameTable,
     _Weights,
     ballot_to_pairwise,
     parse_ballot_line,
@@ -180,7 +184,7 @@ def bulk_row(text, cands):
     """The bulk step's rank row, group count and weight of one line, or
     None when it leaves the line to the tokenizer."""
     weights = _Weights()
-    ranks, groups, ids = _plain_rows([text], _NameTrie(cands.names), weights)
+    ranks, groups, ids = _plain_rows([text], _NameTable(cands.names), weights)
     if ids[0] < 0:
         return None
     return ranks[0].tolist(), int(groups[0]), weights.fractions[ids[0]]
@@ -246,12 +250,63 @@ class TestPlainLines:
         # middle of a block leaves its neighbours' rows alone.
         texts = ["a>b=c", "c>z", "b", "3: c=a>b", "a>b>a", "1/2: c>a"]
         weights = _Weights()
-        ranks, groups, ids = _plain_rows(texts, _NameTrie(ABC.names), weights)
+        ranks, groups, ids = _plain_rows(texts, _NameTable(ABC.names), weights)
         assert ids.tolist() == [0, -1, 0, 1, -1, 2]
         assert weights.fractions == [1, 3, Fraction(1, 2)]
         taken = [0, 2, 3, 5]
         assert ranks[taken].tolist() == [[0, 1, 1], [1, 0, 1], [0, 1, 0], [1, 2, 0]]
         assert groups[taken].tolist() == [2, 1, 2, 2]
+
+
+# Characters of one to four UTF-8 bytes, a lone surrogate and a NUL byte.
+NAME_CHARS = ["a", "b", "\x00", "\u00e9", "\u5019", "\ud800", "\U0001f600"]
+# Prefixes of exactly 7 bytes, one packed word.
+WORD_PREFIXES = ["abcdefg", "\u5019\u5019a", "ab\u00e9\u00e9b"]
+
+
+@st.composite
+def spelled_names(draw, prefix=""):
+    """A name of 1-30 UTF-8 bytes, often 6, 7, 8, 14 or 15, at the ends of
+    the 7-byte words; it starts with ``prefix`` where that fits."""
+    size = draw(st.one_of(st.sampled_from([6, 7, 8, 14, 15]), st.integers(1, 30)))
+    name = prefix if len(_utf8(prefix)) <= size else ""
+    while len(_utf8(name)) < size:
+        char = draw(st.sampled_from(NAME_CHARS))
+        name += char if len(_utf8(name + char)) <= size else "a"
+    return name
+
+
+@st.composite
+def names_and_segments(draw):
+    """Distinct names, some sharing their first 7 bytes, and segments: the
+    names, the names cut or extended by one character, empty segments,
+    5000-byte ones and other text."""
+    prefix = draw(st.sampled_from(WORD_PREFIXES))
+    names = draw(st.lists(st.one_of(spelled_names(prefix), spelled_names()),
+                          min_size=1, max_size=12, unique=True))
+    segment = st.one_of(
+        st.sampled_from(names),
+        st.sampled_from(names).map(lambda name: name[:-1]),
+        st.tuples(st.sampled_from(names), st.sampled_from(NAME_CHARS)).map("".join),
+        st.sampled_from(["", "a" * 5000, prefix + "\x00" * 4993]),
+        st.text(st.sampled_from(NAME_CHARS), max_size=30),
+    )
+    return names, draw(st.lists(segment, max_size=40))
+
+
+@given(names_and_segments())
+@example((["abcdef", "abcdefg", "abcdefgh", "abcdefghijklmn", "abcdefghijklmno"],
+          ["abcdefg", "abcdefgh", "abcdefghijklm", "abcdefghijklmno", "abcdefghijklmnop", ""]))
+@example((["a\x00", "a", "\ud800"], ["a", "a\x00", "a\x00\x00", "\x00", "\ud800", "a" * 5000]))
+@settings(max_examples=300, deadline=None)
+def test_name_lookup_agrees_with_a_dict(case):
+    names, segments = case
+    index = {_utf8(name): i for i, name in enumerate(names)}
+    data = np.frombuffer(_utf8("".join(s + "\n" for s in segments)), dtype=np.uint8)
+    ends = np.flatnonzero(data == ord("\n"))
+    lengths = np.array([len(_utf8(s)) for s in segments], dtype=np.intp)
+    found = _NameTable(names).find(data, ends - lengths, lengths)
+    assert found.tolist() == [index.get(_utf8(s), -1) for s in segments]
 
 
 MIXED = CandidateSet(MIXED_NAMES)
@@ -345,6 +400,31 @@ def test_file_parse_agrees_with_the_tokenizer(text):
     assert file_outcome(read_ballot_file, text) == expected
     if isinstance(expected[0], CandidateSet):
         assert read_ballot_file(text)[1].ballots() == read_line_by_line(text)[1]
+
+
+@pytest.mark.parametrize(
+    "names, text",
+    [
+        (MIXED_NAMES, "a>b=\u00e9\n\u5019\u88dc>ab>00\n2: 7=c\nab\n"),
+        # Names alike in their first 7-byte word and in their length.
+        (["abcdefgh", "abcdefgi", "abcdefghijklmnop", "abcdefghijklmnoq"],
+         "abcdefgi>abcdefgh\nabcdefghijklmnoq=abcdefgi\nabcdefghijklmnop\n"),
+    ],
+)
+def test_names_sharing_a_key_leave_their_lines_to_the_tokenizer(monkeypatch, names, text):
+    # With every key 0 the names share one slot, which one of them keeps; a
+    # line naming any other goes to the tokenizer and reads the same.
+    pack = _NameTable.pack
+
+    def zero_keys(self, data, starts, lengths):
+        packed, key = pack(self, data, starts, lengths)
+        return packed, np.zeros_like(key)
+
+    monkeypatch.setattr(_NameTable, "pack", zero_keys)
+    cands = CandidateSet(names)
+    assert [bulk_row(name, cands) is not None for name in names].count(True) == 1
+    text = "candidates: " + " ".join(names) + "\n" + text
+    assert file_outcome(read_ballot_file, text) == file_outcome(read_line_by_line, text)
 
 
 class TestPairwise:
@@ -494,6 +574,27 @@ class TestBallotFile:
         text = "b>a # c\n2: d>b\n/e>a\n1/2: a/>f\n"
         cands, _ = read_ballot_file(text)
         assert cands.names == ("b", "a", "d", "e", "f")
+
+    def test_long_names_read_as_the_tokenizer_reads_them(self):
+        text = (FIXTURES / "long_names.ballots").read_text(encoding="utf-8")
+        lines = [line.split("#", 1)[0] for line in text.splitlines()]
+        header = next(i for i, line in enumerate(lines) if line.strip())
+        cands = CandidateSet(lines[header].split()[1:])
+        ballots = [parse_ballot_line(line, cands, i + 1)
+                   for i, line in enumerate(lines) if i > header and line.strip()]
+
+        def expanded(table):
+            order = table.order
+            weights = [table.weights[i] for i in table.weight_ids[order].tolist()]
+            return table.ranks[order].tolist(), table.groups[order].tolist(), weights
+
+        read_cands, table = read_ballot_file(text)
+        assert read_cands == cands
+        assert expanded(table) == expanded(BallotTable.from_ballots(ballots, cands))
+        assert table.ballots() == ballots
+        # Both paths are taken: four kinds are left to the tokenizer.
+        _, _, ids = _plain_rows(list(table.kinds), _NameTable(cands.names), _Weights())
+        assert np.count_nonzero(ids < 0) == 4
 
     def test_repeated_lines_share_one_ballot(self):
         cands, table = read_ballot_file("a>b\n2: b\na>b # again\na>b\n")

@@ -1,11 +1,13 @@
 import functools
 import json
+import subprocess
+import sys
 from collections import Counter
 
 import pytest
 
 from conftest import FIXTURES, run_cli
-from llull import cli, closures, ordering, pipeline, projection
+from llull import cli, closures, ordering, pipeline, projection, verify
 from llull.ballots import Listed, Unlisted
 from llull.closures import Variant
 from llull.cli import EXIT_NOT_ADMISSIBLE, EXIT_NUMERICAL, EXIT_PARSE, EXIT_VERIFY, main
@@ -385,6 +387,25 @@ class TestVerifyCommand:
         assert r.returncode == 0, r.stdout + r.stderr
         assert r.stderr == ""
         assert "FAILED" not in r.stdout
+
+    def test_a_suite_the_file_does_not_apply_to_is_skipped(self):
+        r = run_cli("verify", "--suite", "all", "--cases", "0",
+                    "--input", str(FIXTURES / "royal1652.ballots"))
+        assert r.returncode == 0, r.stderr
+        lines = r.stdout.splitlines()
+        assert "qp-agreement: skipped, does not apply to the file" in lines
+        assert "condorcet-smith: 1 cases, ok" in lines
+        assert not any("0 cases" in line for line in lines)
+
+    def test_suite_choices_are_the_suites(self):
+        command = next(a for a in cli.build_parser()._actions if a.dest == "command")
+        suite = next(a for a in command.choices["verify"]._actions if a.dest == "suite")
+        assert suite.choices == ["all", *verify.SUITES]
+
+    def test_importing_the_cli_leaves_the_suites_unloaded(self):
+        probe = "import llull.cli, sys; print(sorted(set(sys.modules) & {'llull.verify', 'llull.generate'}))"
+        r = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True)
+        assert r.stdout == "[]\n"
 
 
 # Each stage under the name its caller looks it up by; the margin completion
