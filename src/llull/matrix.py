@@ -230,7 +230,11 @@ def margins(w: np.ndarray) -> np.ndarray:
 # read as "*", an empty cell or any zero.
 
 
-def read_matrix(text: str) -> LlullMatrix:
+def read_matrix(text: str, total_voters: Fraction | None = None) -> LlullMatrix:
+    """The matrix of a CSV text.  A given ``total_voters`` replaces the
+    file's voter total, which must still be readable.  A file's total that
+    a turnout exceeds raises ``MatrixFormatError`` at its line, a given one
+    ``TotalVotersTooSmall``."""
     header: tuple[str, ...] | None = None
     total, total_line = Fraction(1), None
     rows: list[list[int | Fraction]] = []
@@ -296,6 +300,8 @@ def read_matrix(text: str) -> LlullMatrix:
             f"expected {len(header)} rows, found {len(rows)}", row_lines[-1] if row_lines else 1
         )
     counts, den = _over_common_denominator(rows)
+    if total_voters is not None:
+        return LlullMatrix.from_absolute(candidates, counts, den, total_voters)
     try:
         return LlullMatrix.from_absolute(candidates, counts, den, total)
     except TotalVotersTooSmall as exc:

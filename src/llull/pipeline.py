@@ -54,14 +54,7 @@ def tally(
 def load_input(text: str, config: RunConfig) -> LlullMatrix:
     """Interpret input text per the config: score matrix or ballot file."""
     if config.matrix_input:
-        matrix = read_matrix(text)
-        if config.total_voters is not None:
-            p, q = matrix.total.as_integer_ratio()  # counts are w * p over den * q
-            counts = matrix.w.astype(object) * p
-            matrix = LlullMatrix.from_absolute(
-                matrix.candidates, counts, matrix.den * q, config.total_voters
-            )
-        return matrix
+        return read_matrix(text, config.total_voters)
     candidates, table = read_ballot_file(text)
     return aggregate(table, config.rules, candidates, config.total_voters)
 

@@ -29,7 +29,7 @@ from .closures import (
 )
 from .errors import LawViolation
 from .matrix import LlullMatrix, turnouts
-from .ordering import AdmissibleOrder, admissible_order
+from .ordering import AdmissibleOrder, _check_admissible, admissible_order
 from .qp import QpProblem, QpSolution, solve_active_set
 
 # Float slack of the laws checked after the turnout program.
@@ -120,14 +120,16 @@ def build_intervals(pt: ProjectedTurnouts, im: IntermediateMargins) -> np.ndarra
     sits inside [0, 1], consecutive ones overlap, and centers do not
     increase along the order.  The first failure in order of position is
     raised, the range law at a position before the overlap law that ends
-    there.
+    there.  lo <= hi holds exactly, as the margins m along an admissible
+    order are >= 0, so fl(tau - m) <= fl(tau + m).  A NaN end fails the
+    range law.
     """
     tau = np.diagonal(pt.tsigma, 1)
     m = np.array([margin / im.den for margin in im.superdiagonal], dtype=float)
     intervals = np.stack(((tau - m) / 2.0, (tau + m) / 2.0), axis=1)
     lo, hi = intervals.T
     center = (lo + hi) / 2.0
-    ranged = (lo < -LAW_TOL) | (hi > 1 + LAW_TOL) | (lo > hi + LAW_TOL)
+    ranged = ~((lo >= -LAW_TOL) & (hi <= 1 + LAW_TOL))
     overlap = np.zeros_like(ranged)
     overlap[1:] = (hi[1:] < lo[:-1] - LAW_TOL) | (center[1:] > center[:-1] + LAW_TOL)
     fails = ranged | overlap
@@ -152,13 +154,21 @@ class ProjectedMatrix:
         return len(self.pi)
 
     def check_structure(self) -> None:
-        """Assert the structural inequalities of the projected matrix.
+        """Assert the laws of the projected matrix the float step can break.
 
         Every law is one float expression per index pair or triple,
         evaluated for all of them at once with numpy broadcasts.  When laws
         fail, the message is that of the first failure in the order of a
         loop over the law groups below, then over their indices, then over
         the laws of the group.
+
+        The other laws are decided before it runs.  The order law holds as
+        each upper score is the largest ``hi`` of some intervals and each
+        lower score the smallest ``lo`` of the same ones.  The [0, 1] range
+        of the upper scores follows from the range law of
+        ``build_intervals``.  The chain maximum and minimum laws are
+        identities of the running extrema of ``projected_scores``.  The
+        absolute-margin triangle law follows from margin subadditivity.
         """
         tol = LAW_TOL
         seq = np.array(self.order.sequence, dtype=np.intp)
@@ -170,35 +180,24 @@ class ProjectedMatrix:
         c = pi.T[seq]
         mg_r = r - c  # margin(x, z)
         to_r = r + c  # turnout(x, z)
-        # The same by order position on both axes: p[i, j] = pi[x][y] for
-        # x, y = seq[i], seq[j].
-        p, pt, mg, to = r[:, seq], c[:, seq], mg_r[:, seq], to_r[:, seq]
+        # The same by order position on both axes: mg[i, j] is the margin
+        # of x, y = seq[i], seq[j].
+        mg, to = mg_r[:, seq], to_r[:, seq]
         pos = np.arange(n)
         before = pos[:, None] < pos[None, :]
 
-        # Pairs x before y.
-        order = p < pt - tol
-        admissible = ~((-tol <= p) & (p <= 1 + tol)) | (to > 1 + tol)
-        _raise_first(
-            (order | admissible) & before,
-            (order, "order law fails: projected scores disagree with the order"),
-            (admissible, "admissibility law fails: projected scores left the admissible set"),
-        )
+        # Pairs x before y: the turnout half of admissibility.
+        if (before & (to > 1 + tol)).any():
+            raise LawViolation("admissibility law fails: projected scores left the admissible set")
 
         # Triples x before y before z, as [i, j, k]: the entries at (i, j),
         # (j, k) and (i, k) broadcast from [:, :, None], [None] and [:, None, :].
-        xy, yz, xz = p[:, :, None], p[None], p[:, None, :]
-        chain_max = np.abs(xz - np.where(yz > xy, yz, xy)) > tol
-        zy, yx, zx = pt[None], pt[:, :, None], pt[:, None, :]
-        chain_min = np.abs(zx - np.where(yx < zy, yx, zy)) > tol
         subadditive = mg[:, None, :] > mg[:, :, None] + mg[None] + tol
         increment = (to[:, None, :] - to[None] > mg[:, :, None] + tol) | (
             to[:, :, None] - to[:, None, :] > mg[None] + tol
         )
         _raise_first(
-            (chain_max | chain_min | subadditive | increment) & before[:, :, None] & before[None],
-            (chain_max, "chain maximum law fails"),
-            (chain_min, "chain minimum law fails"),
+            (subadditive | increment) & before[:, :, None] & before[None],
             (subadditive, "margin subadditivity law fails"),
             (increment, "turnout increment law fails"),
         )
@@ -219,11 +218,6 @@ class ProjectedMatrix:
             (monotone, "row or column monotonicity law fails"),
             (spread, "tie propagation law fails"),
         )
-
-        # Any three candidates; a repeated index never fails here.
-        size = np.abs(mg)
-        if (size[:, None, :] > size[:, :, None] + size[None] + tol).any():
-            raise LawViolation("absolute margins break the triangle law")
 
 
 def _raise_first(fails: np.ndarray, *laws: tuple[np.ndarray, str]) -> None:
@@ -288,14 +282,18 @@ def project_details(
     and intervals, then check the laws of the projected scores.
 
     The margin-based variant runs every step on the margin-completed matrix.
-    ``xi`` fixes the admissible order; by default it is sorted by Copeland
-    rank.
+    ``xi``, checked to be an admissible permutation of the candidates, fixes
+    the order; by default it is sorted by Copeland rank.
     """
     effective = margin_completion(matrix) if variant is Variant.MARGIN_BASED else matrix
     scores = indirect_scores(effective.w, effective.den, variant)
     vm = variant_margins(scores)
     if xi is None:
         xi = admissible_order(vm, matrix.candidates)
+    elif sorted(xi.sequence) != list(range(matrix.n)):
+        raise ValueError(f"order {xi.sequence} is not a permutation of the {matrix.n} candidates")
+    else:
+        _check_admissible(xi.sequence, vm, matrix.candidates)
     im = intermediate_margins(vm, xi)
     t = turnouts(effective.w)
     pt = project_turnouts(t, im)

@@ -103,7 +103,17 @@ class TestRunCommand:
         f.write_text("a,b,c\nV=4\n*,2,1\n1,*,0\n0,1,*\n")
         r = run_cli("run", "--matrix", "--total-voters", "2", str(f))
         assert r.returncode == EXIT_PARSE
-        assert "pair (a, b) has absolute turnout 3 > V = 2" in r.stderr
+        assert r.stderr == "error: pair (a, b) has absolute turnout 3 > V = 2\n"
+
+    @pytest.mark.parametrize("total_line", ["", "V=4\n"], ids=["no-total", "total-below-a-turnout"])
+    def test_total_voters_replaces_the_file_total(self, tmp_path, total_line):
+        given = tmp_path / "given.csv"
+        given.write_text(f"a,b,c\n{total_line}*,6,2\n6,*,3\n1,2,*\n")
+        written = tmp_path / "written.csv"
+        written.write_text("a,b,c\nV=20\n*,6,2\n6,*,3\n1,2,*\n")
+        r = run_cli("run", "--matrix", "--total-voters", "20", str(given))
+        assert (r.returncode, r.stderr) == (0, "")
+        assert r.stdout == run_cli("run", "--matrix", str(written)).stdout
 
     def test_negative_matrix_entry_reported_where_written(self, tmp_path):
         f = tmp_path / "m.csv"

@@ -1,19 +1,27 @@
+import ast
+import inspect
 import random
+import re
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
+from typing import NamedTuple
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import fractions
 from llull.ballots import CandidateSet, InterpretationRules, read_ballot_file
 from llull.closures import Variant, indirect_scores, variant_margins
-from llull.errors import LawViolation, LlullError
+from llull import projection
+from llull.errors import LawViolation, LlullError, NotAdmissible
 from llull.generate import candidate_names, random_matrix
 from llull.matrix import LlullMatrix, aggregate, turnouts
 from llull.ordering import AdmissibleOrder, admissible_order
 from llull.projection import (
     LAW_TOL,
+    IntermediateMargins,
     ProjectedMatrix,
     ProjectedTurnouts,
     build_intervals,
@@ -129,23 +137,36 @@ class TestProjectedTurnouts:
                 )
 
 
-def build_intervals_loop(pt, im):
-    """Reference for ``build_intervals``: one interval at a time, each law
-    checked as soon as its interval is built."""
-    tol = LAW_TOL
+def intervals_loop(pt, im):
+    """Reference for the intervals of ``build_intervals``, one at a time."""
     out = []
     for i, margin in enumerate(im.superdiagonal):
         tau = float(pt.tsigma[i, i + 1])
         m = margin / im.den
-        lo, hi = (tau - m) / 2.0, (tau + m) / 2.0
-        if lo < -tol or hi > 1 + tol or lo > hi + tol:
-            raise LawViolation(f"interval range law fails: interval {i} is [{lo}, {hi}]")
-        if i > 0:
-            prev_lo, prev_hi = out[-1]
-            if hi < prev_lo - tol or (lo + hi) / 2.0 > (prev_lo + prev_hi) / 2.0 + tol:
-                raise LawViolation(f"intervals {i - 1} and {i} violate the overlap law")
-        out.append([lo, hi])
+        out.append([(tau - m) / 2.0, (tau + m) / 2.0])
     return out
+
+
+def interval_law_failures(intervals):
+    """Reference for the laws of ``build_intervals``: the message of every
+    failure, in loop order, each law checked as soon as its interval is
+    reached."""
+    tol = LAW_TOL
+    for i, (lo, hi) in enumerate(intervals):
+        if not (lo >= -tol and hi <= 1 + tol):
+            yield f"interval range law fails: interval {i} is [{lo}, {hi}]"
+        if i > 0:
+            prev_lo, prev_hi = intervals[i - 1]
+            if hi < prev_lo - tol or (lo + hi) / 2.0 > (prev_lo + prev_hi) / 2.0 + tol:
+                yield f"intervals {i - 1} and {i} violate the overlap law"
+
+
+def build_intervals_loop(pt, im):
+    """Reference for ``build_intervals``: the intervals, or the first failure."""
+    intervals = intervals_loop(pt, im)
+    for message in interval_law_failures(intervals):
+        raise LawViolation(message)
+    return intervals
 
 
 def interval_outcome(pt, im, build):
@@ -162,6 +183,21 @@ def with_superdiagonal(details, taus):
     k = np.arange(len(taus))
     tsigma[k, k + 1] = tsigma[k + 1, k] = taus
     return ProjectedTurnouts(tsigma, details.pt.solution)
+
+
+def superdiagonal_stages(taus, margins, den, sequence):
+    """Projected turnouts and rectangle margins whose only entries are the
+    superdiagonal turnouts ``taus`` and margins ``margins`` over ``den``,
+    along the order ``sequence``."""
+    n = len(sequence)
+    k = np.arange(n - 1)
+    tsigma = np.zeros((n, n))
+    tsigma[k, k + 1] = tsigma[k + 1, k] = taus
+    msigma = np.zeros((n, n), dtype=np.int64)
+    msigma[k, k + 1] = margins
+    msigma[k + 1, k] = np.negative(margins)
+    xi = AdmissibleOrder(tuple(sequence))
+    return ProjectedTurnouts(tsigma, None), IntermediateMargins(xi, msigma, den)
 
 
 class TestIntervals:
@@ -205,8 +241,8 @@ class TestIntervals:
                     lo_jk, hi_jk = gamma(j, k)
                     lo_ik, hi_ik = gamma(i, k)
                     # union, nonempty intersection, length, centers
-                    assert lo_ik == pytest.approx(min(lo_ij, lo_jk), abs=tol)
-                    assert hi_ik == pytest.approx(max(hi_ij, hi_jk), abs=tol)
+                    assert lo_ik == min(lo_ij, lo_jk)
+                    assert hi_ik == max(hi_ij, hi_jk)
                     assert max(lo_ij, lo_jk) <= min(hi_ij, hi_jk) + tol
                     assert hi_ik - lo_ik >= max(hi_ij - lo_ij, hi_jk - lo_jk) - tol
                     c_ij, c_ik, c_jk = (
@@ -267,6 +303,15 @@ class TestIntervals:
             build_intervals(pt, details.im)
         assert str(info.value) == f"interval range law fails: interval 0 is [{lo}, {hi}]"
         assert "np." not in str(info.value)
+
+    def test_nan_turnout_fails_the_range_law(self):
+        details = project_details(random_matrix(random.Random(5), 4))
+        taus = np.diagonal(details.pt.tsigma, 1).copy()
+        taus[1] = np.nan
+        pt = with_superdiagonal(details, taus)
+        message = interval_outcome(pt, details.im, build_intervals)
+        assert message == "interval range law fails: interval 1 is [nan, nan]"
+        assert message == interval_outcome(pt, details.im, build_intervals_loop)
 
     def test_one_candidate_has_no_intervals(self):
         cands, table = read_ballot_file("candidates: a\na\n")
@@ -431,10 +476,24 @@ class TestProjectOperator:
                             details.pm.pi[x][y], abs=1e-9
                         )
 
+    def test_given_order_against_a_margin_is_not_admissible(self):
+        matrix = random_matrix(random.Random(3), 5)
+        backwards = AdmissibleOrder(project_details(matrix).xi.sequence[::-1])
+        with pytest.raises(NotAdmissible) as info:
+            project_details(matrix, Variant.MAIN, backwards)
+        assert str(info.value) == "order puts b before d but the main indirect margin is -1/12"
 
-def check_structure_loop(pm):
-    """Reference for ``ProjectedMatrix.check_structure``: every law as a
-    plain loop, raising the first failure in loop order."""
+    @pytest.mark.parametrize("sequence", [(0, 1, 2, 3), (0, 1, 2, 3, 3), (0, 1, 2, 3, 5)])
+    def test_given_order_must_be_a_permutation(self, sequence):
+        matrix = random_matrix(random.Random(3), 5)
+        with pytest.raises(ValueError) as info:
+            project_details(matrix, Variant.MAIN, AdmissibleOrder(sequence))
+        assert str(info.value) == f"order {sequence} is not a permutation of the 5 candidates"
+
+
+def structure_law_failures(pm):
+    """Reference for the laws of ``ProjectedMatrix.check_structure``: the
+    message of every failure, as plain loops in loop order."""
     tol = LAW_TOL
     seq = pm.order.sequence
     n = len(seq)
@@ -448,27 +507,18 @@ def check_structure_loop(pm):
 
     for i in range(n):
         for j in range(i + 1, n):
-            x, y = seq[i], seq[j]
-            if pi[x][y] < pi[y][x] - tol:
-                raise LawViolation("order law fails: projected scores disagree with the order")
-            if not (-tol <= pi[x][y] <= 1 + tol) or to(x, y) > 1 + tol:
-                raise LawViolation(
-                    "admissibility law fails: projected scores left the admissible set"
-                )
+            if to(seq[i], seq[j]) > 1 + tol:
+                yield "admissibility law fails: projected scores left the admissible set"
     for i in range(n):
         for j in range(i + 1, n):
             for k in range(j + 1, n):
                 x, y, z = seq[i], seq[j], seq[k]
-                if abs(pi[x][z] - max(pi[x][y], pi[y][z])) > tol:
-                    raise LawViolation("chain maximum law fails")
-                if abs(pi[z][x] - min(pi[z][y], pi[y][x])) > tol:
-                    raise LawViolation("chain minimum law fails")
                 if mg(x, z) > mg(x, y) + mg(y, z) + tol:
-                    raise LawViolation("margin subadditivity law fails")
+                    yield "margin subadditivity law fails"
                 if to(x, z) - to(y, z) > mg(x, y) + tol:
-                    raise LawViolation("turnout increment law fails")
+                    yield "turnout increment law fails"
                 if to(x, y) - to(x, z) > mg(y, z) + tol:
-                    raise LawViolation("turnout increment law fails")
+                    yield "turnout increment law fails"
     for i in range(n):
         for j in range(i + 1, n):
             x, y = seq[i], seq[j]
@@ -485,15 +535,48 @@ def check_structure_loop(pm):
                     to(z, x) - to(z, y),
                 ]
                 if any(c < -tol for c in checks):
-                    raise LawViolation("row or column monotonicity law fails")
+                    yield "row or column monotonicity law fails"
                 if tied and any(abs(c) > tol for c in checks):
-                    raise LawViolation("tie propagation law fails")
-    for x in range(n):
-        for y in range(n):
-            for z in range(n):
-                if len({x, y, z}) == 3:
-                    if abs(mg(x, z)) > abs(mg(x, y)) + abs(mg(y, z)) + tol:
-                        raise LawViolation("absolute margins break the triangle law")
+                    yield "tie propagation law fails"
+
+
+def check_structure_loop(pm):
+    """Reference for ``ProjectedMatrix.check_structure``: the first failure."""
+    for message in structure_law_failures(pm):
+        raise LawViolation(message)
+
+
+def decided_law_failures(intervals, pm):
+    """The laws that ``build_intervals`` and ``check_structure`` leave to the
+    construction, by name where one fails by more than LAW_TOL."""
+    tol = LAW_TOL
+    seq = pm.order.sequence
+    n = len(seq)
+    pi = pm.pi.tolist()
+    if any(lo > hi + tol for lo, hi in intervals.tolist()):
+        yield "interval order"
+    for i in range(n):
+        for j in range(i + 1, n):
+            x, y = seq[i], seq[j]
+            if pi[x][y] < pi[y][x] - tol:
+                yield "order"
+            if not (-tol <= pi[x][y] <= 1 + tol):
+                yield "score range"
+            for k in range(j + 1, n):
+                z = seq[k]
+                if abs(pi[x][z] - max(pi[x][y], pi[y][z])) > tol:
+                    yield "chain maximum"
+                if abs(pi[z][x] - min(pi[z][y], pi[y][x])) > tol:
+                    yield "chain minimum"
+
+
+def triangle_law_fails(pm):
+    """Whether the absolute margins of some three candidates break the
+    triangle inequality by more than LAW_TOL."""
+    size = np.abs(pm.pi - pm.pi.T).tolist()
+    return any(
+        size[x][z] > size[x][y] + size[y][z] + LAW_TOL for x, y, z in permutations(range(pm.n), 3)
+    )
 
 
 def law_outcome(check, pm):
@@ -515,23 +598,61 @@ def projected(rows, sequence):
     return ProjectedMatrix(pi, AdmissibleOrder(tuple(sequence)))
 
 
+class Superdiagonal(NamedTuple):
+    """Superdiagonal turnouts and margins, the input of ``build_intervals``:
+    the turnouts as numbers, the margins as numerators over 16."""
+
+    taus: list
+    margins: list
+
+
+def pin_outcomes(pin, sequence):
+    """The message that the check of a pin raises along ``sequence``, and the
+    set of messages of every law its loop reference finds broken."""
+    if isinstance(pin, Superdiagonal):
+        pt, im = superdiagonal_stages([float(t) for t in pin.taus], pin.margins, 16, sequence)
+        broken = interval_law_failures(intervals_loop(pt, im))
+        return interval_outcome(pt, im, build_intervals), set(broken)
+    pm = projected(pin, sequence)
+    return law_outcome(ProjectedMatrix.check_structure, pm), set(structure_law_failures(pm))
+
+
+def law_message_patterns():
+    """A regular expression for each message that ``llull.projection``
+    raises a ``LawViolation`` with, read from its source: the written-out
+    argument of each ``LawViolation`` call and each message passed to
+    ``_raise_first``, which raises the message it is given."""
+    messages = []
+    for node in ast.walk(ast.parse(inspect.getsource(projection))):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+            if node.func.id == "LawViolation":
+                messages.append(node.args[0])
+            elif node.func.id == "_raise_first":
+                messages.extend(law.elts[1] for law in node.args[1:])
+    messages = [m for m in messages if isinstance(m, (ast.Constant, ast.JoinedStr))]
+    return [
+        re.escape(message.value)
+        if isinstance(message, ast.Constant)
+        else "".join(
+            re.escape(part.value) if isinstance(part, ast.Constant) else ".+"
+            for part in message.values
+        )
+        for message in messages
+    ]
+
+
 # Slack within the tolerance: some laws follow exactly from the others, so a
 # matrix breaking only one of them needs the others to hold within LAW_TOL.
 E = 0.7 * LAW_TOL
 S = Fraction(1, 16)
 
-# (message, scores by order position) with exactly one law broken.
+# (message, pin) with exactly one law broken: scores by order position for
+# ``check_structure``, or a ``Superdiagonal`` for ``build_intervals``.
 ONE_LAW_BROKEN = [
-    (
-        "order law fails: projected scores disagree with the order",
-        [[0, 2 * S], [4 * S, 0]],
-    ),
     (
         "admissibility law fails: projected scores left the admissible set",
         [[0, 14 * S], [3 * S, 0]],
     ),
-    ("chain maximum law fails", [[0, 8 * S, 9 * S], [2 * S, 0, 3 * S], [S, S, 0]]),
-    ("chain minimum law fails", [[0, 12 * S, 12 * S], [2 * S, 0, 9 * S], [S, 2 * S, 0]]),
     (
         "margin subadditivity law fails",
         [[0, 6 * S - E, 9 * S], [6 * S, 0, 9 * S], [S, S + E, 0]],
@@ -542,55 +663,93 @@ ONE_LAW_BROKEN = [
         [[0, 5 * S, 7 * S], [3 * S, 0, 7 * S], [3 * S, 4 * S, 0]],
     ),
     ("tie propagation law fails", [[0, E, 0], [0, 0, E], [0, 0, 0]]),
+    # Intervals [0.875, 1.125] and [0.875, 1.0].
+    (
+        "interval range law fails: interval 0 is [0.875, 1.125]",
+        Superdiagonal([32 * S, 30 * S], [4, 2]),
+    ),
+    ("interval range law fails: interval 0 is [-0.125, 0.25]", Superdiagonal([2 * S], [6])),
+    # A gap: [0.5, 0.75], then [0.125, 0.25].
+    ("intervals 0 and 1 violate the overlap law", Superdiagonal([20 * S, 6 * S], [4, 2])),
+    # A rising center: [0.25, 0.5], then [0.25, 0.75].
+    ("intervals 0 and 1 violate the overlap law", Superdiagonal([12 * S, 16 * S], [4, 8])),
 ]
+
+
+@st.composite
+def near_structured_superdiagonals(draw):
+    """Superdiagonal turnouts and margins over ``den`` along an order: the
+    intervals of a structured matrix in sixteenths (inside [0, 1], centers
+    not increasing, consecutive ones overlapping, ends at 0 and 1 among
+    them), each turnout moved by an amount at or within a few LAW_TOL and
+    each margin by up to two units of a denominator that makes a unit
+    about LAW_TOL, or one sixteenth.  Every margin stays >= 0."""
+    tau = draw(st.integers(0, 8))
+    taus, margins = [tau], [draw(st.integers(0, tau))]
+    for _ in range(draw(st.integers(0, 5))):
+        tau = draw(st.integers((taus[-1] - margins[-1] + 1) // 2, taus[-1]))
+        taus.append(tau)
+        margins.append(draw(st.integers(max(0, taus[-2] - margins[-1] - tau), tau)))
+    scale = draw(st.sampled_from([1, 10**8, 2**27]))
+    moves = [0.0, LAW_TOL, LAW_TOL / 2, 2 * LAW_TOL, 1e-16]
+    moved = [t / 8 + draw(st.sampled_from(moves)) * draw(st.sampled_from([1, -1])) for t in taus]
+    nums = [max(0, m * scale + draw(st.integers(-2, 2))) for m in margins]
+    sequence = draw(st.permutations(range(len(taus) + 1)))
+    return moved, nums, 8 * scale, sequence
 
 
 class TestLawChecks:
     @pytest.mark.parametrize("message, rows", ONE_LAW_BROKEN)
     @pytest.mark.parametrize("sequence", [None, "reversed", "rotated"])
     def test_each_law_fails_alone(self, message, rows, sequence):
-        n = len(rows)
+        n = len(rows.taus) + 1 if isinstance(rows, Superdiagonal) else len(rows)
         seq = {
             None: list(range(n)),
             "reversed": list(range(n))[::-1],
             "rotated": [*range(1, n), 0],
         }[sequence]
-        pm = projected(rows, seq)
-        with pytest.raises(LawViolation) as info:
-            pm.check_structure()
-        assert str(info.value) == message
-        assert law_outcome(check_structure_loop, pm) == message
+        raised, broken = pin_outcomes(rows, seq)
+        assert raised == message
+        assert broken == {message}
 
-    def test_triangle_law_follows_from_the_earlier_laws(self):
-        # |m(x, z)| <= |m(x, y)| + |m(y, z)| follows from the order,
-        # subadditivity and monotonicity laws, so no matrix breaks it alone:
-        # one that breaks it raises an earlier law.
-        pm = projected([[0, 4 * S, 8 * S], [4 * S, 0, 4 * S], [0, 4 * S, 0]], [0, 1, 2])
-        mg = np.abs(pm.pi - pm.pi.T)
-        assert mg[0, 2] > mg[0, 1] + mg[1, 2] + LAW_TOL
-        assert law_outcome(ProjectedMatrix.check_structure, pm) == "chain maximum law fails"
-        assert law_outcome(check_structure_loop, pm) == "chain maximum law fails"
+    def test_every_law_message_has_a_pin(self):
+        # Each pattern matches the messages of one law, so a law added to
+        # either check without a pin here fails this test.
+        patterns = law_message_patterns()
+        matched = [[p for p in patterns if re.fullmatch(p, message)] for message, _ in ONE_LAW_BROKEN]
+        assert all(len(found) == 1 for found in matched)
+        assert {found[0] for found in matched} == set(patterns)
+
+    @given(near_structured_superdiagonals())
+    @settings(max_examples=300, deadline=None)
+    def test_decided_laws_hold_on_every_array_that_passes(self, case):
+        taus, margins, den, sequence = case
+        pt, im = superdiagonal_stages(taus, margins, den, sequence)
+        try:
+            intervals = build_intervals(pt, im)
+        except LawViolation:
+            return
+        pm = projected_scores(intervals, im.order)
+        assert list(decided_law_failures(intervals, pm)) == []
+        if triangle_law_fails(pm):
+            assert law_outcome(ProjectedMatrix.check_structure, pm) is not None
 
     @pytest.mark.parametrize(
         "rows, sequence, message",
         [
-            # pair (0, 1) breaks admissibility before pair (1, 2) breaks the order
+            # pair (0, 1) breaks admissibility; pair (1, 2) breaks only the
+            # order law, which the construction decides
             (
                 [[0, 17 * S, 17 * S], [0, 0, 2 * S], [0, 4 * S, 0]],
                 [1, 2, 0],
                 "admissibility law fails: projected scores left the admissible set",
             ),
-            # one pair breaks both: the order law is checked first
+            # one triple breaks subadditivity and the turnout increment law:
+            # subadditivity is checked first
             (
-                [[0, -2 * S], [4 * S, 0]],
-                [1, 0],
-                "order law fails: projected scores disagree with the order",
-            ),
-            # one triple breaks both chain laws: the maximum is checked first
-            (
-                [[0, 4 * S, 8 * S], [4 * S, 0, 4 * S], [0, 4 * S, 0]],
+                [[0, 2 * S, 8 * S], [2 * S, 0, 2 * S], [0, 2 * S, 0]],
                 [2, 0, 1],
-                "chain maximum law fails",
+                "margin subadditivity law fails",
             ),
         ],
     )
