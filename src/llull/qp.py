@@ -7,20 +7,19 @@ constraints on differences x_i - x_j.  Two independent solvers are provided:
 * ``solve_active_set``: a dual active-set iteration.  Every row is
   e_i - e_j or a bound on one variable, so a linearly independent working
   set is a forest over the variables and a zero node.  The equality rows
-  enter first, in one pass: the projection onto them is known in closed
-  form, tree by tree.  Then the most violated inequality enters at a time,
-  dropping the blocking row with the smallest ratio along the way (ties in
-  either choice need no rule; see ``solve_active_set``).  Each step moves x
-  by one constant per tree and changes multipliers along tree paths,
-  touching only the two trees that hold the ends of the entering row.  An
-  unbounded dual step certifies infeasibility (``Infeasible``) and a
-  defensive step cap ends a run that does not converge (``MaxIterations``).
-  Each problem flattens its constraints into index arrays once, when it
-  is built (``QpProblem.rows``), so pricing every row is one vectorized
-  expression.  This is the active-set view of isotonic-type regression
-  (Best and Chakravarti, Math. Programming 47, 1990) in the dual order of
-  Goldfarb and Idnani (Math. Programming 27, 1983), with no matrix stored
-  or factorized.
+  enter first, in one pass, by the closed form of the projection onto them.
+  Then the most violated inequality enters at a time, dropping the blocking
+  row with the smallest ratio along the way (ties need no rule; see
+  ``solve_active_set``).  A step moves x by one constant per tree and
+  changes multipliers along tree paths of the two trees that hold the ends
+  of the entering row: a few to a few hundred nodes, kept in Python lists.
+  An unbounded dual step certifies infeasibility (``Infeasible``) and a
+  step cap ends a run that does not converge (``MaxIterations``).  Pricing
+  every row is two gathers, two subtractions and an argmin over the rows
+  flattened once per problem (``QpProblem.rows``).  This is the active-set
+  view of isotonic-type regression (Best and Chakravarti, Math. Programming
+  47, 1990) in the dual order of Goldfarb and Idnani (Math. Programming
+  27, 1983), with no matrix stored or factorized.
 * ``solve_dykstra``: Dykstra's alternating projections onto the individual
   boxes and slabs.  Slower, but an entirely separate route to the same
   projection, kept for cross-validation.
@@ -31,6 +30,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, fields
+from itertools import chain
 
 import numpy as np
 
@@ -75,7 +75,8 @@ class QpProblem:
     and ``QpSolution.active_set`` use: the bounds by variable, then the
     difference constraints in order.  A constraint with lo < hi yields a
     lower row and then a negated upper row, lo == hi a single equality row,
-    and a missing side of a bound no row.
+    and a missing side of a bound no row.  A NaN side, an empty interval, an
+    equality at infinity or a center that is not finite raises ValueError.
     """
 
     center: tuple[float, ...]
@@ -84,29 +85,33 @@ class QpProblem:
     rows: _Rows = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        """Check the constraints and flatten them into ``rows``, in one pass."""
+        """Check the problem and flatten its constraints into ``rows``, in one pass."""
         d = len(self.center)
         if len(self.bounds) > d:
             raise ValueError(f"{len(self.bounds)} bounds for {d} variables")
+        if not all(map(math.isfinite, self.center)):
+            k = next(k for k, c in enumerate(self.center) if not math.isfinite(c))
+            raise ValueError(f"center of variable {k} is {self.center[k]}, not finite")
         rows: list[tuple[int, int, float, float, bool]] = []
+        # NaN compares false both ways, so ``not lo <= hi`` catches it too.
         for k, (lo, hi) in enumerate(self.bounds):
-            if lo is not None and hi is not None:
-                if lo > hi:
-                    raise ValueError(f"empty bound interval [{lo}, {hi}]")
-                if lo == hi:
-                    rows.append((k, d, 1.0, float(lo), True))
-                    continue
+            low, high = -math.inf if lo is None else lo, math.inf if hi is None else hi
+            if not low <= high or low == high and not math.isfinite(low):
+                raise ValueError(f"bound of variable {k}: [{lo}, {hi}] is empty or NaN")
+            if low == high:
+                rows.append((k, d, 1.0, float(lo), True))
+                continue
             if lo is not None:
                 rows.append((k, d, 1.0, float(lo), False))
             if hi is not None:
                 rows.append((k, d, -1.0, 0.0 - float(hi), False))
-        for i, j, lo, hi in self.difference_constraints:
+        for c, (i, j, lo, hi) in enumerate(self.difference_constraints):
             if not (0 <= i < d and 0 <= j < d):
                 raise ValueError(f"difference constraint ({i}, {j}) outside variables 0..{d - 1}")
             if i == j:
                 raise ValueError("difference constraint needs two distinct variables")
-            if lo > hi:
-                raise ValueError(f"empty difference interval [{lo}, {hi}]")
+            if not lo <= hi or lo == hi and not math.isfinite(lo):
+                raise ValueError(f"difference constraint {c}: [{lo}, {hi}] is empty or NaN")
             if lo == hi:
                 rows.append((i, j, 1.0, float(lo), True))
                 continue
@@ -137,7 +142,19 @@ def constraint_rows(problem: QpProblem) -> _Rows:
     return problem.rows
 
 
-_NODE, _SIZE, _ROW, _SIGN = range(4)  # the fields of a tree, one array row each
+_NODE, _SIZE, _ROW, _SIGN = range(4)  # the fields of a tree, one list each
+
+
+def _path(size: list, p: int) -> list:
+    """Positions of the node at p and its ancestors, root first: from each
+    ancestor, step over the child subtrees that end before p."""
+    path, q = [0], 0
+    while q < p:
+        q += 1
+        while q + size[q] <= p:
+            q += size[q]
+        path.append(q)
+    return path
 
 
 class _Forest:
@@ -148,28 +165,22 @@ class _Forest:
     its tree.  Such rows are linearly independent exactly when their edges
     close no cycle, so a row whose ends share a tree is dependent.
 
-    A tree is a 4 x size int array over its nodes in preorder: the node,
-    its subtree size, the row to its parent and that row's sign as a flow
-    out of the subtree (row and sign are unused at the root).  A subtree is
-    then a slice, and the ancestors of the node at position p are the
-    positions q <= p whose slice reaches p.  No two trees share memory.
-    Trees are numbered; the zero node's tree keeps number d throughout.
-    ``working`` marks the rows in the forest; ``span`` starts it.
+    A tree is four lists over its nodes in preorder: the node, its subtree
+    size, the row to its parent and that row's sign as a flow out of the
+    subtree (unused at the root).  A subtree is a slice, a position is
+    ``list.index`` of the node list, and the ancestors of position p are the
+    q <= p whose slice reaches p.  ``tree`` maps a node to its tree's index
+    in ``trees``: d for the zero node's tree, v for node v alone, built when
+    first used.  ``working`` marks the rows in the forest; ``floor`` is the
+    rhs pricing reads, -inf on equality and working rows (``link`` and
+    ``cut`` each flip one entry).
     """
 
-    def __init__(self, d: int):
-        self.zero = d
-        self.tree = np.arange(d + 1)  # tree id of each node
-        self.pos = np.zeros(d + 1, dtype=np.intp)  # its position in the tree
-        self.at = np.arange(d + 1)
-        single = np.zeros((d + 1, 4, 1), dtype=np.intp)
-        single[:, _NODE, 0] = self.at
-        single[:, _SIZE, 0] = 1
-        self.trees = list(single)  # by tree id
-
-    def _path(self, tree: np.ndarray, p: int) -> np.ndarray:
-        """Positions of the node at p and its ancestors, root first."""
-        return (tree[_SIZE, : p + 1] > p - self.at[: p + 1]).nonzero()[0]
+    def __init__(self, d: int, rows: _Rows):
+        self.zero, self.rows = d, rows
+        self.tree, self.trees = list(range(d + 1)), [None] * (d + 1)
+        self.working = np.zeros(len(rows), dtype=bool)
+        self.floor = np.where(rows.eq, -math.inf, rows.rhs)
 
     def direction(self, i: int, j: int, sign: float):
         """Split the normal a of row ``sign (e_i - e_j)`` along the working
@@ -179,56 +190,58 @@ class _Forest:
         trees of i and j it is the tree's mean of a, on the zero node's tree
         and every other tree it is zero; ``shifts`` pairs each tree's nodes
         with its nonzero constant.  r is the flow that carries a's entries
-        to those means, given on ``rows``.
-        """
-        tree, pos, zero = self.tree, self.pos, self.zero
-        ti, tj = tree.item(i), tree.item(j)
+        to those means, on the ``rows`` it is nonzero on, by tree (i's
+        first) in preorder.  ``paths`` keeps the root paths of i and j."""
+        ti, tj = self.tree[i], self.tree[j]
         if ti == tj:
-            t = self.trees[ti]
-            flow = np.zeros(t.shape[1])
-            flow[self._path(t, pos.item(i))] += sign
-            flow[self._path(t, pos.item(j))] -= sign
-            return 0.0, (), t[_ROW, 1:], t[_SIGN, 1:] * flow[1:]
-        znorm2, shifts, parts = 0.0, [], []
+            nodes, size, row, sgn = self.trees[ti]
+            path_i = set(_path(size, nodes.index(i)))
+            path = sorted(path_i.symmetric_difference(_path(size, nodes.index(j))))
+            r = [sgn[q] * (sign if q in path_i else 0.0 - sign) for q in path]
+            return 0.0, (), [row[q] for q in path], r
+        znorm2, shifts, rows, r, paths = 0.0, [], [], [], []
         for k, v, coeff in ((ti, i, sign), (tj, j, 0.0 - sign)):
-            t = self.trees[k]
-            n = t.shape[1]
-            if k != zero:
+            self.trees[k] = t = self.trees[k] or [[k], [1], [-1], [0]]  # built on first use
+            nodes, size, row, sgn = t
+            n = len(nodes)
+            path = [0] if v == self.zero or n == 1 else _path(size, nodes.index(v))
+            paths.append(path)
+            if k != self.zero:
                 znorm2 += 1.0 / n
-                shifts.append((t[_NODE], coeff / n))
+                shifts.append((nodes, coeff / n))
                 if n > 1:
-                    flow = t[_SIZE] * (0.0 - coeff / n)
-                    flow[self._path(t, pos.item(v))] += coeff
-                    parts.append((t[_ROW, 1:], t[_SIGN, 1:] * flow[1:]))
-            elif v != zero:
-                path = self._path(t, pos.item(v))[1:]
-                parts.append((t[_ROW, path], t[_SIGN, path] * coeff))
-        if len(parts) == 2:
-            (rows_i, r_i), (rows_j, r_j) = parts
-            return znorm2, shifts, np.concatenate((rows_i, rows_j)), np.concatenate((r_i, r_j))
-        rows, r = parts[0] if parts else (self.at[:0], np.empty(0))
+                    # Each subtree's share of -coeff, plus coeff on v's root path.
+                    base, at = 0.0 - coeff / n, len(r) - 1
+                    rows += row[1:]
+                    r += [g * (s * base) for g, s in zip(sgn[1:], size[1:])]
+                    for q in path[1:]:
+                        r[at + q] = sgn[q] * (size[q] * base + coeff)
+            elif v != self.zero:
+                rows += [row[q] for q in path[1:]]
+                r += [sgn[q] * coeff for q in path[1:]]
+        self.paths = paths
         return znorm2, shifts, rows, r
 
-    def span(self, rows: _Rows, eq: np.ndarray, x: np.ndarray, mults: np.ndarray) -> None:
+    def span(self, eq: np.ndarray, x: np.ndarray, mults: list[float]) -> None:
         """Link the equality rows ``eq`` into this forest of single nodes, move
         x from the center onto them and set their multipliers, in one pass.
 
         Union-find in row order links, and marks working, the rows that
         steps one at a time would; a dependent row must hold at the new x.  A
         component's tree is rooted at its largest node (the zero node when it
-        holds it) and takes that node's number.  Offsets add up ``sign * rhs``
-        down the tree; x is the offsets in the zero node's tree and the
-        offsets plus the mean of ``center - offset`` elsewhere.  A row's
-        multiplier is its sign as a flow times the subtree sum of x - center.
+        holds it) and takes its id.  Offsets add up ``sign * rhs`` down the
+        tree; x is the offsets in the zero node's tree and the offsets plus
+        the mean of ``center - offset`` elsewhere.  A row's multiplier is its
+        sign as a flow times the subtree sum of x - center.
         """
-        self.working = np.zeros(rows.rhs.size, dtype=bool)
+        rows = self.rows
         up = list(range(self.zero + 1))  # union-find links, each to a larger node
         def root(v: int) -> int:
             while up[v] != v:
                 up[v] = v = up[up[v]]
             return v
         edges: dict[int, list] = {}  # node -> (neighbour, row, its sign as a flow, rhs)
-        dependent = []
+        dependent: list[int] = []
         ends = (a[eq].tolist() for a in (rows.i, rows.j, rows.sign, rows.rhs))
         for r, i, j, s, b in zip(eq.tolist(), *ends):
             low, high = sorted((root(i), root(j)))
@@ -245,81 +258,76 @@ class _Forest:
                 v, p, r, s, b = stack.pop()
                 stack.extend((u, len(order), *e) for u, *e in edges[v] if e[0] != r)
                 order.append((v, p, r, s, order[p][4] + s * b))
-            nodes, parent, row, sign, offset = zip(*order)
-            center, point, spread = x[list(nodes)], np.array(offset), 0.0
+            nodes, parent, row, sign, offset = map(list, zip(*order))
+            center, point, spread = x[nodes], np.array(offset), 0.0
             if top != self.zero:
                 point += math.fsum((center - point).tolist()) / len(nodes)
                 # x - center sums to that mean's rounding: spread it evenly.
-                spread = np.mean(point - center)
-            x[list(nodes)] = point
+                spread = (point - center).sum() / len(nodes)
+            x[nodes] = point
             size, below = [1] * len(nodes), (point - center - spread).tolist()
             for q in range(len(nodes) - 1, 0, -1):
                 size[parent[q]] += size[q]
                 below[parent[q]] += below[q]
-            self.working[list(row[1:])] = True
-            mults[list(row[1:])] = [s * g for s, g in zip(sign[1:], below[1:])]
-            for v in nodes[1:]:
-                self.trees[v] = None
-            self._place(top, np.array((nodes, size, row, sign), dtype=np.intp))
+            self.working[row[1:]] = True
+            for r, s, g in zip(row[1:], sign[1:], below[1:]):
+                mults[r] = s * g
+            self.trees[top] = [nodes, size, row, sign]
+            for v in nodes:
+                self.tree[v] = top
         if np.abs(rows.slacks(x)[dependent]).max(initial=0.0) > max(_TOL, 1e-9):
             raise Infeasible("inconsistent equality constraints")
 
-    def _place(self, k: int, tree: np.ndarray) -> None:
-        self.trees[k] = tree
-        self.tree[tree[_NODE]] = k
-        self.pos[tree[_NODE]] = self.at[: tree.shape[1]]
-
-    def _reroot(self, k: int, v: int) -> None:
-        """Make v the root of tree k, turning the rows on its root path."""
-        t = self.trees[k]
-        p = self.pos.item(v)
-        if p == 0:
-            return
-        n = t.shape[1]
-        path = self._path(t, p)
-        span = t[_SIZE, path]
-        # The root-path subtrees nest; a node's new preorder position puts
-        # the innermost subtree that holds it first.
-        starts = np.bincount(path, minlength=n + 1)
-        depth = np.cumsum(starts - np.bincount(path + span, minlength=n + 1))
-        order = np.argsort(0 - depth[:n], kind="stable")
-        t[_SIZE, path[:-1]] = n - span[1:]
-        t[_SIZE, p] = n
-        t[_ROW, path[:-1]] = t[_ROW, path[1:]]
-        t[_SIGN, path[:-1]] = 0 - t[_SIGN, path[1:]]
-        self._place(k, t[:, order])
-
     def link(self, row: int, i: int, j: int, sign: float) -> None:
-        """Add row ``sign (e_i - e_j)``, whose ends lie in different trees:
-        the tree of one end is re-rooted there and hung under the other."""
-        ti, tj = self.tree.item(i), self.tree.item(j)
-        smaller = self.trees[ti].shape[1] <= self.trees[tj].shape[1]
+        """Add row ``sign (e_i - e_j)``, whose ends lie in different trees,
+        right after ``direction(i, j, sign)``: the tree of one end is
+        re-rooted there, turning the rows on its root path, and hung under
+        the other end."""
+        ti, tj = self.tree[i], self.tree[j]
+        smaller = len(self.trees[ti][_NODE]) <= len(self.trees[tj][_NODE])
         if tj == self.zero or (ti != self.zero and smaller):
-            top, hung, u, v, orient = tj, ti, j, i, sign
+            top, hung, (path, up), orient = tj, ti, self.paths, sign
         else:
-            top, hung, u, v, orient = ti, tj, i, j, 0.0 - sign
-        self._reroot(hung, v)
-        self.working[row] = True
-        sub = self.trees[hung]
-        sub[_ROW, 0], sub[_SIGN, 0] = row, orient
-        t = self.trees[top]
-        p = self.pos.item(u)
-        t[_SIZE, self._path(t, p)] += sub.shape[1]
+            top, hung, (up, path), orient = ti, tj, self.paths, 0.0 - sign
+        sub, p = self.trees[hung], path[-1]
+        if p:
+            _, size, to_parent, sgn = sub
+            n, span = len(sub[_NODE]), [size[q] for q in path]
+            # The root-path subtrees nest; the new preorder takes p's subtree,
+            # then each enclosing one minus the next one in, innermost first.
+            parts = [(p, p + span[-1])]
+            for q, inner, s, s_in in zip(path, path[1:], span, span[1:]):
+                parts[1:1] = ((q, inner), (inner + s_in, q + s))
+                size[q], to_parent[q], sgn[q] = n - s_in, to_parent[inner], 0 - sgn[inner]
+            size[p] = n
+            sub = [list(chain.from_iterable(old[a:b] for a, b in parts)) for old in sub]
+        sub[_ROW][0], sub[_SIGN][0] = row, orient
+        self.working[row], self.floor[row] = True, -math.inf
+        t, at = self.trees[top], up[-1] + 1
+        for q in up:
+            t[_SIZE][q] += len(sub[_NODE])
+        for part, add in zip(t, sub):
+            part[at:at] = add
+        for v in sub[_NODE]:
+            self.tree[v] = top
         self.trees[hung] = None
-        self._place(top, np.concatenate((t[:, : p + 1], sub, t[:, p + 1 :]), axis=1))
 
     def cut(self, i: int, j: int) -> None:
         """Drop working row (i, j); the subtree of its child end, the one
         later in preorder, becomes a tree."""
-        k = self.tree.item(i)
-        t = self.trees[k]
-        p = max(self.pos.item(i), self.pos.item(j))
-        size = t.item(_SIZE, p)
-        self.working[t.item(_ROW, p)] = False
-        t[_SIZE, self._path(t, p)[:-1]] -= size
-        self._place(k, np.concatenate((t[:, :p], t[:, p + size :]), axis=1))
-        self.trees.append(None)
-        self._place(len(self.trees) - 1, t[:, p : p + size])
+        t = self.trees[self.tree[i]]
+        nodes, size, row, _ = t
+        p = max(nodes.index(i), nodes.index(j))
+        n, dropped = size[p], row[p]
+        self.working[dropped], self.floor[dropped] = False, self.rows.rhs[dropped]
+        for q in _path(size, p)[:-1]:
+            size[q] -= n
+        sub = [part[p : p + n] for part in t]
+        for part in t:
+            del part[p : p + n]
+        for v in sub[_NODE]:
+            self.tree[v] = len(self.trees)
+        self.trees.append(sub)
 
 
 def solve_active_set(problem: QpProblem) -> QpSolution:
@@ -332,8 +340,7 @@ def solve_active_set(problem: QpProblem) -> QpSolution:
 
     The working rows form a forest (``_Forest``).  The equality rows go in
     first, in one pass (``_Forest.span``), and count one step each, linked
-    or dependent; then each dual step touches only the two trees holding
-    the ends of the row it brings in.  Two rules choose the rows:
+    or dependent.  Two rules choose the rows of the dual steps:
 
     * the most violated inequality enters: the lowest index among
       float-equal slacks.  Rows whose slacks tie exactly in rationals (tie
@@ -349,52 +356,46 @@ def solve_active_set(problem: QpProblem) -> QpSolution:
     two entries only working rows drop.  The point it ends at is the unique
     projection; a tie only picks among optimal working sets.
     """
-    rows = problem.rows
-    d = len(problem.center)
-    x = _padded(problem.center, d)
-    n_rows = len(rows)
-    max_iter = max(100, 10 * n_rows**2)
-    forest = _Forest(d)
-    mults = np.zeros(n_rows)  # inequality ones kept >= 0
-    ineq = ~rows.eq
-
+    rows, d, n_rows = problem.rows, len(problem.center), len(problem.rows)
+    x, max_iter = _padded(problem.center, d), max(100, 10 * n_rows**2)
+    forest, ineq = _Forest(d, rows), (~rows.eq).tolist()
+    mults = [0.0] * n_rows  # inequality ones kept >= 0
     # Dual steps never drop equality rows, so no later step disturbs them.
     eq = np.flatnonzero(rows.eq)
-    forest.span(rows, eq, x, mults)
+    forest.span(eq, x, mults)
     iterations = eq.size
-
-    priced_out = rows.eq | forest.working
-    while not priced_out.all():
-        slacks = np.where(priced_out, math.inf, rows.slacks(x))
-        target = int(np.argmin(slacks))
+    # Row r reads x[a[r]] - x[b[r]] >= forest.floor[r], its sign taken in.
+    a, b = np.where(rows.sign > 0, rows.i, rows.j), np.where(rows.sign > 0, rows.j, rows.i)
+    while n_rows:
+        slacks = x[a]
+        slacks -= x[b]
+        slacks -= forest.floor
+        target = int(slacks.argmin())
         if not slacks[target] < -_TOL:
             break
         # Bring the row to zero slack, dropping blocking rows along the way.
         i, j = rows.i.item(target), rows.j.item(target)
-        sign, b = rows.sign.item(target), rows.rhs.item(target)
+        sign, rhs = rows.sign.item(target), rows.rhs.item(target)
         accumulated = 0.0
         while True:
             iterations += 1
             if iterations > max_iter:
                 raise MaxIterations(f"no convergence within {max_iter} active-set steps")
             znorm2, shifts, tree_rows, r = forest.direction(i, j, sign)
-            slack = sign * (x.item(i) - x.item(j)) - b
+            slack = sign * (x.item(i) - x.item(j)) - rhs
             # Longest step before some inequality multiplier turns negative.
             t_dual, drop = math.inf, -1
-            blocking = ((r > _TOL) & ineq[tree_rows]).nonzero()[0] if r.size else r
-            if blocking.size:
-                ratios = mults[tree_rows[blocking]] / r[blocking]
-                pick = int(np.argmin(ratios))
-                t_dual = float(ratios[pick])
-                drop = int(tree_rows[blocking[pick]])
+            for row, flow in zip(tree_rows, r):
+                if flow > _TOL and ineq[row] and (ratio := mults[row] / flow) < t_dual:
+                    t_dual, drop = ratio, row
             t_full = -slack / znorm2 if znorm2 else math.inf
             step = min(t_dual, t_full)
             if step == math.inf:
                 raise Infeasible("constraint cannot be reached: empty feasible set")
             for nodes, shift in shifts:
-                x[nodes] += step * shift
-            if r.size:
-                mults[tree_rows] -= step * r
+                x[np.array(nodes, dtype=np.intp)] += step * shift
+            for row, flow in zip(tree_rows, r):
+                mults[row] -= step * flow
             accumulated += step
             if t_full <= t_dual:
                 forest.link(target, i, j, sign)
@@ -402,17 +403,15 @@ def solve_active_set(problem: QpProblem) -> QpSolution:
                 break
             forest.cut(rows.i.item(drop), rows.j.item(drop))
         # A dropped row may have drifted back out; the loop re-checks all.
-        priced_out = rows.eq | forest.working
 
-    active = np.flatnonzero(forest.working)
-    point, multipliers = x[:d].tolist(), mults[active].tolist()
-    return QpSolution(tuple(point), tuple(active.tolist()), iterations, tuple(multipliers))
+    active = np.flatnonzero(forest.working).tolist()
+    point, multipliers = x[:d].tolist(), [mults[k] for k in active]
+    return QpSolution(tuple(point), tuple(active), iterations, tuple(multipliers))
 
 
 def kkt_residual(problem: QpProblem, solution: QpSolution) -> float:
     """Worst violation among feasibility, stationarity and multiplier signs."""
-    rows = problem.rows
-    d = len(problem.center)
+    rows, d = problem.rows, len(problem.center)
     x = _padded(solution.point, d)
     slacks = rows.slacks(x)
     infeasible = np.where(rows.eq, np.abs(slacks), 0.0 - slacks)
@@ -424,7 +423,8 @@ def kkt_residual(problem: QpProblem, solution: QpSolution) -> float:
     np.subtract.at(grad, rows.i[active], pull)
     np.add.at(grad, rows.j[active], pull)
     worst = (infeasible, 0.0 - mults[~rows.eq[active]], np.abs(grad[:d]))
-    return max(0.0, *(float(v.max(initial=0.0)) for v in worst))
+    worst = np.max([v.max(initial=0.0) for v in worst])  # NaN if any term is NaN
+    return math.inf if math.isnan(worst) else float(worst)  # no bound accepts NaN
 
 
 def solve_dykstra(problem: QpProblem) -> QpSolution:

@@ -1,3 +1,5 @@
+import functools
+import hashlib
 import json
 import math
 import random
@@ -7,7 +9,7 @@ import numpy as np
 import pytest
 
 from llull.ballots import InterpretationRules, read_ballot_file
-from llull.closures import Variant, indirect_scores, variant_margins
+from llull.closures import Variant, indirect_scores, margin_completion, variant_margins
 from llull.errors import Infeasible
 from llull.generate import ProfileGenerator, random_matrix
 from llull.matrix import aggregate, turnouts
@@ -43,20 +45,27 @@ def problem_from_json(text: str) -> QpProblem:
     )
 
 
-def matrix_problem(matrix) -> QpProblem:
-    vm = variant_margins(indirect_scores(matrix.w, matrix.den, Variant.MAIN))
+def matrix_problem(matrix, variant: Variant = Variant.MAIN) -> QpProblem:
+    """The turnout program a tally of the matrix solves under the variant."""
+    effective = margin_completion(matrix) if variant is Variant.MARGIN_BASED else matrix
+    vm = variant_margins(indirect_scores(effective.w, effective.den, variant))
     xi = admissible_order(vm, matrix.candidates)
-    return turnout_qp(turnouts(matrix.w), intermediate_margins(vm, xi))
+    return turnout_qp(turnouts(effective.w), intermediate_margins(vm, xi))
 
 
-def profile_problem(n: int, n_ballots: int) -> QpProblem:
-    """The turnout program of ``ProfileGenerator(truncation=0.8, seed=1)``
-    case 0 with n candidates and n_ballots ballots."""
+@functools.lru_cache(maxsize=None)
+def profile_matrix(n: int, n_ballots: int):
     gen = ProfileGenerator(
         n_candidates=(n, n), n_ballots=(n_ballots, n_ballots), truncation=0.8, seed=1
     )
     candidates, ballots = gen.profile(0)
-    return matrix_problem(aggregate(ballots, InterpretationRules(), candidates))
+    return aggregate(ballots, InterpretationRules(), candidates)
+
+
+def profile_problem(n: int, n_ballots: int, variant: Variant = Variant.MAIN) -> QpProblem:
+    """The turnout program of ``ProfileGenerator(truncation=0.8, seed=1)``
+    case 0 with n candidates and n_ballots ballots."""
+    return matrix_problem(profile_matrix(n, n_ballots), variant)
 
 
 def royal_problem(royal_text) -> QpProblem:
@@ -131,6 +140,38 @@ class TestProblem:
     def test_more_bounds_than_variables(self):
         with pytest.raises(ValueError, match="2 bounds for 1 variables"):
             QpProblem((5.0,), ((0.0, 1.0), (2.0, 3.0)))
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_center_must_be_finite(self, value):
+        with pytest.raises(ValueError, match=f"^center of variable 1 is {value}, not finite$"):
+            QpProblem((0.0, value), (), ((0, 1, 0.0, 1.0),))
+
+    @pytest.mark.parametrize(
+        "bound",
+        [(math.nan, 1.0), (0.0, math.nan), (math.nan, None), (None, math.nan),
+         (1.0, 0.0), (math.inf, None), (None, -math.inf), (math.inf, math.inf)],
+    )
+    def test_bound_must_be_a_nonempty_interval(self, bound):
+        message = r"^bound of variable 1: \[.*\] is empty or NaN$"
+        with pytest.raises(ValueError, match=message):
+            QpProblem((0.0, 5.0), ((None, None), bound))
+
+    @pytest.mark.parametrize(
+        "lo, hi", [(0.0, math.nan), (math.nan, 0.0), (1.0, 0.0), (-math.inf, -math.inf)]
+    )
+    def test_difference_must_be_a_nonempty_interval(self, lo, hi):
+        # A NaN side used to stop pricing at its row: (0.0, 5.0) came back
+        # "solved", though x0 - x1 >= 0 is violated by 5.
+        message = r"^difference constraint 1: \[.*\] is empty or NaN$"
+        with pytest.raises(ValueError, match=message):
+            QpProblem((0.0, 5.0), (), ((0, 1, -1.0, 1.0), (0, 1, lo, hi)))
+
+    def test_infinite_sides_are_no_constraint(self):
+        problem = QpProblem((0.0, 5.0), ((-math.inf, None),), ((0, 1, -math.inf, math.inf),))
+        assert len(problem.rows) == 3
+        solution = solve_active_set(problem)
+        assert solution == QpSolution((0.0, 5.0), (), 0, ())
+        assert kkt_residual(problem, solution) == 0.0
 
 
 class TestActiveSet:
@@ -252,6 +293,28 @@ class TestActiveSet:
             assert moved[sigma[k]] == pytest.approx(base[k], abs=1e-9)
 
 
+# The solutions of the profile programs, bit for bit.  How the working forest
+# is stored and how rows are priced leave every float operation and row order,
+# and so these values, unchanged.  Each entry: (n, variant, steps, active
+# rows, then sha256 prefixes of the active set's repr and of the float.hex of
+# the point and of the multipliers).
+TRAJECTORIES = [
+    (20, "main", 213, 182, "4c5a9dacb95aeb0e", "f2890a5459749da3", "fd77117c3ddda62a"),
+    (20, "codual", 245, 173, "7af557dc7ac1bf35", "ead468a23157934f", "5930f86530a10197"),
+    (20, "balanced", 294, 188, "86a394bb4be31a52", "ff9cc606e39d8e01", "d6b0503962dfef22"),
+    (20, "margin-based", 126, 111, "c0f6dfaf81b2dbb0", "50cd2b6bcef95172", "128287cd3eed0f21"),
+    (30, "main", 560, 427, "0174cc5d9b31896d", "cc678b17b8fe38fd", "2a8e4474fed08c57"),
+    (30, "codual", 543, 431, "da739124759877d4", "7413900e15c783dc", "08850ecbcb3a0014"),
+    (30, "balanced", 786, 434, "b8176a8e2dbe1ee7", "7932e46a34dbbba5", "d72616402479c790"),
+    (30, "margin-based", 56, 55, "350878a12873444a", "1f72c9067c6a697b", "335caadb7a89b4e0"),
+    (50, "main", 1679, 1213, "e7c23d1fbc756516", "6b4b853b4fdf3606", "06d378c0b6bb71cc"),
+    (50, "codual", 1633, 1221, "523888ba620e083b", "e6e3cf8fed4e82ab", "b7144cff728248ca"),
+    (50, "balanced", 2259, 1224, "f3d6d3592fe56e77", "d86cb08e468c3644", "28bd3aa59ea93354"),
+    (50, "margin-based", 480, 444, "1e9390849bff6505", "abc95cc3f00a099e", "b736dba55fe2a5bb"),
+    (80, "main", 4545, 3147, "e1022bdf144aa02b", "360510c9126cd9b3", "0419f95d787ef291"),
+]
+
+
 class TestTallyScale:
     """Turnout programs of the size a 20- to 50-candidate tally solves."""
 
@@ -280,6 +343,22 @@ class TestTallyScale:
         slacks = problem.rows.slacks(_padded(solution.point, len(problem.center)))
         assert np.abs(slacks[list(solution.active_set)]).max() <= 1e-9
 
+    @pytest.mark.parametrize(
+        "n, variant, iterations, n_active, active, point, multipliers", TRAJECTORIES
+    )
+    def test_trajectory_is_pinned(
+        self, n, variant, iterations, n_active, active, point, multipliers
+    ):
+        def digest(text: str) -> str:
+            return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+        ballots = {20: 2000, 30: 1000, 50: 500, 80: 300}[n]
+        solution = solve_active_set(profile_problem(n, ballots, Variant(variant)))
+        assert (solution.iterations, len(solution.active_set)) == (iterations, n_active)
+        assert digest(repr(solution.active_set)) == active
+        assert digest(" ".join(map(float.hex, solution.point))) == point
+        assert digest(" ".join(map(float.hex, solution.multipliers))) == multipliers
+
     @pytest.mark.parametrize("n, seed", [(20, 0), (20, 1), (30, 2)])
     def test_row_arrays_match_reference(self, n, seed):
         problem = matrix_problem(random_matrix(random.Random(seed), n))
@@ -298,10 +377,10 @@ class TestForest:
         cut = _Forest.cut
 
         def spy(forest, i, j):
-            tree = forest.trees[forest.tree.item(i)]
-            child = max(forest.pos[[i, j]])
-            row = int(tree[_ROW, child])
-            seen.append((row, tree[_NODE, 0] == forest.zero, int(tree[_SIZE, child])))
+            tree = forest.trees[forest.tree[i]]
+            child = max(tree[_NODE].index(i), tree[_NODE].index(j))
+            row = tree[_ROW][child]
+            seen.append((row, tree[_NODE][0] == forest.zero, tree[_SIZE][child]))
             cut(forest, i, j)
 
         monkeypatch.setattr(_Forest, "cut", spy)
@@ -392,23 +471,66 @@ class TestForest:
 def assert_layout(forest: _Forest, rows) -> None:
     """Every tree is a preorder of its nodes with true subtree sizes, each
     node below the root holds the row to its parent and that row's sign as
-    a flow out of the subtree, and the node arrays agree with the trees."""
+    a flow out of the subtree, and each node's tree id names its tree; a
+    node in no built tree is alone under its own id.  The tree rows are
+    the working rows, and pricing reads -inf on them and the equalities."""
+    ends, signs = list(zip(rows.i.tolist(), rows.j.tolist())), rows.sign.tolist()
+    placed, linked = [], []
     for k, tree in enumerate(forest.trees):
         if tree is None:
             continue
-        nodes, size = tree[_NODE].tolist(), tree[_SIZE].tolist()
-        assert forest.tree[nodes].tolist() == [k] * len(nodes)
-        assert forest.pos[nodes].tolist() == list(range(len(nodes)))
+        nodes, size, row, sign = tree
+        assert len(nodes) == len(size) == len(row) == len(sign) == size[0]
+        assert [forest.tree[v] for v in nodes] == [k] * len(nodes)
         assert (nodes[0] == forest.zero) == (k == forest.zero)
-        assert size[0] == len(nodes)
+        open_ancestors = [0]
         for q in range(1, len(nodes)):
-            parent = max(p for p in range(q) if p + size[p] > q)
-            assert q + size[q] <= parent + size[parent]
-            row = int(tree[_ROW, q])
-            ends = rows.i[row], rows.j[row]
-            assert sorted(ends) == sorted((nodes[q], nodes[parent]))
-            flow = rows.sign[row] if ends[0] == nodes[q] else -rows.sign[row]
-            assert tree[_SIGN, q] == flow
+            while open_ancestors[-1] + size[open_ancestors[-1]] <= q:
+                open_ancestors.pop()
+            parent = open_ancestors[-1]
+            assert size[q] >= 1 and q + size[q] <= parent + size[parent]
+            assert sorted(ends[row[q]]) == sorted((nodes[q], nodes[parent]))
+            flow = signs[row[q]] if ends[row[q]][0] == nodes[q] else -signs[row[q]]
+            assert sign[q] == flow
+            open_ancestors.append(q)
+        placed += nodes
+        linked += row[1:]
+    assert len(placed) == len(set(placed))
+    alone = sorted(set(range(forest.zero + 1)) - set(placed))
+    assert [(forest.tree[v], forest.trees[v]) for v in alone] == [(v, None) for v in alone]
+    assert sorted(linked) == np.flatnonzero(forest.working).tolist()
+    priced_out = rows.eq | forest.working
+    assert np.array_equal(forest.floor, np.where(priced_out, -math.inf, rows.rhs))
+
+
+class TestLayoutAfterEveryStep:
+    """``link`` and ``cut`` rewrite trees in place; the layout holds after
+    each of them, on a tally program and on random ones."""
+
+    @pytest.fixture
+    def checked(self, monkeypatch):
+        steps = []
+
+        def checking(method):
+            def run(forest, *args):
+                method(forest, *args)
+                assert_layout(forest, forest.rows)
+                steps.append(method.__name__)
+
+            return run
+
+        for name in ("link", "cut"):
+            monkeypatch.setattr(_Forest, name, checking(getattr(_Forest, name)))
+        return steps
+
+    def test_fifty_candidate_tally_program(self, checked):
+        solve_active_set(profile_problem(50, 500))
+        assert checked.count("link") > 500 and checked.count("cut") > 100
+
+    def test_random_feasible_problems(self, checked):
+        for seed in range(50):
+            solve_active_set(random_feasible_problem(random.Random(seed)))
+        assert checked.count("link") > 150 and checked.count("cut") >= 5
 
 
 def first_spanning_rows(problem: QpProblem) -> list[int]:
@@ -508,13 +630,13 @@ class TestEqualityInstall:
             rows = problem.rows
             eq = np.flatnonzero(rows.eq)
             d = len(problem.center)
-            forest = _Forest(d)
-            forest.span(rows, eq, _padded(problem.center, d), np.zeros(len(rows.rhs)))
+            forest = _Forest(d, rows)
+            forest.span(eq, _padded(problem.center, d), [0.0] * len(rows))
             linked = np.flatnonzero(forest.working).tolist()
             assert linked == first_spanning_rows(problem)
             assert_layout(forest, rows)
             dependent += eq.size - len(linked)
-            zero_trees += forest.trees[d].shape[1] > 1
+            zero_trees += forest.trees[d] is not None
         assert dependent > 40
         assert zero_trees > 10
 
@@ -538,6 +660,20 @@ class TestRows:
         assert kkt_residual(problem, solution) == pytest.approx(
             reference_kkt_residual(problem, solution), abs=1e-15
         )
+
+    @pytest.mark.parametrize(
+        "solution",
+        [
+            QpSolution((math.nan, 5.0), (), 0),
+            QpSolution((0.0, math.nan), (), 0),
+            QpSolution((2.5, 2.5), (0,), 0, (math.nan,)),
+        ],
+        ids=["first-coordinate", "second-coordinate", "multiplier"],
+    )
+    def test_residual_of_a_nan_accepts_no_bound(self, solution):
+        # Python's max skips NaN: max(0.0, nan) is 0.0.
+        problem = QpProblem((0.0, 5.0), (), ((0, 1, 0.0, 1.0),))
+        assert kkt_residual(problem, solution) == math.inf
 
     def test_no_rows(self):
         problem = QpProblem((1.0, -2.0))
