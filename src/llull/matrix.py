@@ -105,7 +105,7 @@ class LlullMatrix:
         _check_shape(len(candidates), counts)
         # For the total p / q the scores are counts * q over den * p.
         p, q = total.as_integer_ratio()
-        size = max(den * p, int(abs(counts).max(initial=0)) * q)
+        size = max(den * p, q, int(abs(counts).max(initial=0)) * q)
         w = counts.astype(np.int64 if size < _INT64_BOUND else object) * q
         np.fill_diagonal(w, 0)
         over = np.triu(w + w.T > den * p, 1)

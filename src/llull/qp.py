@@ -410,7 +410,7 @@ def solve_active_set(problem: QpProblem) -> QpSolution:
 
 
 def kkt_residual(problem: QpProblem, solution: QpSolution) -> float:
-    """Worst violation among feasibility, stationarity and multiplier signs."""
+    """Worst violation of feasibility, complementary slackness, stationarity or multiplier signs."""
     rows, d = problem.rows, len(problem.center)
     x = _padded(solution.point, d)
     slacks = rows.slacks(x)
@@ -422,7 +422,7 @@ def kkt_residual(problem: QpProblem, solution: QpSolution) -> float:
     grad = x - _padded(problem.center, d)
     np.subtract.at(grad, rows.i[active], pull)
     np.add.at(grad, rows.j[active], pull)
-    worst = (infeasible, 0.0 - mults[~rows.eq[active]], np.abs(grad[:d]))
+    worst = (infeasible, np.abs(slacks[active]), 0.0 - mults[~rows.eq[active]], np.abs(grad[:d]))
     worst = np.max([v.max(initial=0.0) for v in worst])  # NaN if any term is NaN
     return math.inf if math.isnan(worst) else float(worst)  # no bound accepts NaN
 
@@ -434,36 +434,36 @@ def solve_dykstra(problem: QpProblem) -> QpSolution:
     same projection but only asymptotically.  It reports the point and the
     sweep count, and no active set.
     """
-    d = len(problem.center)
-    x = np.array(problem.center, dtype=float)
+    x = [float(c) for c in problem.center]
     sets = [
-        (k, None, -math.inf if lo is None else lo, math.inf if hi is None else hi)
+        (k, None, -math.inf if lo is None else float(lo), math.inf if hi is None else float(hi))
         for k, (lo, hi) in enumerate(problem.bounds)
         if lo is not None or hi is not None
-    ] + list(problem.difference_constraints)  # boxes (k, None, lo, hi), then slabs
+    ] + [(i, j, float(lo), float(hi)) for i, j, lo, hi in problem.difference_constraints]
     if not sets:
         return QpSolution(tuple(x), (), 0)
-    increments = [np.zeros(d) for _ in sets]
+    increments = [(0.0, 0.0)] * len(sets)  # per set: on x_i, and on x_j for a slab
     for sweeps in range(1, _DYKSTRA_MAX_SWEEPS + 1):
         delta = 0.0
-        for si, (i, j, lo, hi) in enumerate(sets):
-            y = x + increments[si]
-            z = y.copy()
+        for s, (i, j, lo, hi) in enumerate(sets):
+            y_i = x[i] + increments[s][0]
             if j is None:
-                z[i] = min(max(y[i], lo), hi)
-            else:
-                gap = y[i] - y[j]
-                shift = (gap - min(max(gap, lo), hi)) / 2.0
-                z[i] -= shift
-                z[j] += shift
-            increments[si] = y - z
-            delta = max(delta, float(np.max(np.abs(z - x))))
-            x = z
+                z_i = min(max(y_i, lo), hi)
+                increments[s], delta = (y_i - z_i, 0.0), max(delta, abs(z_i - x[i]))
+                x[i] = z_i
+                continue
+            y_j = x[j] + increments[s][1]
+            gap = y_i - y_j
+            shift = (gap - min(max(gap, lo), hi)) / 2.0
+            z_i, z_j = y_i - shift, y_j + shift
+            increments[s] = (y_i - z_i, y_j - z_j)
+            delta = max(delta, abs(z_i - x[i]), abs(z_j - x[j]))
+            x[i], x[j] = z_i, z_j
         if delta < _DYKSTRA_TOL:
             break
     else:
         raise MaxIterations(f"Dykstra did not converge in {_DYKSTRA_MAX_SWEEPS} sweeps")
-    return QpSolution(tuple(x.tolist()), (), sweeps)
+    return QpSolution(tuple(x), (), sweeps)
 
 
 def problem_to_json(problem: QpProblem) -> str:

@@ -9,11 +9,11 @@ deterministic given a seed.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import combinations, permutations
 
-from .ballots import Ballot, CandidateSet, InterpretationRules, serialize_ballot_file
+from .ballots import Ballot, CandidateSet, InterpretationRules, Unlisted, serialize_ballot_file
 from .closures import Variant, maxmin_closure_grid, minmax_closure_grid
 from .errors import LlullError, NotAdmissible
 from .generate import ProfileGenerator, candidate_names, random_matrix
@@ -43,10 +43,6 @@ class VerificationFailure(LlullError):
 
 def _rates(matrix: LlullMatrix, variant: Variant = Variant.MAIN) -> tuple[float, ...]:
     return tally(matrix, variant).rates.rates
-
-
-def _replay(candidates: CandidateSet, ballots: list[Ballot]) -> str:
-    return serialize_ballot_file(candidates, ballots)
 
 
 # ---------------------------------------------------------------------------
@@ -112,14 +108,14 @@ def check_single_choice(candidates: CandidateSet, ballots: list[Ballot]) -> None
             raise VerificationFailure(
                 f"single-choice rate of {candidates.names[x]} is "
                 f"{result.rates.rates[x]}, expected {float(expected)}",
-                _replay(candidates, ballots),
+                serialize_ballot_file(candidates, ballots),
             )
     for x in range(n):
         for y in range(n):
             if x != y and abs(result.details.pm.pi[x][y] - float(matrix.scores[x][y])) > RATE_TOL:
                 raise VerificationFailure(
                     "single-choice projection moved the scores",
-                    _replay(candidates, ballots),
+                    serialize_ballot_file(candidates, ballots),
                 )
 
 
@@ -184,27 +180,21 @@ def check_idempotence(matrix: LlullMatrix, variant: Variant = Variant.MAIN) -> N
         )
 
 
-def check_condorcet_smith(
-    matrix: LlullMatrix, split: frozenset[int] | None = None
-) -> int:
+def _bipartitions(n: int):
+    """Every split of the candidates 0..n-1 into two nonempty sides (xs, ys)."""
+    for size in range(1, n):
+        for xs in combinations(range(n), size):
+            yield xs, [y for y in range(n) if y not in xs]
+
+
+def check_condorcet_smith(matrix: LlullMatrix) -> int:
     """Every pairwise-majority partition must be respected by the rates.
 
-    Scans all bipartitions when none is given; returns how many qualified.
+    Scans all bipartitions; returns how many qualified.
     """
-    n = matrix.n
     rates = _rates(matrix)
-    splits = (
-        [split]
-        if split is not None
-        else [
-            frozenset(xs) for size in range(1, n) for xs in combinations(range(n), size)
-        ]
-    )
     qualified = 0
-    for xs in splits:
-        ys = [y for y in range(n) if y not in xs]
-        if not ys:
-            continue
+    for xs, ys in _bipartitions(matrix.n):
         if all(matrix.scores[x][y] > Fraction(1, 2) for x in xs for y in ys):
             qualified += 1
             for x in xs:
@@ -225,17 +215,14 @@ def margin_form_notes(matrix: LlullMatrix) -> str:
     (only the absolute-majority form is guaranteed), so these observations
     are informational and never fail a case.
     """
-    n = matrix.n
     rates = _rates(matrix)
     v = matrix.scores
     noted = []
-    for size in range(1, n):
-        for xs in combinations(range(n), size):
-            ys = [y for y in range(n) if y not in xs]
-            if all(v[x][y] > v[y][x] for x in xs for y in ys) and any(
-                rates[x] >= rates[y] - RATE_TOL for x in xs for y in ys
-            ):
-                noted.append(f"margin-form majority {list(xs)} not separated")
+    for xs, ys in _bipartitions(matrix.n):
+        if all(v[x][y] > v[y][x] for x in xs for y in ys) and any(
+            rates[x] >= rates[y] - RATE_TOL for x in xs for y in ys
+        ):
+            noted.append(f"margin-form majority {list(xs)} not separated")
     return "; ".join(noted)
 
 
@@ -338,7 +325,7 @@ def check_decomposition(
     if abs(head_sum - k * (k + 1) / 2) > RATE_TOL * max(1, k):
         raise VerificationFailure(
             f"top-set rates sum to {head_sum}, expected {k * (k + 1) / 2}",
-            _replay(candidates, ballots),
+            serialize_ballot_file(candidates, ballots),
         )
 
     if k > 1:
@@ -358,7 +345,7 @@ def check_decomposition(
             if abs(rates[c] - sub.rates.rates[remap[c]]) > RATE_TOL:
                 raise VerificationFailure(
                     f"restricted election changes the rate of {candidates.names[c]}",
-                    _replay(candidates, ballots),
+                    serialize_ballot_file(candidates, ballots),
                 )
 
     for x in range(n):
@@ -368,12 +355,12 @@ def check_decomposition(
         if unanimous_first and abs(rates[x] - 1) > RATE_TOL:
             raise VerificationFailure(
                 f"unanimous first {candidates.names[x]} has rate {rates[x]}",
-                _replay(candidates, ballots),
+                serialize_ballot_file(candidates, ballots),
             )
         if not unanimous_first and rates[x] < 1 + RATE_TOL:
             raise VerificationFailure(
                 f"{candidates.names[x]} reached rate 1 without unanimity",
-                _replay(candidates, ballots),
+                serialize_ballot_file(candidates, ballots),
             )
 
 
@@ -388,68 +375,49 @@ def approval_counts(
 
 
 def check_approval_agreement(candidates: CandidateSet, ballots: list[Ballot]) -> None:
-    """On approval profiles the pairwise margins collapse to approval-score
-    differences, under every reading of the tied and silent pairs, and the
-    margin-completed tally ranks exactly like the approval scores."""
+    """On approval profiles the tally's pairwise margins are the approval-score
+    differences under both readings of the silent pairs, its scores are the
+    direct approval counts, and the margin-completed tally ranks exactly like
+    the approval scores."""
     n = len(candidates)
     approvals = approval_counts(candidates, ballots)
 
     both = [[Fraction(0)] * n for _ in range(n)]
     only = [[Fraction(0)] * n for _ in range(n)]
-    neither = [[Fraction(0)] * n for _ in range(n)]
     for ballot in ballots:
         approved = ballot.approved()
-        for x in range(n):
+        for x in approved:
             for y in range(n):
-                if x == y:
-                    continue
-                if x in approved and y in approved:
-                    both[x][y] += ballot.weight
-                elif x in approved:
-                    only[x][y] += ballot.weight
-                elif y not in approved:
-                    neither[x][y] += ballot.weight
-
-    half = Fraction(1, 2)
-    readings = {
-        "silent pairs ignored": lambda x, y: only[x][y] + half * both[x][y],
-        "silent pairs tied": lambda x, y: only[x][y] + half * both[x][y] + half * neither[x][y],
-        "approved pairs silent": lambda x, y: only[x][y],
-    }
-    for label, score in readings.items():
-        for x in range(n):
-            for y in range(n):
-                if x == y:
-                    continue
-                margin = score(x, y) - score(y, x)
-                if margin != approvals[x] - approvals[y]:
-                    raise VerificationFailure(
-                        f"margin identity fails for ({x}, {y}) with {label}",
-                        _replay(candidates, ballots),
-                    )
+                if y != x:
+                    (both if y in approved else only)[x][y] += ballot.weight
 
     # The total defaults to the weight sum, or to 1 when there are no ballots.
-    matrix = aggregate(ballots, InterpretationRules(), candidates)
-    for x in range(n):
-        for y in range(n):
-            if x != y and matrix.scores[x][y] * matrix.total != only[x][y] + half * both[x][y]:
+    readings = {
+        u: aggregate(ballots, InterpretationRules(unlisted_pair=u), candidates) for u in Unlisted
+    }
+    for unlisted, matrix in readings.items():
+        v = matrix.scores
+        for x, y in permutations(range(n), 2):
+            if (v[x][y] - v[y][x]) * matrix.total != approvals[x] - approvals[y]:
                 raise VerificationFailure(
-                    "aggregation disagrees with the direct approval counts",
-                    _replay(candidates, ballots),
+                    f"margin identity fails for ({x}, {y}) with silent pairs {unlisted.value}",
+                    serialize_ballot_file(candidates, ballots),
                 )
+    matrix = readings[Unlisted.NO_INFO]  # the default rules
+    for x, y in permutations(range(n), 2):
+        if matrix.scores[x][y] * matrix.total != only[x][y] + both[x][y] / 2:
+            raise VerificationFailure(
+                "aggregation disagrees with the direct approval counts",
+                serialize_ballot_file(candidates, ballots),
+            )
     rates = _rates(matrix, Variant.MARGIN_BASED)
-    for x in range(n):
-        for y in range(n):
-            if x == y:
-                continue
-            rate_says = rates[x] < rates[y] - RATE_TOL
-            score_says = approvals[x] > approvals[y]
-            if rate_says != score_says:
-                raise VerificationFailure(
-                    f"margin-based ranking of ({candidates.names[x]}, "
-                    f"{candidates.names[y]}) disagrees with approval scores",
-                    _replay(candidates, ballots),
-                )
+    for x, y in permutations(range(n), 2):
+        if (rates[x] < rates[y] - RATE_TOL) != (approvals[x] > approvals[y]):
+            raise VerificationFailure(
+                f"margin-based ranking of ({candidates.names[x]}, "
+                f"{candidates.names[y]}) disagrees with approval scores",
+                serialize_ballot_file(candidates, ballots),
+            )
 
 
 def check_continuity(
@@ -499,7 +467,7 @@ def check_duplication_renaming(
     if _rates(duplicated) != base:
         raise VerificationFailure(
             f"{copies} copies of every ballot changed the rates",
-            _replay(candidates, ballots),
+            serialize_ballot_file(candidates, ballots),
         )
 
     renamed_ballots = [
@@ -517,7 +485,7 @@ def check_duplication_renaming(
             raise VerificationFailure(
                 f"renaming moved the rate of candidate {x} by "
                 f"{abs(permuted[mapping[x]] - base[x])}",
-                _replay(candidates, ballots),
+                serialize_ballot_file(candidates, ballots),
             )
 
 
@@ -561,10 +529,7 @@ def _case_order_independence(rng: random.Random) -> None:
 
 def _regen(gen: ProfileGenerator, rng: random.Random):
     # Re-key the generator on the caller's stream to stay per-case deterministic.
-    return ProfileGenerator(
-        gen.n_candidates, gen.n_ballots, gen.truncation, gen.tie, gen.approval,
-        rng.randrange(2**30),
-    ).profile(0)
+    return replace(gen, seed=rng.randrange(2**30)).profile(0)
 
 
 def _case_idempotence(rng: random.Random) -> str | None:
@@ -581,13 +546,19 @@ def _case_idempotence(rng: random.Random) -> str | None:
     return None
 
 
-def _case_condorcet_smith(rng: random.Random) -> None:
-    n = rng.randint(3, 6)
-    candidates = candidate_names(n)
-    members = list(range(n))
+def _top_and_rest(rng: random.Random) -> tuple[list[int], list[int]]:
+    """3 to 6 candidates in a shuffled order, cut into a nonempty top and rest."""
+    members = list(range(rng.randint(3, 6)))
     rng.shuffle(members)
-    k = rng.randint(1, n - 1)
-    top, rest = members[:k], members[k:]
+    k = rng.randint(1, len(members) - 1)
+    return members[:k], members[k:]
+
+
+def _case_condorcet_smith(rng: random.Random) -> None:
+    top, rest = _top_and_rest(rng)
+    members = top + rest
+    n = len(members)
+    candidates = candidate_names(n)
     voters = 2 * rng.randint(2, 5) + 1
     majority = voters // 2 + 1
     ballots = []
@@ -607,7 +578,7 @@ def _case_condorcet_smith(rng: random.Random) -> None:
     matrix = aggregate(ballots, InterpretationRules(), candidates)
     if check_condorcet_smith(matrix) == 0:
         raise VerificationFailure("constructed majority partition did not qualify",
-                                  _replay(candidates, ballots))
+                                  serialize_ballot_file(candidates, ballots))
     return margin_form_notes(matrix) or None
 
 
@@ -662,12 +633,8 @@ def _case_monotonicity(rng: random.Random) -> None:
 
 
 def _case_decomposition(rng: random.Random) -> None:
-    n = rng.randint(3, 6)
-    candidates = candidate_names(n)
-    members = list(range(n))
-    rng.shuffle(members)
-    k = rng.randint(1, n - 1)
-    top, rest = members[:k], members[k:]
+    top, rest = _top_and_rest(rng)
+    candidates = candidate_names(len(top) + len(rest))
     ballots = []
     for _ in range(rng.randint(2, 10)):
         perm_top = top[:]

@@ -143,6 +143,45 @@ class TestRunCommand:
         assert r.stdout == ""
         assert f"line {line}: " in r.stderr
 
+    @pytest.mark.parametrize(
+        "text, flags",
+        [
+            ("candidates: a b\n/\n", ["--total-voters", "1/9223372036854775808"]),
+            ("a,b\nV=1e-400\n*,0\n0,*\n", ["--matrix"]),
+        ],
+        ids=["total-voters-option", "matrix-total"],
+    )
+    def test_zero_counts_over_a_total_with_a_huge_denominator(self, tmp_path, capsys, text, flags):
+        # V = p / q with q >= 2**63 scales the counts by q, past int64.
+        f = tmp_path / "input"
+        f.write_text(text)
+        assert main(["run", *flags, str(f)]) == 0
+        assert capsys.readouterr().out.endswith("ranking: a = b\n")
+
+    @pytest.mark.parametrize(
+        "text, flags",
+        [
+            ("a>b\nb>a\na>b\n", []),
+            ("candidates: a b\na>b\nb>a\n", []),
+            ("a,b\nV=3\n*,2\n1,*\n", ["--matrix"]),
+        ],
+        ids=["ballots", "candidates-line", "matrix"],
+    )
+    def test_a_byte_order_mark_is_ignored(self, tmp_path, capsys, text, flags):
+        plain, marked = tmp_path / "plain", tmp_path / "marked"
+        plain.write_bytes(text.encode())
+        marked.write_bytes(b"\xef\xbb\xbf" + text.encode())
+        commands = [["run", *flags], ["run", "--json", "--intermediates", *flags]]
+        if not flags:
+            commands.append(["verify", "--cases", "0", "--input"])
+        for command in commands:
+            reports = []
+            for f in (plain, marked):
+                assert main([*command, str(f)]) == 0
+                reports.append(capsys.readouterr().out)
+            assert reports[0] == reports[1]
+            assert "\ufeff" not in reports[1]
+
     def test_zero_total_voters_on_cutoff_only_ballots(self, tmp_path):
         f = tmp_path / "b.ballots"
         f.write_text("candidates: a b\n/\n/\n")

@@ -8,6 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from llull import verify
 from llull.ballots import InterpretationRules, read_ballot_file
 from llull.closures import Variant, indirect_scores, margin_completion, variant_margins
 from llull.errors import Infeasible
@@ -31,6 +32,16 @@ from llull.qp import (
     solve_dykstra,
 )
 from llull.verify import equality_dense_problem, random_feasible_problem
+
+
+# Dykstra's sweeps on the first 100 programs of the qp-agreement suite, seed 1.
+QP_AGREEMENT_SWEEPS = [
+    1, 14, 93, 0, 175, 41, 42, 210, 257, 275, 2, 87, 87, 199, 202, 328, 90, 44, 134, 84,
+    143, 1, 72, 117, 289, 11201, 79, 60, 4, 568, 2, 168, 1187, 114, 138, 85, 2, 73, 21, 42,
+    67, 42, 20, 123, 929, 45, 48, 94, 59, 202, 1, 330, 41, 302, 93, 85, 54, 50, 91, 126, 2,
+    42, 76, 103, 268, 69, 296, 185, 80, 92, 265, 1161, 46, 58, 55, 284, 2, 237, 148, 1, 68,
+    40, 46, 297, 157, 41, 1, 51, 133, 230, 247, 44, 32, 67, 2, 4, 120, 306, 42, 54,
+]
 
 
 def problem_from_json(text: str) -> QpProblem:
@@ -111,8 +122,9 @@ def reference_kkt_residual(problem: QpProblem, solution) -> float:
         worst = max(worst, abs(s) if eq else -s)
     grad = [xk - ck for xk, ck in zip(x, problem.center)]
     for idx, mult in zip(solution.active_set, solution.multipliers):
-        a, _, eq = rows[idx]
+        a, b, eq = rows[idx]
         grad = [g - mult * ak for g, ak in zip(grad, a)]
+        worst = max(worst, abs(sum(ak * xk for ak, xk in zip(a, x)) - b))  # must be tight
         if not eq:
             worst = max(worst, -mult)
     return max([worst, *map(abs, grad)])
@@ -661,6 +673,15 @@ class TestRows:
             reference_kkt_residual(problem, solution), abs=1e-15
         )
 
+    def test_residual_reads_complementary_slackness(self):
+        # x = 0.5 is feasible, and stationary under the multiplier 0.5 of the
+        # bound row x >= -1; but that row is 1.5 from tight, and the
+        # projection of the center 0 is 0.
+        problem = QpProblem((0.0,), ((-1.0, None),))
+        solution = QpSolution((0.5,), (0,), 1, (0.5,))
+        assert kkt_residual(problem, solution) == 1.5
+        assert reference_kkt_residual(problem, solution) == 1.5
+
     @pytest.mark.parametrize(
         "solution",
         [
@@ -697,6 +718,20 @@ class TestDykstra:
             a = solve_active_set(problem)
             b = solve_dykstra(problem)
             assert max(abs(x - y) for x, y in zip(a.point, b.point)) <= 1e-6
+
+    def test_first_hundred_qp_agreement_programs_keep_their_points(self, monkeypatch):
+        # Recorded from the solver that kept a full-length increment per set;
+        # the two-number increments must give the same floats, bit for bit.
+        problems = []
+        monkeypatch.setattr(verify, "check_qp_agreement", problems.append)
+        for case in range(100):  # the cases of `llull verify --suite qp-agreement --seed 1`
+            verify._case_qp_agreement(random.Random(f"1:qp-agreement:{case}"))
+        solutions = [solve_dykstra(problem) for problem in problems]
+        assert [s.iterations for s in solutions] == QP_AGREEMENT_SWEEPS
+        points = json.dumps([[x.hex() for x in s.point] for s in solutions])
+        assert hashlib.sha256(points.encode()).hexdigest() == (
+            "e8e7d95b00cae31207b408b792b42ad0299c2a5933dfba1d75690d99a69146c1"
+        )
 
     @pytest.mark.parametrize("seed", range(15))
     def test_cross_validation_random(self, seed):

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from llull import verify
-from llull.ballots import Ballot, CandidateSet, InterpretationRules, read_ballot_file
+from llull.ballots import Ballot, CandidateSet, InterpretationRules, Unlisted, read_ballot_file
 from llull.closures import Variant
 from llull.generate import ProfileGenerator, candidate_names, random_matrix
 from llull.matrix import LlullMatrix, aggregate
@@ -136,6 +136,25 @@ class TestApprovalAgreement:
         )
         names = [[cands.names[x] for x in g] for g in result.ranking.groups]
         assert names == [["A", "C"], ["B"], ["D"], ["E"]]
+
+    def test_a_wrong_margin_under_tied_silent_pairs_fails(self, monkeypatch):
+        # a is approved twice, b once and c never, so no margin is zero.
+        cands, table = read_ballot_file("candidates: a b c\na=b/\na/\n")
+        ballots = table.ballots()
+        check_approval_agreement(cands, ballots)
+        real = verify.aggregate
+
+        def swap_a_and_b_when_tied(ballots, rules, candidates):
+            matrix = real(ballots, rules, candidates)
+            if rules.unlisted_pair is not Unlisted.TIED:
+                return matrix
+            v = [list(row) for row in matrix.scores]
+            v[0][1], v[1][0] = v[1][0], v[0][1]
+            return LlullMatrix.from_scores(candidates, v, matrix.total)
+
+        monkeypatch.setattr(verify, "aggregate", swap_a_and_b_when_tied)
+        with pytest.raises(VerificationFailure, match=r"\(0, 1\) with silent pairs tied"):
+            check_approval_agreement(cands, ballots)
 
     def test_single_approval_ballot_ranks_approved_first(self):
         cands, table = read_ballot_file("candidates: a b c\na=b/\n")
