@@ -547,8 +547,11 @@ def read_ballot_file(text: str) -> tuple[CandidateSet, BallotTable]:
     table; one ``dict`` pass over the lines numbers them.  Plain lines are
     read in bulk by ``_plain_rows``, a block of distinct texts at a time;
     every other line goes through the tokenizer in file order, so the first
-    error raised is the one of the earliest bad line.
+    error raised is the one of the earliest bad line.  A leading byte-order
+    mark is skipped.
     """
+    if text.startswith("\ufeff"):
+        text = text[1:]  # a byte-order mark
     lines = text.splitlines()
     if "#" in text:
         # Lines hold no newline, so a comment ends where its line does.

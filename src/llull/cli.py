@@ -109,7 +109,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_run(args) -> int:
     try:
-        text = Path(args.input).read_text(encoding="utf-8-sig")
+        text = Path(args.input).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         print(f"error: {args.input}: {exc}", file=sys.stderr)
         return EXIT_PARSE
@@ -156,7 +156,7 @@ def _cmd_verify(args) -> int:
     fixture = None
     if args.input is not None:
         try:
-            candidates, table = read_ballot_file(Path(args.input).read_text(encoding="utf-8-sig"))
+            candidates, table = read_ballot_file(Path(args.input).read_text(encoding="utf-8"))
             fixture = (candidates, table.ballots())
         except (OSError, UnicodeDecodeError, BallotError) as exc:
             print(f"error: {args.input}: {exc}", file=sys.stderr)

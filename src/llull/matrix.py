@@ -230,11 +230,45 @@ def margins(w: np.ndarray) -> np.ndarray:
 # read as "*", an empty cell or any zero.
 
 
+def _read_row(cells: list[str], header: tuple[str, ...], x: int, lineno: int) -> list:
+    """The counts of row x: a row of plain integers in one ``map(int, ...)``,
+    any other row cell by cell, which raises at the first bad cell."""
+    diagonal = "0" if cells[x] in ("*", "") else cells[x]
+    try:
+        parsed = list(map(int, [*cells[:x], diagonal, *cells[x + 1 :]]))
+    except ValueError:
+        parsed = None
+    if parsed is not None and not parsed[x] and min(parsed) >= 0:
+        return parsed
+    parsed = []
+    for j, cell in enumerate(cells):
+        if j == x and cell in ("*", ""):
+            parsed.append(0)
+            continue
+        try:
+            value = int(cell)
+        except ValueError:
+            try:
+                value = read_fraction(cell)
+            except (ValueError, ZeroDivisionError):
+                raise MatrixFormatError(f"cannot read entry {cell!r}", lineno) from None
+        if j == x and value != 0:
+            raise MatrixFormatError(f"diagonal entry {cell!r} is not '*' or 0", lineno)
+        if value < 0:
+            raise MatrixFormatError(
+                f"pair ({header[x]}, {header[j]}) has negative entry {cell!r}", lineno
+            )
+        parsed.append(value)
+    return parsed
+
+
 def read_matrix(text: str, total_voters: Fraction | None = None) -> LlullMatrix:
     """The matrix of a CSV text.  A given ``total_voters`` replaces the
     file's voter total, which must still be readable.  A file's total that
     a turnout exceeds raises ``MatrixFormatError`` at its line, a given one
-    ``TotalVotersTooSmall``."""
+    ``TotalVotersTooSmall``.  A leading byte-order mark is skipped."""
+    if text.startswith("\ufeff"):
+        text = text[1:]  # a byte-order mark
     header: tuple[str, ...] | None = None
     total, total_line = Fraction(1), None
     rows: list[list[int | Fraction]] = []
@@ -270,27 +304,7 @@ def read_matrix(text: str, total_voters: Fraction | None = None) -> LlullMatrix:
             raise MatrixFormatError(
                 f"expected {len(header)} entries, found {len(cells)}", lineno
             )
-        parsed = []
-        for j, cell in enumerate(cells):
-            if j == len(rows) and cell in ("*", ""):
-                parsed.append(0)
-                continue
-            try:
-                value = int(cell)
-            except ValueError:
-                try:
-                    value = read_fraction(cell)
-                except (ValueError, ZeroDivisionError):
-                    raise MatrixFormatError(f"cannot read entry {cell!r}", lineno) from None
-            if j == len(rows) and value != 0:
-                raise MatrixFormatError(f"diagonal entry {cell!r} is not '*' or 0", lineno)
-            if value < 0:
-                raise MatrixFormatError(
-                    f"pair ({header[len(rows)]}, {header[j]}) has negative entry {cell!r}",
-                    lineno,
-                )
-            parsed.append(value)
-        rows.append(parsed)
+        rows.append(_read_row(cells, header, len(rows), lineno))
         row_lines.append(lineno)
 
     if header is None:

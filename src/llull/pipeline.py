@@ -6,7 +6,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from json.encoder import encode_basestring_ascii as _string
-from math import gcd
 
 import numpy as np
 
@@ -107,19 +106,22 @@ def _grid(rows: list[list[str]], pad: str) -> str:
 
 
 def _float_grid(a: np.ndarray, pad: str) -> str:
-    # The report's floats are finite, so ``repr`` writes them as JSON does.
-    return _grid([list(map(float.__repr__, row)) for row in a.tolist()], pad)
+    """Floats as ``repr`` writes them, as JSON does for the report's finite
+    floats, each distinct nonzero one rendered once.  Zeros are rendered
+    cell by cell: 0.0 and -0.0 are one key, and -0.0 keeps its sign."""
+    rows = a.tolist()
+    text = {x: float.__repr__(x) for x in set(chain.from_iterable(rows)) if x}
+    return _grid([[text[x] if x else float.__repr__(x) for x in row] for row in rows], pad)
 
 
 def _numerator_grid(w: np.ndarray, den: int, pad: str) -> str:
     """Numerators over ``den`` as the quoted strings of their Fractions,
     each distinct one rendered once; the diagonal holds 0."""
-    rows = w.tolist()
-    text = {}
-    for p in set(chain.from_iterable(rows)):
-        g = gcd(p, den)  # positive, so the sign stays on the numerator
-        text[p] = f'"{p // g}"' if g == den else f'"{p // g}/{den // g}"'
-    return _grid([[text[p] for p in row] for row in rows], pad)
+    distinct, at = np.unique(w, return_inverse=True)
+    g = np.gcd(distinct, den)  # positive, so the sign stays on the numerator
+    pairs = zip((distinct // g).tolist(), (den // g).tolist())
+    text = np.array([f'"{p}"' if q == 1 else f'"{p}/{q}"' for p, q in pairs], dtype=object)
+    return _grid(text[at.reshape(w.shape)].tolist(), pad)
 
 
 def _config_json(config: RunConfig) -> str:

@@ -6,7 +6,8 @@ the nearest-point turnout program, and the interval construction whose
 endpoints are the projected scores.  The exact stages run on the matrix's
 integer numerators over its denominator D (``matrix.w`` over ``matrix.den``);
 they cross over to binary64 at the entry of the quadratic program, as
-Python-int divisions by D, which round correctly.  From the program's point
+Python-int divisions by D (times a block pair's count of position pairs),
+which round correctly.  From the program's point
 on, each stage is one float64 array: the projected turnouts ``tsigma`` and
 the intervals (rows ``[lo, hi]``) by order position, and the projected
 scores ``pi`` by candidate.  ``project_details`` is the one place that
@@ -15,7 +16,9 @@ composes these stages with the closures and the order.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -50,9 +53,16 @@ class IntermediateMargins:
     msigma: np.ndarray
     den: int
 
-    @property
+    @cached_property
     def superdiagonal(self) -> tuple[int, ...]:
         return tuple(np.diagonal(self.msigma, 1).tolist())
+
+    @cached_property
+    def blocks(self) -> tuple[int, ...]:
+        """The first position of each block: the maximal runs of consecutive
+        positions joined by zero superdiagonal margins.  Two positions are
+        tied exactly when they share a block."""
+        return (0, *(i + 1 for i, m in enumerate(self.superdiagonal) if m))
 
 
 def intermediate_margins(vm: VariantMargins, xi: AdmissibleOrder) -> IntermediateMargins:
@@ -65,50 +75,100 @@ def intermediate_margins(vm: VariantMargins, xi: AdmissibleOrder) -> Intermediat
     return IntermediateMargins(xi, upper - upper.T, vm.den)
 
 
-def turnout_qp(t: np.ndarray, im: IntermediateMargins) -> QpProblem:
-    """Build the nearest-point program for the intermediate turnouts.
+def _block_variables(sizes: np.ndarray) -> tuple[np.ndarray, int]:
+    """The variable of each pair of blocks of the given sizes, as a block by
+    block index array, and the number d of variables.
 
-    ``t`` holds turnout numerators over ``im.den``.  Variables are unordered
-    position pairs i < j, in ``combinations`` order; the ordered-pair
-    objective of the tally just doubles every term, so the minimizer is
-    unchanged.  Consecutive positions i, i + 1 bound their pair's turnout
-    by [m_i, 1], and against every other position z the pair (i, z) may
-    exceed (i + 1, z) by 0 to m_i.
+    The pairs A < B come first, in ``combinations`` order, then the inner
+    variable of each block of two or more positions, in order; entry
+    [A, A] is the inner variable of A, or d for a block of one."""
+    k = sizes.size
+    rows, cols = np.triu_indices(k, 1)
+    multi = np.flatnonzero(sizes > 1)
+    d = rows.size + multi.size
+    variable = np.full((k, k), d, dtype=np.intp)
+    variable[rows, cols] = variable[cols, rows] = np.arange(rows.size)
+    variable[multi, multi] = np.arange(rows.size, d)
+    return variable, d
+
+
+def turnout_qp(t: np.ndarray, im: IntermediateMargins) -> QpProblem:
+    """Build the nearest-point program for the intermediate turnouts, over
+    the blocks of tied positions (``im.blocks``).
+
+    ``t`` holds turnout numerators over ``im.den``.  The turnouts are those
+    of the unordered position pairs i < j; the ordered-pair objective of
+    the tally just doubles every term, so the minimizer is unchanged.
+    Consecutive positions i, i + 1 bound their pair's turnout by [m_i, 1],
+    and against every other position z the pair (i, z) may exceed
+    (i + 1, z) by 0 to m_i.  A zero m_i so forces tau(i, z) = tau(i + 1, z),
+    and tau is constant on the pairs of two blocks A, B and on the inner
+    pairs of one block A.  Each of these is one variable of the program,
+    weighted by its number of pairs, |A| |B| or |A| (|A| - 1) / 2, with
+    the mean of ``t`` over them for center: their sum over den times the
+    weight, one Python-int division, so it is correctly rounded.
+
+    The rows are those of the pairs, each parallel copy once: an inner
+    variable lies in [0, 1], and blocks A, B in a row joined by m > 0 bound
+    (A, B) by [m, 1] and, against every block Z, (A, Z) - (B, Z) by
+    [0, m], where (A, A) and (B, B) are the inner variables, and a block of
+    one position has none and no such row.  With no tie, every block is
+    one position, and this is the program of the pairs, variable for
+    variable and row for row, with unit weights.
     """
     seq = np.array(im.order.sequence, dtype=np.intp)
-    n = len(seq)
-    rows, cols = np.triu_indices(n, 1)  # the pairs in ``combinations`` order
-    pair = np.zeros((n, n), dtype=np.intp)
-    pair[rows, cols] = pair[cols, rows] = np.arange(rows.size)
-    center = [turnout / im.den for turnout in t[seq[rows], seq[cols]].tolist()]
-    margins = [margin / im.den for margin in im.superdiagonal]
-    at = np.arange(n - 1)
-    bounds: list[tuple[float | None, float | None]] = [(None, None)] * rows.size
-    for k, m in zip(pair[at, at + 1].tolist(), margins):
-        bounds[k] = (m, 1.0)
-    others = np.ones((n - 1, n), dtype=bool)
-    others[at, at] = others[at, at + 1] = False
-    i, z = others.nonzero()  # by i, then z
-    upper, lower = pair[i, z].tolist(), pair[i + 1, z].tolist()
-    diffs = zip(upper, lower, [0.0] * len(upper), [margins[k] for k in i.tolist()])
-    return QpProblem(tuple(center), tuple(bounds), tuple(diffs))
+    n, starts, den = len(seq), im.blocks, im.den
+    sizes = np.diff([*starts, n])
+    variable, d = _block_variables(sizes)
+    k = sizes.size
+    # Each variable's number of pairs and sum of t over them.
+    pairs = np.outer(sizes, sizes)
+    np.fill_diagonal(pairs, sizes * (sizes - 1) // 2)
+    t = t[np.ix_(seq, seq)]
+    if t.dtype != object and den * n * n >= 2**62:
+        t = t.astype(object)  # past int64's reach
+    sums = np.add.reduceat(np.add.reduceat(t, starts, axis=0), starts, axis=1)
+    np.fill_diagonal(sums, np.diagonal(sums) // 2)  # each pair of one block came twice
+    weights, totals = np.zeros(d + 1, dtype=np.int64), np.zeros(d + 1, dtype=sums.dtype)
+    weights[variable], totals[variable] = pairs, sums  # slot d takes the blocks of one
+    weights, totals = weights[:d].tolist(), totals[:d].tolist()
+    center = [total / (den * w) for total, w in zip(totals, weights)]
+    # Each block's margin to the next one, as a float.
+    margins = [im.superdiagonal[start - 1] / den for start in starts[1:]]
+    n_pairs = k * (k - 1) // 2
+    bounds: list[tuple[float | None, float | None]] = [(None, None)] * n_pairs
+    bounds += [(0.0, 1.0)] * (d - n_pairs)
+    at = np.arange(k - 1)
+    for v, m in zip(variable[at, at + 1].tolist(), margins):
+        bounds[v] = (m, 1.0)
+    upper, lower = variable[:-1], variable[1:]
+    keep = (upper != d) & (lower != d)  # by block, then Z
+    boundary = np.nonzero(keep)[0].tolist()
+    upper, lower = upper[keep].tolist(), lower[keep].tolist()
+    diffs = zip(upper, lower, [0.0] * len(upper), [margins[c] for c in boundary])
+    return QpProblem(tuple(center), tuple(bounds), tuple(diffs), tuple(map(float, weights)))
 
 
 @dataclass(frozen=True)
 class ProjectedTurnouts:
-    """Optimal turnouts, a symmetric float array indexed by order position."""
+    """Optimal turnouts, a symmetric float array indexed by order position,
+    and the solution of the block program they expand."""
 
     tsigma: np.ndarray
     solution: QpSolution
 
 
 def project_turnouts(t: np.ndarray, im: IntermediateMargins) -> ProjectedTurnouts:
-    n = len(im.order.sequence)
+    """Solve the block program of ``turnout_qp`` and give each position pair
+    its block pair's value, 0 on the diagonal."""
+    n, starts = len(im.order.sequence), im.blocks
     solution = solve_active_set(turnout_qp(t, im))
-    # ``triu_indices`` lists the pairs in ``combinations`` order.
-    rows, cols = np.triu_indices(n, 1)
-    tsigma = np.zeros((n, n))
-    tsigma[rows, cols] = tsigma[cols, rows] = solution.point
+    sizes = np.diff([*starts, n])
+    variable, d = _block_variables(sizes)
+    block = np.repeat(np.arange(sizes.size), sizes)
+    index = variable[np.ix_(block, block)]
+    np.fill_diagonal(index, d)
+    tsigma = np.append(solution.point, 0.0)[index]
     return ProjectedTurnouts(tsigma, solution)
 
 
@@ -153,8 +213,14 @@ class ProjectedMatrix:
     def n(self) -> int:
         return len(self.pi)
 
-    def check_structure(self) -> None:
+    def check_structure(self, superdiagonal: Sequence[int]) -> None:
         """Assert the laws of the projected matrix the float step can break.
+
+        ``superdiagonal`` holds the exact rectangle margins between
+        consecutive positions of the order, ``IntermediateMargins.superdiagonal``:
+        positions i < j are tied exactly when the margins from i to j - 1
+        are all 0, and only tied pairs must propagate their tie.  No float
+        decides a tie.
 
         Every law is one float expression per index pair or triple,
         evaluated for all of them at once with numpy broadcasts.  When laws
@@ -209,7 +275,8 @@ class ProjectedMatrix:
         rows = np.stack((r, -c, mg_r, to_r))
         diffs = rows[:, :, None, :] - rows[:, None, :, :]
         monotone = (diffs < -tol).any(axis=0)
-        tied = np.abs(mg) <= tol
+        block = np.cumsum([0, *(m != 0 for m in superdiagonal)])
+        tied = block[:, None] == block[None, :]
         # Where monotonicity holds, |d| > tol is d > tol.
         spread = tied[:, :, None] & (diffs > tol).any(axis=0)
         other = seq[:, None] != pos[None, :]
@@ -299,5 +366,5 @@ def project_details(
     pt = project_turnouts(t, im)
     intervals = build_intervals(pt, im)
     pm = projected_scores(intervals, xi)
-    pm.check_structure()
+    pm.check_structure(im.superdiagonal)
     return ProjectionDetails(matrix, scores, vm, xi, im, t, effective.den, pt, intervals, pm)

@@ -1,8 +1,10 @@
 """Nearest-point quadratic programs over boxes and pairwise differences.
 
-Problems here have an identity Hessian: find the Euclidean projection of a
-center point onto a polyhedron cut out by per-variable bounds and two-sided
-constraints on differences x_i - x_j.  Two independent solvers are provided:
+Problems here have a positive diagonal Hessian: find the projection of a
+center point, in the norm sum_k w_k x_k**2 of positive per-variable weights
+w (all ones by default), onto a polyhedron cut out by per-variable bounds
+and two-sided constraints on differences x_i - x_j.  Two independent
+solvers are provided:
 
 * ``solve_active_set``: a dual active-set iteration.  Every row is
   e_i - e_j or a bound on one variable, so a linearly independent working
@@ -13,6 +15,8 @@ constraints on differences x_i - x_j.  Two independent solvers are provided:
   ``solve_active_set``).  A step moves x by one constant per tree and
   changes multipliers along tree paths of the two trees that hold the ends
   of the entering row: a few to a few hundred nodes, kept in Python lists.
+  Weights enter through each tree's total and subtree weights, where an
+  unweighted solve reads node counts.
   An unbounded dual step certifies infeasibility (``Infeasible``) and a
   step cap ends a run that does not converge (``MaxIterations``).  Pricing
   every row is two gathers, two subtractions and an argmin over the rows
@@ -71,17 +75,22 @@ class QpProblem:
     may be None.  ``difference_constraints`` holds (i, j, lo, hi) meaning
     lo <= x_i - x_j <= hi.  lo == hi makes a constraint an equality.
 
+    ``weights`` holds the positive weight w_k of each variable in the
+    objective sum_k w_k (x_k - center_k)**2; empty means all ones.
+
     ``rows`` holds the constraints as rows, the one row order every solver
     and ``QpSolution.active_set`` use: the bounds by variable, then the
     difference constraints in order.  A constraint with lo < hi yields a
     lower row and then a negated upper row, lo == hi a single equality row,
     and a missing side of a bound no row.  A NaN side, an empty interval, an
-    equality at infinity or a center that is not finite raises ValueError.
+    equality at infinity, a center that is not finite or a weight that is
+    not finite and positive raises ValueError.
     """
 
     center: tuple[float, ...]
     bounds: tuple[tuple[float | None, float | None], ...] = ()
     difference_constraints: tuple[tuple[int, int, float, float], ...] = ()
+    weights: tuple[float, ...] = ()
     rows: _Rows = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -92,6 +101,14 @@ class QpProblem:
         if not all(map(math.isfinite, self.center)):
             k = next(k for k, c in enumerate(self.center) if not math.isfinite(c))
             raise ValueError(f"center of variable {k} is {self.center[k]}, not finite")
+        if self.weights:
+            if len(self.weights) != d:
+                raise ValueError(f"{len(self.weights)} weights for {d} variables")
+            # NaN compares false, so ``0 < w < inf`` fails on it too.
+            bad = [k for k, w in enumerate(self.weights) if not 0.0 < w < math.inf]
+            if bad:
+                w = self.weights[bad[0]]
+                raise ValueError(f"weight of variable {bad[0]} is {w}, not finite and positive")
         rows: list[tuple[int, int, float, float, bool]] = []
         # NaN compares false both ways, so ``not lo <= hi`` catches it too.
         for k, (lo, hi) in enumerate(self.bounds):
@@ -142,7 +159,7 @@ def constraint_rows(problem: QpProblem) -> _Rows:
     return problem.rows
 
 
-_NODE, _SIZE, _ROW, _SIGN = range(4)  # the fields of a tree, one list each
+_NODE, _SIZE, _ROW, _SIGN, _WEIGHT = range(5)  # the fields of a tree, one list each
 
 
 def _path(size: list, p: int) -> list:
@@ -165,57 +182,67 @@ class _Forest:
     its tree.  Such rows are linearly independent exactly when their edges
     close no cycle, so a row whose ends share a tree is dependent.
 
-    A tree is four lists over its nodes in preorder: the node, its subtree
-    size, the row to its parent and that row's sign as a flow out of the
-    subtree (unused at the root).  A subtree is a slice, a position is
-    ``list.index`` of the node list, and the ancestors of position p are the
-    q <= p whose slice reaches p.  ``tree`` maps a node to its tree's index
-    in ``trees``: d for the zero node's tree, v for node v alone, built when
+    A tree is five lists over its nodes in preorder: the node, its subtree
+    size, the row to its parent, that row's sign as a flow out of the
+    subtree (unused at the root) and the subtree's weight, the sum of its
+    nodes' ``weight``.  A subtree is a slice, a position is ``list.index``
+    of the node list, and the ancestors of position p are the q <= p whose
+    slice reaches p.  ``tree`` maps a node to its tree's index in
+    ``trees``: d for the zero node's tree, v for node v alone, built when
     first used.  ``working`` marks the rows in the forest; ``floor`` is the
     rhs pricing reads, -inf on equality and working rows (``link`` and
     ``cut`` each flip one entry).
+
+    Subtree weights are kept up to date by sums and differences, exact when
+    the weights are integers, as the unit weights and the turnout program's
+    are; a unit-weight tree's weights equal its sizes.
     """
 
-    def __init__(self, d: int, rows: _Rows):
+    def __init__(self, d: int, rows: _Rows, weights: tuple[float, ...] = ()):
         self.zero, self.rows = d, rows
+        self.weight = [*map(float, weights or [1.0] * d), 1.0]  # the zero node's is unused
         self.tree, self.trees = list(range(d + 1)), [None] * (d + 1)
         self.working = np.zeros(len(rows), dtype=bool)
         self.floor = np.where(rows.eq, -math.inf, rows.rhs)
 
     def direction(self, i: int, j: int, sign: float):
         """Split the normal a of row ``sign (e_i - e_j)`` along the working
-        rows: a = z + Nᵀ r with z orthogonal to every working row.
+        rows N: a = W z + Nᵀ r with N z = 0, W the diagonal of the weights.
 
-        Returns (|z|², shifts, rows, r).  z is constant on each tree: on the
-        trees of i and j it is the tree's mean of a, on the zero node's tree
-        and every other tree it is zero; ``shifts`` pairs each tree's nodes
-        with its nonzero constant.  r is the flow that carries a's entries
-        to those means, on the ``rows`` it is nonzero on, by tree (i's
-        first) in preorder.  ``paths`` keeps the root paths of i and j."""
+        Returns (|z|², shifts, rows, r), where |z|² is a·z = zᵀ W z.  z is constant on each tree: on the
+        trees of i and j it is the tree's entry of a over its weight W(T),
+        on the zero node's tree and every other tree it is zero; ``shifts``
+        pairs each tree's nodes with its nonzero constant.  r is the flow
+        that carries a's entries to w·z, on the ``rows`` it is nonzero on, by
+        tree (i's first) in preorder: a subtree's weight times its share of
+        -coeff / W(T), plus coeff on v's root path.  ``paths`` keeps the
+        root paths of i and j."""
         ti, tj = self.tree[i], self.tree[j]
         if ti == tj:
-            nodes, size, row, sgn = self.trees[ti]
+            nodes, size, row, sgn, _ = self.trees[ti]
             path_i = set(_path(size, nodes.index(i)))
             path = sorted(path_i.symmetric_difference(_path(size, nodes.index(j))))
             r = [sgn[q] * (sign if q in path_i else 0.0 - sign) for q in path]
             return 0.0, (), [row[q] for q in path], r
         znorm2, shifts, rows, r, paths = 0.0, [], [], [], []
         for k, v, coeff in ((ti, i, sign), (tj, j, 0.0 - sign)):
-            self.trees[k] = t = self.trees[k] or [[k], [1], [-1], [0]]  # built on first use
-            nodes, size, row, sgn = t
+            # Built on first use.
+            self.trees[k] = t = self.trees[k] or [[k], [1], [-1], [0], [self.weight[k]]]
+            nodes, size, row, sgn, weight = t
             n = len(nodes)
             path = [0] if v == self.zero or n == 1 else _path(size, nodes.index(v))
             paths.append(path)
             if k != self.zero:
-                znorm2 += 1.0 / n
-                shifts.append((nodes, coeff / n))
+                total = weight[0]
+                znorm2 += 1.0 / total
+                shifts.append((nodes, coeff / total))
                 if n > 1:
                     # Each subtree's share of -coeff, plus coeff on v's root path.
-                    base, at = 0.0 - coeff / n, len(r) - 1
+                    base, at = 0.0 - coeff / total, len(r) - 1
                     rows += row[1:]
-                    r += [g * (s * base) for g, s in zip(sgn[1:], size[1:])]
+                    r += [g * (s * base) for g, s in zip(sgn[1:], weight[1:])]
                     for q in path[1:]:
-                        r[at + q] = sgn[q] * (size[q] * base + coeff)
+                        r[at + q] = sgn[q] * (weight[q] * base + coeff)
             elif v != self.zero:
                 rows += [row[q] for q in path[1:]]
                 r += [sgn[q] * coeff for q in path[1:]]
@@ -231,8 +258,9 @@ class _Forest:
         component's tree is rooted at its largest node (the zero node when it
         holds it) and takes its id.  Offsets add up ``sign * rhs`` down the
         tree; x is the offsets in the zero node's tree and the offsets plus
-        the mean of ``center - offset`` elsewhere.  A row's multiplier is its
-        sign as a flow times the subtree sum of x - center.
+        the weighted mean of ``center - offset`` elsewhere.  A row's
+        multiplier is its sign as a flow times the subtree sum of
+        w·(x - center).
         """
         rows = self.rows
         up = list(range(self.zero + 1))  # union-find links, each to a larger node
@@ -260,19 +288,23 @@ class _Forest:
                 order.append((v, p, r, s, order[p][4] + s * b))
             nodes, parent, row, sign, offset = map(list, zip(*order))
             center, point, spread = x[nodes], np.array(offset), 0.0
+            weight = [self.weight[v] for v in nodes]
+            w = np.array(weight)
             if top != self.zero:
-                point += math.fsum((center - point).tolist()) / len(nodes)
-                # x - center sums to that mean's rounding: spread it evenly.
-                spread = (point - center).sum() / len(nodes)
+                total = math.fsum(weight)
+                point += math.fsum((w * (center - point)).tolist()) / total
+                # w·(x - center) sums to that mean's rounding: spread it by weight.
+                spread = (w * (point - center)).sum() / total
             x[nodes] = point
-            size, below = [1] * len(nodes), (point - center - spread).tolist()
+            size, below = [1] * len(nodes), (w * (point - center) - w * spread).tolist()
             for q in range(len(nodes) - 1, 0, -1):
                 size[parent[q]] += size[q]
+                weight[parent[q]] += weight[q]
                 below[parent[q]] += below[q]
             self.working[row[1:]] = True
             for r, s, g in zip(row[1:], sign[1:], below[1:]):
                 mults[r] = s * g
-            self.trees[top] = [nodes, size, row, sign]
+            self.trees[top] = [nodes, size, row, sign, weight]
             for v in nodes:
                 self.tree[v] = top
         if np.abs(rows.slacks(x)[dependent]).max(initial=0.0) > max(_TOL, 1e-9):
@@ -291,21 +323,25 @@ class _Forest:
             top, hung, (up, path), orient = ti, tj, self.paths, 0.0 - sign
         sub, p = self.trees[hung], path[-1]
         if p:
-            _, size, to_parent, sgn = sub
-            n, span = len(sub[_NODE]), [size[q] for q in path]
+            _, size, to_parent, sgn, weight = sub
+            n, total = len(sub[_NODE]), weight[0]
+            span, held = [size[q] for q in path], [weight[q] for q in path[1:]]
             # The root-path subtrees nest; the new preorder takes p's subtree,
             # then each enclosing one minus the next one in, innermost first.
             parts = [(p, p + span[-1])]
-            for q, inner, s, s_in in zip(path, path[1:], span, span[1:]):
+            for q, inner, s, s_in, w_in in zip(path, path[1:], span, span[1:], held):
                 parts[1:1] = ((q, inner), (inner + s_in, q + s))
                 size[q], to_parent[q], sgn[q] = n - s_in, to_parent[inner], 0 - sgn[inner]
-            size[p] = n
+                weight[q] = total - w_in
+            size[p], weight[p] = n, total
             sub = [list(chain.from_iterable(old[a:b] for a, b in parts)) for old in sub]
         sub[_ROW][0], sub[_SIGN][0] = row, orient
         self.working[row], self.floor[row] = True, -math.inf
         t, at = self.trees[top], up[-1] + 1
+        n, total = len(sub[_NODE]), sub[_WEIGHT][0]
         for q in up:
-            t[_SIZE][q] += len(sub[_NODE])
+            t[_SIZE][q] += n
+            t[_WEIGHT][q] += total
         for part, add in zip(t, sub):
             part[at:at] = add
         for v in sub[_NODE]:
@@ -316,12 +352,13 @@ class _Forest:
         """Drop working row (i, j); the subtree of its child end, the one
         later in preorder, becomes a tree."""
         t = self.trees[self.tree[i]]
-        nodes, size, row, _ = t
+        nodes, size, row, _, weight = t
         p = max(nodes.index(i), nodes.index(j))
-        n, dropped = size[p], row[p]
+        n, total, dropped = size[p], weight[p], row[p]
         self.working[dropped], self.floor[dropped] = False, self.rows.rhs[dropped]
         for q in _path(size, p)[:-1]:
             size[q] -= n
+            weight[q] -= total
         sub = [part[p : p + n] for part in t]
         for part in t:
             del part[p : p + n]
@@ -331,7 +368,8 @@ class _Forest:
 
 
 def solve_active_set(problem: QpProblem) -> QpSolution:
-    """Project the center onto the polyhedron by dual active-set steps.
+    """Project the center onto the polyhedron, in the problem's weighted
+    norm, by dual active-set steps.
 
     Returns the unique minimizer with KKT multipliers nonnegative up to
     ``_TOL``.  Raises ``Infeasible`` when a violated constraint admits no
@@ -358,7 +396,7 @@ def solve_active_set(problem: QpProblem) -> QpSolution:
     """
     rows, d, n_rows = problem.rows, len(problem.center), len(problem.rows)
     x, max_iter = _padded(problem.center, d), max(100, 10 * n_rows**2)
-    forest, ineq = _Forest(d, rows), (~rows.eq).tolist()
+    forest, ineq = _Forest(d, rows, problem.weights), (~rows.eq).tolist()
     mults = [0.0] * n_rows  # inequality ones kept >= 0
     # Dual steps never drop equality rows, so no later step disturbs them.
     eq = np.flatnonzero(rows.eq)
@@ -393,7 +431,12 @@ def solve_active_set(problem: QpProblem) -> QpSolution:
             if step == math.inf:
                 raise Infeasible("constraint cannot be reached: empty feasible set")
             for nodes, shift in shifts:
-                x[np.array(nodes, dtype=np.intp)] += step * shift
+                delta = step * shift
+                if len(nodes) <= 4:  # below an index array's cost
+                    for v in nodes:
+                        x[v] += delta
+                else:
+                    x[np.array(nodes, dtype=np.intp)] += delta
             for row, flow in zip(tree_rows, r):
                 mults[row] -= step * flow
             accumulated += step
@@ -410,7 +453,10 @@ def solve_active_set(problem: QpProblem) -> QpSolution:
 
 
 def kkt_residual(problem: QpProblem, solution: QpSolution) -> float:
-    """Worst violation of feasibility, complementary slackness, stationarity or multiplier signs."""
+    """Worst violation of feasibility, complementary slackness, stationarity or multiplier signs.
+
+    Stationarity reads the gradient of the weighted objective, w·(x - center).
+    """
     rows, d = problem.rows, len(problem.center)
     x = _padded(solution.point, d)
     slacks = rows.slacks(x)
@@ -420,6 +466,8 @@ def kkt_residual(problem: QpProblem, solution: QpSolution) -> float:
     mults = mults[: len(active)]
     pull = mults * rows.sign[active]
     grad = x - _padded(problem.center, d)
+    if problem.weights:
+        grad[:d] *= problem.weights
     np.subtract.at(grad, rows.i[active], pull)
     np.add.at(grad, rows.j[active], pull)
     worst = (infeasible, np.abs(slacks[active]), 0.0 - mults[~rows.eq[active]], np.abs(grad[:d]))
@@ -432,20 +480,29 @@ def solve_dykstra(problem: QpProblem) -> QpSolution:
 
     Used as an independent check of ``solve_active_set``; converges to the
     same projection but only asymptotically.  It reports the point and the
-    sweep count, and no active set.
+    sweep count, and no active set.  Each projection is in the weighted
+    norm: a box clips, and a slab splits its correction between x_i and x_j
+    in the ratio 1/w_i : 1/w_j, halves under unit weights.
     """
     x = [float(c) for c in problem.center]
+    w = problem.weights or (1.0,) * len(x)
+    # Per set: the coordinates, the interval and, for a slab, the shares of
+    # x_i and x_j in its correction.
     sets = [
         (k, None, -math.inf if lo is None else float(lo), math.inf if hi is None else float(hi))
+        + (1.0, 0.0)
         for k, (lo, hi) in enumerate(problem.bounds)
         if lo is not None or hi is not None
-    ] + [(i, j, float(lo), float(hi)) for i, j, lo, hi in problem.difference_constraints]
+    ] + [
+        (i, j, float(lo), float(hi), w[j] / (w[i] + w[j]), w[i] / (w[i] + w[j]))
+        for i, j, lo, hi in problem.difference_constraints
+    ]
     if not sets:
         return QpSolution(tuple(x), (), 0)
     increments = [(0.0, 0.0)] * len(sets)  # per set: on x_i, and on x_j for a slab
     for sweeps in range(1, _DYKSTRA_MAX_SWEEPS + 1):
         delta = 0.0
-        for s, (i, j, lo, hi) in enumerate(sets):
+        for s, (i, j, lo, hi, share_i, share_j) in enumerate(sets):
             y_i = x[i] + increments[s][0]
             if j is None:
                 z_i = min(max(y_i, lo), hi)
@@ -454,8 +511,8 @@ def solve_dykstra(problem: QpProblem) -> QpSolution:
                 continue
             y_j = x[j] + increments[s][1]
             gap = y_i - y_j
-            shift = (gap - min(max(gap, lo), hi)) / 2.0
-            z_i, z_j = y_i - shift, y_j + shift
+            excess = gap - min(max(gap, lo), hi)
+            z_i, z_j = y_i - excess * share_i, y_j + excess * share_j
             increments[s] = (y_i - z_i, y_j - z_j)
             delta = max(delta, abs(z_i - x[i]), abs(z_j - x[j]))
             x[i], x[j] = z_i, z_j

@@ -50,13 +50,9 @@ def social_ranking(im: IntermediateMargins) -> SocialRanking:
 
     Consecutive candidates in the admissible order have the projected
     margin of their superdiagonal rectangle margin, so they tie exactly
-    when its numerator is 0; the float scores and rates are not consulted.
+    when its numerator is 0: the groups are the blocks of ``im.blocks``.
+    The float scores and rates are not consulted.
     """
     seq = im.order.sequence
-    groups = [[seq[0]]]
-    for x, margin in zip(seq[1:], im.superdiagonal):
-        if margin == 0:
-            groups[-1].append(x)
-        else:
-            groups.append([x])
-    return SocialRanking(tuple(tuple(sorted(g)) for g in groups))
+    ends = [*im.blocks, len(seq)]
+    return SocialRanking(tuple(tuple(sorted(seq[a:b])) for a, b in zip(ends, ends[1:])))

@@ -559,6 +559,14 @@ class TestBallotFile:
         cands, _ = read_ballot_file("b>a\n2: c>a\n")
         assert cands.names == ("b", "a", "c")
 
+    @pytest.mark.parametrize("text", ["a>b\nb>a\na>b\n", "candidates: a b\na>b\n"])
+    def test_a_byte_order_mark_is_skipped(self, text):
+        # It used to start the first name: candidates ('\ufeffa', 'b', 'a').
+        cands, table = read_ballot_file("\ufeff" + text)
+        assert cands.names == ("a", "b")
+        plain_cands, plain_table = read_ballot_file(text)
+        assert (cands, table.ballots()) == (plain_cands, plain_table.ballots())
+
     def test_file_roundtrip(self):
         text = "candidates: a b c\n2: b>a/>c\n/\na=c\n"
         cands, table = read_ballot_file(text)

@@ -228,6 +228,13 @@ class TestCsv:
         assert matrix.absolute(0, 3) == Fraction("159.5")
         assert matrix.absolute(5, 0) == Fraction("26.5")
 
+    def test_a_byte_order_mark_is_skipped(self):
+        # It used to start the first candidate's name, '\ufeffa'.
+        text = "a,b\nV=3\n*,2\n1,*\n"
+        matrix = read_matrix("\ufeff" + text)
+        assert matrix.candidates.names == ("a", "b")
+        assert matrix == read_matrix(text)
+
     def test_decimal_and_fraction_cells_agree(self):
         a = read_matrix("a,b\nV=2\n*,1.5\n0,*\n")
         b = read_matrix("a,b\nV=2\n*,3/2\n0,*\n")

@@ -4,6 +4,7 @@ import subprocess
 import sys
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from conftest import FIXTURES, run_cli
@@ -203,6 +204,23 @@ class TestRunCommand:
         assert r.returncode == 0
         assert "ranking: a > b > c" in r.stdout
 
+    def test_one_vote_margins_among_a_billion_voters(self, tmp_path):
+        # Margins of one vote in 1e9 are as small as the law check's float
+        # slack; tie propagation is asked only of exactly tied pairs, so the
+        # check no longer reads these as ties and fails.
+        f = tmp_path / "billion.csv"
+        f.write_text(
+            "a,b,c,d,e\nV=1000000000\n"
+            "*,252308647,495047256,500000001,367960114\n"
+            "252308648,*,500000002,500000000,500000001\n"
+            "495047257,499999998,*,327415695,500000000\n"
+            "499999999,500000000,327415696,*,404357444\n"
+            "367960116,499999999,500000000,404357444,*\n"
+        )
+        r = run_cli("run", "--matrix", str(f))
+        assert (r.returncode, r.stderr) == (0, "")
+        assert r.stdout.endswith("ranking: a > b = d > c = e\n")
+
     def test_variant_and_formula_flags(self):
         r = run_cli(
             "run", "--variant", "margin-based", "--formula", "alt", "--json",
@@ -369,6 +387,13 @@ class TestRunCommand:
         details = project_details(read_matrix((FIXTURES / "wide20_lstsq.csv").read_text()))
         problem = turnout_qp(details.t, details.im)
         assert kkt_residual(problem, details.pt.solution) <= 1e-9
+
+
+def test_float_grid_writes_each_float_as_json_does():
+    # Distinct floats are written once each; both zeros keep their sign.
+    grid = np.array([[0.0, -0.0, 0.1], [0.1, 1 / 3, -0.0], [0.0, 1 / 3, 2.5e-17]])
+    assert pipeline._float_grid(grid, "") == json.dumps(grid.tolist(), indent=2)
+    assert pipeline._float_grid(grid, "").count("-0.0") == 2
 
 
 class TestVerifyCommand:

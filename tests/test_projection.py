@@ -2,6 +2,7 @@ import ast
 import inspect
 import random
 import re
+from bisect import bisect_right
 from fractions import Fraction
 from itertools import combinations, permutations
 from typing import NamedTuple
@@ -106,11 +107,22 @@ class TestProjectedTurnouts:
 
     @pytest.mark.parametrize("seed", range(5))
     def test_point_lands_in_pair_order(self, seed):
+        # The point is that of the program over blocks of tied positions:
+        # the block pairs in ``combinations`` order, then the inner pairs of
+        # each block of two or more.  Every position pair reads the variable
+        # of its blocks.
         details = project_details(random_matrix(random.Random(seed), 6))
         point = details.pt.solution.point
         t = details.pt.tsigma.tolist()
-        for k, (i, j) in enumerate(combinations(range(6), 2)):
-            assert t[i][j] == t[j][i] == point[k]
+        starts = details.im.blocks
+        block = [bisect_right(starts, i) - 1 for i in range(6)]
+        pairs = list(combinations(range(len(starts)), 2))
+        inner = [a for a in range(len(starts)) if block.count(a) > 1]
+        variable = {pair: k for k, pair in enumerate(pairs)}
+        variable.update({(a, a): len(pairs) + k for k, a in enumerate(inner)})
+        assert len(point) == len(variable)
+        for i, j in combinations(range(6), 2):
+            assert t[i][j] == t[j][i] == point[variable[block[i], block[j]]]
         assert np.diagonal(details.pt.tsigma).tolist() == [0.0] * 6
 
     def test_complete_case_returns_all_ones_exactly(self):
@@ -406,8 +418,9 @@ class TestProjectOperator:
     def test_idempotence_and_structure(self, seed):
         rng = random.Random(500 + seed)
         matrix = random_matrix(rng, 4)
-        pm = project_details(matrix).pm
-        pm.check_structure()
+        details = project_details(matrix)
+        pm = details.pm
+        pm.check_structure(details.im.superdiagonal)
         again = project_details(matrix_from_floats(matrix.candidates, pm.pi)).pm
         for x in range(4):
             for y in range(4):
@@ -491,9 +504,10 @@ class TestProjectOperator:
         assert str(info.value) == f"order {sequence} is not a permutation of the 5 candidates"
 
 
-def structure_law_failures(pm):
+def structure_law_failures(pm, superdiagonal):
     """Reference for the laws of ``ProjectedMatrix.check_structure``: the
-    message of every failure, as plain loops in loop order."""
+    message of every failure, as plain loops in loop order.  Positions tie
+    when the exact ``superdiagonal`` margins between them are all 0."""
     tol = LAW_TOL
     seq = pm.order.sequence
     n = len(seq)
@@ -522,7 +536,7 @@ def structure_law_failures(pm):
     for i in range(n):
         for j in range(i + 1, n):
             x, y = seq[i], seq[j]
-            tied = abs(pi[x][y] - pi[y][x]) <= tol
+            tied = not any(superdiagonal[i:j])
             for z in range(n):
                 if z in (x, y):
                     continue
@@ -540,9 +554,9 @@ def structure_law_failures(pm):
                     yield "tie propagation law fails"
 
 
-def check_structure_loop(pm):
+def check_structure_loop(pm, superdiagonal):
     """Reference for ``ProjectedMatrix.check_structure``: the first failure."""
-    for message in structure_law_failures(pm):
+    for message in structure_law_failures(pm, superdiagonal):
         raise LawViolation(message)
 
 
@@ -579,10 +593,10 @@ def triangle_law_fails(pm):
     )
 
 
-def law_outcome(check, pm):
-    """None when ``check(pm)`` passes, else the message it raises."""
+def law_outcome(check, pm, superdiagonal):
+    """None when ``check(pm, superdiagonal)`` passes, else the message it raises."""
     try:
-        check(pm)
+        check(pm, superdiagonal)
     except LawViolation as exc:
         return str(exc)
     return None
@@ -606,6 +620,19 @@ class Superdiagonal(NamedTuple):
     margins: list
 
 
+class Tied(NamedTuple):
+    """Scores by order position and the exact superdiagonal margins that
+    tie them, where these are not the margins of the scores themselves."""
+
+    rows: list
+    superdiagonal: list
+
+
+def exact_superdiagonal(rows):
+    """The margins between consecutive positions of scores by position, exactly."""
+    return [Fraction(rows[i][i + 1]) - Fraction(rows[i + 1][i]) for i in range(len(rows) - 1)]
+
+
 def pin_outcomes(pin, sequence):
     """The message that the check of a pin raises along ``sequence``, and the
     set of messages of every law its loop reference finds broken."""
@@ -613,8 +640,10 @@ def pin_outcomes(pin, sequence):
         pt, im = superdiagonal_stages([float(t) for t in pin.taus], pin.margins, 16, sequence)
         broken = interval_law_failures(intervals_loop(pt, im))
         return interval_outcome(pt, im, build_intervals), set(broken)
-    pm = projected(pin, sequence)
-    return law_outcome(ProjectedMatrix.check_structure, pm), set(structure_law_failures(pm))
+    rows, superdiagonal = pin if isinstance(pin, Tied) else (pin, exact_superdiagonal(pin))
+    pm = projected(rows, sequence)
+    raised = law_outcome(ProjectedMatrix.check_structure, pm, superdiagonal)
+    return raised, set(structure_law_failures(pm, superdiagonal))
 
 
 def law_message_patterns():
@@ -647,7 +676,8 @@ E = 0.7 * LAW_TOL
 S = Fraction(1, 16)
 
 # (message, pin) with exactly one law broken: scores by order position for
-# ``check_structure``, or a ``Superdiagonal`` for ``build_intervals``.
+# ``check_structure``, tied by their own exact margins or by those of a
+# ``Tied``, or a ``Superdiagonal`` for ``build_intervals``.
 ONE_LAW_BROKEN = [
     (
         "admissibility law fails: projected scores left the admissible set",
@@ -662,7 +692,9 @@ ONE_LAW_BROKEN = [
         "row or column monotonicity law fails",
         [[0, 5 * S, 7 * S], [3 * S, 0, 7 * S], [3 * S, 4 * S, 0]],
     ),
-    ("tie propagation law fails", [[0, E, 0], [0, 0, E], [0, 0, 0]]),
+    # Positions 0 and 2 tie through two zero margins, yet the pairs
+    # (0, 1) and (2, 1) have margins E and -E.
+    ("tie propagation law fails", Tied([[0, E, 0], [0, 0, E], [0, 0, 0]], [0, 0])),
     # Intervals [0.875, 1.125] and [0.875, 1.0].
     (
         "interval range law fails: interval 0 is [0.875, 1.125]",
@@ -702,7 +734,10 @@ class TestLawChecks:
     @pytest.mark.parametrize("message, rows", ONE_LAW_BROKEN)
     @pytest.mark.parametrize("sequence", [None, "reversed", "rotated"])
     def test_each_law_fails_alone(self, message, rows, sequence):
-        n = len(rows.taus) + 1 if isinstance(rows, Superdiagonal) else len(rows)
+        if isinstance(rows, Superdiagonal):
+            n = len(rows.taus) + 1
+        else:
+            n = len(rows.rows if isinstance(rows, Tied) else rows)
         seq = {
             None: list(range(n)),
             "reversed": list(range(n))[::-1],
@@ -732,7 +767,7 @@ class TestLawChecks:
         pm = projected_scores(intervals, im.order)
         assert list(decided_law_failures(intervals, pm)) == []
         if triangle_law_fails(pm):
-            assert law_outcome(ProjectedMatrix.check_structure, pm) is not None
+            assert law_outcome(ProjectedMatrix.check_structure, pm, im.superdiagonal) is not None
 
     @pytest.mark.parametrize(
         "rows, sequence, message",
@@ -754,9 +789,9 @@ class TestLawChecks:
         ],
     )
     def test_first_failure_in_loop_order_wins(self, rows, sequence, message):
-        pm = projected(rows, sequence)
-        assert law_outcome(ProjectedMatrix.check_structure, pm) == message
-        assert law_outcome(check_structure_loop, pm) == message
+        pm, superdiagonal = projected(rows, sequence), exact_superdiagonal(rows)
+        assert law_outcome(ProjectedMatrix.check_structure, pm, superdiagonal) == message
+        assert law_outcome(check_structure_loop, pm, superdiagonal) == message
 
     @pytest.mark.parametrize("seed", range(20))
     def test_matches_loop_reference_on_perturbed_projections(self, seed):
@@ -764,7 +799,8 @@ class TestLawChecks:
         steps = [S, 2 * S, LAW_TOL / 2, LAW_TOL, 2 * LAW_TOL, 1e-15]
         for _ in range(10):
             n = rng.randint(2, 7)
-            pm = project_details(random_matrix(rng, n, rng.choice([4, 12, 16]))).pm
+            details = project_details(random_matrix(rng, n, rng.choice([4, 12, 16])))
+            pm, superdiagonal = details.pm, details.im.superdiagonal
             pi = pm.pi.copy()
             for _ in range(rng.choice([0, 1, 1, 2, 3])):
                 x, y = rng.sample(range(n), 2)
@@ -773,6 +809,6 @@ class TestLawChecks:
                 else:
                     pi[x][y] += rng.choice([-1, 1]) * float(rng.choice(steps))
             perturbed = ProjectedMatrix(pi, pm.order)
-            assert law_outcome(ProjectedMatrix.check_structure, perturbed) == law_outcome(
-                check_structure_loop, perturbed
-            )
+            assert law_outcome(
+                ProjectedMatrix.check_structure, perturbed, superdiagonal
+            ) == law_outcome(check_structure_loop, perturbed, superdiagonal)

@@ -3,7 +3,9 @@ import hashlib
 import json
 import math
 import random
+import re
 from fractions import Fraction
+from itertools import accumulate, combinations
 
 import numpy as np
 import pytest
@@ -14,8 +16,13 @@ from llull.closures import Variant, indirect_scores, margin_completion, variant_
 from llull.errors import Infeasible
 from llull.generate import ProfileGenerator, random_matrix
 from llull.matrix import aggregate, turnouts
-from llull.ordering import admissible_order
-from llull.projection import intermediate_margins, turnout_qp
+from llull.ordering import AdmissibleOrder, admissible_order
+from llull.projection import (
+    IntermediateMargins,
+    intermediate_margins,
+    project_turnouts,
+    turnout_qp,
+)
 from llull.qp import (
     _NODE,
     _ROW,
@@ -53,15 +60,49 @@ def problem_from_json(text: str) -> QpProblem:
             (int(c[0]), int(c[1]), float(c[2]), float(c[3]))
             for c in data.get("difference_constraints", [])
         ),
+        weights=tuple(data.get("weights", ())),
     )
 
 
-def matrix_problem(matrix, variant: Variant = Variant.MAIN) -> QpProblem:
-    """The turnout program a tally of the matrix solves under the variant."""
+def pair_turnout_qp(t, im) -> QpProblem:
+    """The turnout program over every position pair, with unit weights: the
+    reference that ``turnout_qp`` quotients by tied positions.
+
+    Variables are the position pairs i < j in ``combinations`` order.
+    Consecutive positions i, i + 1 bound their pair's turnout by [m_i, 1],
+    and against every other position z the pair (i, z) may exceed
+    (i + 1, z) by 0 to m_i, an equality when m_i is 0."""
+    seq = np.array(im.order.sequence, dtype=np.intp)
+    n = len(seq)
+    rows, cols = np.triu_indices(n, 1)  # the pairs in ``combinations`` order
+    pair = np.zeros((n, n), dtype=np.intp)
+    pair[rows, cols] = pair[cols, rows] = np.arange(rows.size)
+    center = [turnout / im.den for turnout in t[seq[rows], seq[cols]].tolist()]
+    margins = [margin / im.den for margin in im.superdiagonal]
+    at = np.arange(n - 1)
+    bounds: list = [(None, None)] * rows.size
+    for k, m in zip(pair[at, at + 1].tolist(), margins):
+        bounds[k] = (m, 1.0)
+    others = np.ones((n - 1, n), dtype=bool)
+    others[at, at] = others[at, at + 1] = False
+    i, z = others.nonzero()  # by i, then z
+    upper, lower = pair[i, z].tolist(), pair[i + 1, z].tolist()
+    diffs = zip(upper, lower, [0.0] * len(upper), [margins[k] for k in i.tolist()])
+    return QpProblem(tuple(center), tuple(bounds), tuple(diffs))
+
+
+def tally_stages(matrix, variant: Variant = Variant.MAIN):
+    """The turnouts and rectangle margins a tally of the matrix projects."""
     effective = margin_completion(matrix) if variant is Variant.MARGIN_BASED else matrix
     vm = variant_margins(indirect_scores(effective.w, effective.den, variant))
     xi = admissible_order(vm, matrix.candidates)
-    return turnout_qp(turnouts(effective.w), intermediate_margins(vm, xi))
+    return turnouts(effective.w), intermediate_margins(vm, xi)
+
+
+def matrix_problem(matrix, variant: Variant = Variant.MAIN) -> QpProblem:
+    """The turnout program of a tally of the matrix under the variant, over
+    every position pair."""
+    return pair_turnout_qp(*tally_stages(matrix, variant))
 
 
 @functools.lru_cache(maxsize=None)
@@ -120,7 +161,8 @@ def reference_kkt_residual(problem: QpProblem, solution) -> float:
     for a, b, eq in rows:
         s = sum(ak * xk for ak, xk in zip(a, x)) - b
         worst = max(worst, abs(s) if eq else -s)
-    grad = [xk - ck for xk, ck in zip(x, problem.center)]
+    weights = problem.weights or [1.0] * len(x)
+    grad = [wk * (xk - ck) for wk, xk, ck in zip(weights, x, problem.center)]
     for idx, mult in zip(solution.active_set, solution.multipliers):
         a, b, eq = rows[idx]
         grad = [g - mult * ak for g, ak in zip(grad, a)]
@@ -481,18 +523,22 @@ class TestForest:
 
 
 def assert_layout(forest: _Forest, rows) -> None:
-    """Every tree is a preorder of its nodes with true subtree sizes, each
-    node below the root holds the row to its parent and that row's sign as
-    a flow out of the subtree, and each node's tree id names its tree; a
-    node in no built tree is alone under its own id.  The tree rows are
-    the working rows, and pricing reads -inf on them and the equalities."""
+    """Every tree is a preorder of its nodes with true subtree sizes and
+    weights, each node below the root holds the row to its parent and that
+    row's sign as a flow out of the subtree, and each node's tree id names
+    its tree; a node in no built tree is alone under its own id.  The tree
+    rows are the working rows, and pricing reads -inf on them and the
+    equalities."""
     ends, signs = list(zip(rows.i.tolist(), rows.j.tolist())), rows.sign.tolist()
     placed, linked = [], []
     for k, tree in enumerate(forest.trees):
         if tree is None:
             continue
-        nodes, size, row, sign = tree
-        assert len(nodes) == len(size) == len(row) == len(sign) == size[0]
+        nodes, size, row, sign, weight = tree
+        assert len(nodes) == len(size) == len(row) == len(sign) == len(weight) == size[0]
+        # Exact sums: the layout tests weigh variables by integers.
+        prefix = [0.0, *accumulate(forest.weight[v] for v in nodes)]
+        assert weight == [prefix[q + size[q]] - prefix[q] for q in range(len(nodes))]
         assert [forest.tree[v] for v in nodes] == [k] * len(nodes)
         assert (nodes[0] == forest.zero) == (k == forest.zero)
         open_ancestors = [0]
@@ -543,6 +589,14 @@ class TestLayoutAfterEveryStep:
         for seed in range(50):
             solve_active_set(random_feasible_problem(random.Random(seed)))
         assert checked.count("link") > 150 and checked.count("cut") >= 5
+
+    def test_weighted_problems(self, checked):
+        # Integer weights keep every subtree weight exact.
+        for seed in range(50):
+            rng = random.Random(seed)
+            solve_active_set(with_weights(random_feasible_problem(rng), rng))
+        solve_active_set(profile_block_problem(50, 500))
+        assert checked.count("link") > 400 and checked.count("cut") >= 20
 
 
 def first_spanning_rows(problem: QpProblem) -> list[int]:
@@ -653,6 +707,168 @@ class TestEqualityInstall:
         assert zero_trees > 10
 
 
+def with_weights(problem: QpProblem, rng: random.Random) -> QpProblem:
+    """The problem with integer weights from 1 to 6."""
+    weights = tuple(float(rng.randint(1, 6)) for _ in problem.center)
+    return QpProblem(problem.center, problem.bounds, problem.difference_constraints, weights)
+
+
+def profile_block_problem(n: int, n_ballots: int, variant: Variant = Variant.MAIN) -> QpProblem:
+    """The program over blocks of tied positions that a tally of the profile
+    of ``profile_problem`` solves."""
+    return turnout_qp(*tally_stages(profile_matrix(n, n_ballots), variant))
+
+
+class TestWeights:
+    """Each weighted expression of the solvers, in a program small enough to
+    solve by hand; ignoring a weight changes every answer."""
+
+    @pytest.mark.parametrize(
+        "weights, message",
+        [
+            ((1.0,), "1 weights for 2 variables"),
+            ((1.0, 0.0), "weight of variable 1 is 0.0, not finite and positive"),
+            ((-1.0, 1.0), "weight of variable 0 is -1.0, not finite and positive"),
+            ((1.0, math.nan), "weight of variable 1 is nan, not finite and positive"),
+            ((math.inf, 1.0), "weight of variable 0 is inf, not finite and positive"),
+        ],
+    )
+    def test_weights_must_be_finite_and_positive(self, weights, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            QpProblem((0.0, 5.0), (), (), weights)
+
+    def test_residual_reads_the_weighted_gradient(self):
+        # x >= 1 from the center 0 under weight 4: the bound's multiplier is
+        # 4 (x - 0), not x - 0.
+        problem = QpProblem((0.0,), ((1.0, None),), (), (4.0,))
+        assert solve_active_set(problem) == QpSolution((1.0,), (0,), 1, (4.0,))
+        assert kkt_residual(problem, QpSolution((1.0,), (0,), 1, (4.0,))) == 0.0
+        assert kkt_residual(problem, QpSolution((1.0,), (0,), 1, (1.0,))) == 3.0
+        assert reference_kkt_residual(problem, QpSolution((1.0,), (0,), 1, (1.0,))) == 3.0
+
+    def test_a_slab_splits_its_correction_by_inverse_weights(self):
+        # x0 - x1 >= 1 from (0, 0) under weights 1 and 3 moves x0 three
+        # times as far as x1; the multiplier is 1 (0.75 - 0).
+        problem = QpProblem((0.0, 0.0), (), ((0, 1, 1.0, 2.0),), (1.0, 3.0))
+        assert solve_dykstra(problem).point == (0.75, -0.25)
+        solution = solve_active_set(problem)
+        assert solution.point == pytest.approx((0.75, -0.25), abs=1e-15)
+        assert solution.active_set == (0,)
+        assert solution.multipliers == pytest.approx((0.75,), abs=1e-15)
+        assert kkt_residual(problem, solution) <= 1e-15
+
+    def test_span_takes_the_weighted_mean(self):
+        # x0 = x1 from the centers 0 and 4 under weights 1 and 3 meet at 3,
+        # and the equality's multiplier is 1 (3 - 0).
+        problem = QpProblem((0.0, 4.0), (), ((0, 1, 0.0, 0.0),), (1.0, 3.0))
+        assert solve_active_set(problem) == QpSolution((3.0, 3.0), (0,), 1, (3.0,))
+
+    def test_span_weighs_the_multipliers_of_the_zero_nodes_tree(self):
+        # x0 = 0.5 and x1 = x0 + 0.25 fix the point; stationarity at x1 reads
+        # 2 (0.75 - 0) = 1.5 for the difference row, and at x0
+        # 4 (0.5 - 2) = -6 = bound multiplier - 1.5.
+        problem = QpProblem(
+            (2.0, 0.0), ((0.5, 0.5), (None, None)), ((1, 0, 0.25, 0.25),), (4.0, 2.0)
+        )
+        assert solve_active_set(problem) == QpSolution((0.5, 0.75), (0, 1), 2, (-4.5, 1.5))
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_weighted_programs_agree_with_dykstra(self, seed):
+        rng = random.Random(seed)
+        build = equality_dense_problem if seed % 2 else random_feasible_problem
+        problem = with_weights(build(rng), rng)
+        solution = solve_active_set(problem)
+        assert kkt_residual(problem, solution) <= 1e-9
+        assert kkt_residual(problem, solution) == pytest.approx(
+            reference_kkt_residual(problem, solution), abs=1e-12
+        )
+        oracle = solve_dykstra(problem)
+        assert max(abs(a - b) for a, b in zip(solution.point, oracle.point)) <= 1e-6
+
+
+class TestBlockProgram:
+    """``turnout_qp`` solves the program over blocks of tied positions; its
+    expanded point is the projection of the program over every pair."""
+
+    def test_untied_program_is_the_pair_program(self):
+        untied = 0
+        for seed in range(40):
+            rng = random.Random(seed)
+            matrix = random_matrix(rng, rng.randint(3, 8))
+            for variant in Variant:
+                t, im = tally_stages(matrix, variant)
+                if len(im.blocks) < matrix.n:
+                    continue
+                untied += 1
+                problem, pairs = turnout_qp(t, im), pair_turnout_qp(t, im)
+                assert problem.weights == (1.0,) * len(pairs.center)
+                assert (problem.center, problem.bounds, problem.difference_constraints) == (
+                    pairs.center, pairs.bounds, pairs.difference_constraints
+                )
+        assert untied >= 20
+
+    def test_blocks_of_a_tied_order(self):
+        # Positions {0, 1} and {2, 3, 4}, joined by the margin 3/7.
+        n, den = 5, 7
+        msigma = np.zeros((n, n), dtype=np.int64)
+        k = np.arange(n - 1)
+        msigma[k, k + 1] = [0, 3, 0, 0]
+        msigma -= msigma.T
+        im = IntermediateMargins(AdmissibleOrder((4, 2, 0, 1, 3)), msigma, den)
+        rng = random.Random(5)
+        t = np.zeros((n, n), dtype=np.int64)
+        for x, y in combinations(range(n), 2):
+            t[x, y] = t[y, x] = rng.randint(0, den)
+        seq = im.order.sequence
+        assert im.blocks == (0, 2)
+
+        def mean(rows, cols, pairs):
+            total = sum(int(t[seq[i], seq[j]]) for i in rows for j in cols if i < j)
+            return float(Fraction(total, den * pairs))
+
+        problem = turnout_qp(t, im)
+        # The block pair, then the inner pairs of each block.
+        assert problem.weights == (6.0, 1.0, 3.0)
+        assert problem.center == (
+            mean((0, 1), (2, 3, 4), 6), mean((0,), (1,), 1), mean((2, 3), (3, 4), 3)
+        )
+        assert problem.bounds == ((3 / 7, 1.0), (0.0, 1.0), (0.0, 1.0))
+        assert problem.difference_constraints == ((1, 0, 0.0, 3 / 7), (0, 2, 0.0, 3 / 7))
+        # A unanimous margin fixes the block pair's turnout at 1.
+        msigma[1, 2], msigma[2, 1] = den, -den
+        unanimous = IntermediateMargins(im.order, msigma, den)
+        assert turnout_qp(t, unanimous).bounds[0] == (1.0, 1.0)
+        tsigma = project_turnouts(t, unanimous).tsigma
+        assert (tsigma[:2, 2:] == 1.0).all() and (tsigma[2:, :2] == 1.0).all()
+
+    @staticmethod
+    def assert_expands_to_the_pair_solution(t, im):
+        pt = project_turnouts(t, im)
+        n = len(im.order.sequence)
+        rows, cols = np.triu_indices(n, 1)
+        pairs = solve_active_set(pair_turnout_qp(t, im)).point
+        assert np.abs(pt.tsigma[rows, cols] - pairs).max(initial=0.0) <= 1e-13
+        assert (pt.tsigma == pt.tsigma.T).all() and not np.diagonal(pt.tsigma).any()
+
+    @pytest.mark.parametrize("variant", list(Variant))
+    @pytest.mark.parametrize("n", [20, 30, 50, 80])
+    def test_profile_programs(self, n, variant):
+        ballots = {20: 2000, 30: 1000, 50: 500, 80: 300}[n]
+        t, im = tally_stages(profile_matrix(n, ballots), variant)
+        self.assert_expands_to_the_pair_solution(t, im)
+
+    def test_random_matrices(self):
+        tied = 0
+        for seed in range(200):
+            rng = random.Random(seed)
+            matrix = random_matrix(rng, rng.randint(3, 9))
+            for variant in Variant:
+                t, im = tally_stages(matrix, variant)
+                tied += len(im.blocks) < matrix.n
+                self.assert_expands_to_the_pair_solution(t, im)
+        assert tied >= 400
+
+
 class TestRows:
     @pytest.mark.parametrize("seed", range(10))
     def test_row_order_and_residual_match_loop_reference(self, seed):
@@ -722,8 +938,11 @@ class TestDykstra:
     def test_first_hundred_qp_agreement_programs_keep_their_points(self, monkeypatch):
         # Recorded from the solver that kept a full-length increment per set;
         # the two-number increments must give the same floats, bit for bit.
+        # The tally programs among them are the ones over every position
+        # pair, so the pin also shows that unit weights change no float.
         problems = []
         monkeypatch.setattr(verify, "check_qp_agreement", problems.append)
+        monkeypatch.setattr(verify, "turnout_qp", pair_turnout_qp)
         for case in range(100):  # the cases of `llull verify --suite qp-agreement --seed 1`
             verify._case_qp_agreement(random.Random(f"1:qp-agreement:{case}"))
         solutions = [solve_dykstra(problem) for problem in problems]
@@ -743,12 +962,16 @@ class TestDykstra:
 
 class TestJson:
     def test_problem_roundtrip(self):
-        problem = QpProblem(
-            (1.0, 2.0), ((0.0, None), (None, None)), ((0, 1, -1.0, 0.5),)
-        )
-        text = problem_to_json(problem)
-        assert problem_from_json(text) == problem
-        assert hash(problem_from_json(text)) == hash(problem)
-        # The rows are derived: no report, comparison or repr shows them.
-        assert sorted(json.loads(text)) == ["bounds", "center", "difference_constraints"]
-        assert "rows" not in repr(problem)
+        for weights in ((), (3.0, 0.5)):
+            problem = QpProblem(
+                (1.0, 2.0), ((0.0, None), (None, None)), ((0, 1, -1.0, 0.5),), weights
+            )
+            text = problem_to_json(problem)
+            assert problem_from_json(text) == problem
+            assert hash(problem_from_json(text)) == hash(problem)
+            # The rows are derived: no report, comparison or repr shows them;
+            # the weights are a datum of the problem.
+            keys = ["bounds", "center", "difference_constraints", "weights"]
+            assert sorted(json.loads(text)) == keys
+            assert json.loads(text)["weights"] == list(weights)
+            assert "rows" not in repr(problem)

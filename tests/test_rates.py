@@ -2,12 +2,13 @@ import random
 from fractions import Fraction
 from itertools import combinations
 
+import numpy as np
 import pytest
 
 from llull.ballots import InterpretationRules, read_ballot_file
 from llull.closures import Variant, indirect_scores, variant_margins
-from llull.generate import random_matrix
-from llull.matrix import aggregate, read_matrix
+from llull.generate import candidate_names, random_matrix
+from llull.matrix import LlullMatrix, aggregate, read_matrix
 from llull.pipeline import tally
 from llull.projection import project_details
 from llull.rates import RateFormula, rank_like_rates
@@ -160,3 +161,32 @@ class TestSocialRanking:
                     assert pm.pi[x][y] == pytest.approx(pm.pi[y][x], abs=1e-9)
                 else:
                     assert pm.pi[x][y] > pm.pi[y][x]
+
+
+def large_electorate_matrix(rng: random.Random, total: int) -> LlullMatrix:
+    """A matrix of 3 to 8 candidates among ``total`` voters whose pairs split
+    their turnout to within a few votes: each turnout is the total, a few
+    votes short of it or at least half of it."""
+    n = rng.randint(3, 8)
+    counts = np.zeros((n, n), dtype=object)
+    for x, y in combinations(range(n), 2):
+        turnout = rng.choice([total, total - rng.randint(0, 3), rng.randint(total // 2, total)])
+        forward = min(max(turnout // 2 + rng.choice([0, 0, 1, -1, 2]), 0), turnout)
+        counts[x, y], counts[y, x] = forward, turnout - forward
+    return LlullMatrix.from_absolute(candidate_names(n), counts, 1, total)
+
+
+@pytest.mark.parametrize("total", [10**6, 10**9, 10**12])
+def test_large_electorates_rank_by_rates(total):
+    # One-vote margins over a large electorate come near the float slack of
+    # the law check; ties are decided on the exact margins, so no tally
+    # raises, and the exact groups keep the order of their float rates.
+    rng = random.Random(f"large-electorate:{total}")
+    for _ in range(12):
+        matrix = large_electorate_matrix(rng, total)
+        for variant in Variant:
+            result = tally(matrix, variant)
+            rates = result.rates.rates
+            groups = result.ranking.groups
+            for better, worse in zip(groups, groups[1:]):
+                assert max(rates[x] for x in better) <= min(rates[x] for x in worse)
