@@ -436,13 +436,13 @@ def _plain_rows(
     """Rank rows, group counts and weight ids of the plain lines among
     ``texts``, read in bulk as one UTF-8 byte array.
 
-    A text holding ``:`` is split there in Python, its weight stripped and
-    its body kept; every body is stripped.  The bodies are joined by
-    newlines and encoded once.  Separators are ASCII and a multi-byte UTF-8
-    sequence holds only bytes of 0x80 and above, so every ``>``, ``=`` and
-    newline byte ends a name segment; ``_NameTable.find`` resolves all the
-    segments together.  The separator after each name ends its group
-    (``>``), continues it (``=``) or ends its line (newline).
+    Every text is stripped once; a text holding ``:`` is split there in
+    Python, its weight and body kept.  The bodies are joined by newlines and
+    encoded once.  Separators are ASCII and a multi-byte UTF-8 sequence
+    holds only bytes of 0x80 and above, so every ``>``, ``=`` and newline
+    byte ends a name segment; ``_NameTable.find`` resolves all the segments
+    together.  The separator after each name ends its group (``>``),
+    continues it (``=``) or ends its line (newline).
 
     A weight id of -1 marks a text left to the tokenizer, whose row and
     count are then undefined: a segment that spells no candidate (an unknown
@@ -452,13 +452,14 @@ def _plain_rows(
     m, n = len(texts), names.n
     if not m:
         return np.empty((0, n), np.int16), np.empty(0, np.int16), np.empty(0, np.int64)
-    bodies = list(texts)
-    weighted = [i for i, text in enumerate(texts) if ":" in text]
+    bodies = list(map(str.strip, texts))
+    weighted = [i for i, body in enumerate(bodies) if ":" in body]
     heads = []
     for i in weighted:
-        head, _, bodies[i] = texts[i].partition(":")
-        heads.append(head.strip())
-    data = np.frombuffer(_utf8("\n".join(map(str.strip, bodies)) + "\n"), dtype=np.uint8)
+        head, _, body = bodies[i].partition(":")
+        heads.append(head.rstrip())
+        bodies[i] = body.lstrip()
+    data = np.frombuffer(_utf8("\n".join(bodies) + "\n"), dtype=np.uint8)
     ends = np.flatnonzero((data == _GT) | (data == _EQ) | (data == _NL))
     starts = np.concatenate(([0], ends[:-1] + 1))
     cand = names.find(data, starts, ends - starts)
@@ -567,10 +568,13 @@ def read_ballot_file(text: str) -> tuple[CandidateSet, BallotTable]:
     # Each line maps to the index of the first line with its text.
     first_of: dict[str, int] = {}
     seen = np.fromiter(map(first_of.setdefault, lines, count()), dtype=np.intp, count=len(lines))
-    filled = np.fromiter(map(bool, map(str.strip, first_of)), dtype=bool, count=len(first_of))
+    firsts = np.flatnonzero(seen == np.arange(len(lines)))
     # Kinds are the texts that are not blank, in order of first appearance.
+    filled = ~np.fromiter(map(str.isspace, first_of), dtype=bool, count=len(first_of))
+    if "" in first_of:  # "".isspace() is False
+        filled[np.searchsorted(firsts, first_of[""])] = False
     texts = list(compress(first_of, filled))
-    firsts = np.flatnonzero(seen == np.arange(len(lines)))[filled]
+    firsts = firsts[filled]
     kind = np.full(len(lines), -1, dtype=np.intp)
     kind[firsts] = np.arange(len(firsts))
     order = kind[seen]

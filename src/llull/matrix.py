@@ -226,20 +226,12 @@ def margins(w: np.ndarray) -> np.ndarray:
 # CSV serialization: a header row of candidate names, one "V=" line with the
 # voter total, then one row per candidate.  Entries are absolute counts in
 # any Fraction-readable form ("321.5" and "643/2" both work; ``int`` reads
-# the plain integers, as Fraction would).  The diagonal is written as "*" and
-# read as "*", an empty cell or any zero.
+# each plain integer cell, as Fraction would, and ``read_fraction`` any other).
+# The diagonal is written as "*" and read as "*", an empty cell or any zero.
 
 
 def _read_row(cells: list[str], header: tuple[str, ...], x: int, lineno: int) -> list:
-    """The counts of row x: a row of plain integers in one ``map(int, ...)``,
-    any other row cell by cell, which raises at the first bad cell."""
-    diagonal = "0" if cells[x] in ("*", "") else cells[x]
-    try:
-        parsed = list(map(int, [*cells[:x], diagonal, *cells[x + 1 :]]))
-    except ValueError:
-        parsed = None
-    if parsed is not None and not parsed[x] and min(parsed) >= 0:
-        return parsed
+    """The counts of row x, read cell by cell; the first bad cell raises."""
     parsed = []
     for j, cell in enumerate(cells):
         if j == x and cell in ("*", ""):

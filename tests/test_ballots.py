@@ -555,6 +555,19 @@ class TestBallotFile:
         cands, ballots = read_ballot_file(text)
         assert len(ballots) == 1
 
+    @pytest.mark.parametrize("header", ["", "candidates: a b\n"])
+    @pytest.mark.parametrize("space", ["", "\u3000", " \u00a0\t"])
+    def test_lines_of_unicode_space_are_blank(self, header, space):
+        # A line is blank when strip empties it; "".isspace() is False.
+        lines = ["b", space, f"{space}a{space}>b{space}", "", "\u3000", f"2:{space}b{space}"]
+        cands, table = read_ballot_file(header + "\n".join([*lines, space, "b"]) + "\n")
+        a, b = cands.index["a"], cands.index["b"]
+        assert cands.names == (("a", "b") if header else ("b", "a"))
+        assert table.ballots() == [
+            Ballot(((b,),)), Ballot(((a,), (b,))), Ballot(((b,),), None, Fraction(2)),
+            Ballot(((b,),)),
+        ]
+
     def test_order_inferred_from_first_appearance(self):
         cands, _ = read_ballot_file("b>a\n2: c>a\n")
         assert cands.names == ("b", "a", "c")

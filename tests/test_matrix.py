@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from llull.ballots import (
@@ -448,20 +448,20 @@ def test_read_matrices_and_rescales_are_in_normal_form(cells, total, rescale):
         )
 
 
-def parent_cell(cell, diagonal):
-    """Reference for one cell of row a at line 2: read by ``Fraction`` alone."""
-    if diagonal and cell in ("*", ""):
+def parent_cell(cell, x, y, line):
+    """Reference for the cell of pair ``(x, y)`` at ``line``: read by
+    ``Fraction`` alone."""
+    if x == y and cell in ("*", ""):
         return Fraction(0)
     try:
         value = Fraction(cell)
     except (ValueError, ZeroDivisionError):
-        raise MatrixFormatError(f"cannot read entry {cell!r}", 2) from None
-    if diagonal and value != 0:
-        raise MatrixFormatError(f"diagonal entry {cell!r} is not '*' or 0", 2)
+        raise MatrixFormatError(f"cannot read entry {cell!r}", line) from None
+    if x == y and value != 0:
+        raise MatrixFormatError(f"diagonal entry {cell!r} is not '*' or 0", line)
     if value < 0:
-        raise MatrixFormatError(
-            f"pair (a, {'a' if diagonal else 'b'}) has negative entry {cell!r}", 2
-        )
+        pair = f"({'abcd'[x]}, {'abcd'[y]})"
+        raise MatrixFormatError(f"pair {pair} has negative entry {cell!r}", line)
     return value
 
 
@@ -475,17 +475,34 @@ CELL_CASES = [
 ]
 
 
-@given(st.one_of(st.sampled_from(CELL_CASES), CELL_TEXT), st.booleans())
+@given(
+    st.lists(st.one_of(st.sampled_from(CELL_CASES), CELL_TEXT), min_size=2, max_size=4),
+    st.integers(0, 3),
+    st.booleans(),
+)
+# A negative integer before a nonzero diagonal, an unreadable cell before a
+# negative one, and a negative ratio after plain integers.
+@example(["-3", "5", "0"], 1, True)
+@example(["*", "1x", "-3"], 0, False)
+@example(["7", "1", "-3/2", "*"], 3, True)
 @settings(max_examples=400, deadline=None)
-def test_cells_read_as_fraction_reads_them(cell, diagonal):
-    row = f"{cell},0" if diagonal else f"*,{cell}"
-    text = f"a,b\n{row}\n0,*\nV={'9' * 4300}\n"
+def test_cells_read_as_fraction_reads_them(cells, x, diagonal):
+    """Row ``x`` of a matrix over the drawn cells, with ``*`` for its
+    diagonal cell unless ``diagonal``: every cell reads as ``Fraction``
+    reads it, and the first bad cell in row order names the error."""
+    n = len(cells)
+    x %= n
+    if not diagonal:
+        cells = [*cells[:x], "*", *cells[x + 1 :]]
+    rows = [",".join("*0"[r != y] for y in range(n)) for r in range(n)]
+    rows[x] = ",".join(cells)
+    text = "\n".join([",".join("abcd"[:n]), *rows, f"V={'9' * 4300}"]) + "\n"
     try:
-        expected = parent_cell(cell.strip(), diagonal)
+        expected = [parent_cell(cell.strip(), x, y, x + 2) for y, cell in enumerate(cells)]
     except MatrixFormatError as exc:
         with pytest.raises(MatrixFormatError) as err:
             read_matrix(text)
         assert (str(err.value), err.value.line) == (str(exc), exc.line)
         return
     matrix = read_matrix(text)
-    assert matrix.absolute(0, 0 if diagonal else 1) == expected
+    assert [matrix.absolute(x, y) for y in range(n)] == expected
