@@ -30,22 +30,32 @@ from .errors import (
 )
 
 RESERVED = set(">=/:#")
+_MAX_DIGITS = 4300  # Python's default int-string limit, used where it is off or missing
 
 
-def read_fraction(text: str) -> Fraction:
-    """``Fraction(text)``, refused with ``ValueError`` before it is built when
-    an integer in it, with the decimal exponent added, has more digits than
-    Python prints as an int: such a number can take unbounded time to build."""
+def read_fraction(text: str) -> int | Fraction:
+    """The exact number of ``text``, an ``int`` for integer text: the one
+    reader of the input's numbers.  ``ValueError`` refuses a zero denominator
+    and, before it is built, a number with more digits than Python prints as
+    an int, counting the decimal exponent: it could take unbounded time."""
+    if len(text) <= _MAX_DIGITS:
+        try:
+            return int(text)  # a lower limit refuses more digits by itself
+        except ValueError:
+            pass
+    limit = getattr(sys, "get_int_max_str_digits", int)() or _MAX_DIGITS
     mantissa, _, exponent = text.upper().partition("E")
-    try:
-        shift = abs(int(exponent or 0))
+    try:  # an exponent longer than the limit is refused unread
+        shift = abs(int(exponent or 0)) if len(exponent) <= limit else limit + 1
     except ValueError:
         shift = 0  # Fraction refuses the exponent itself
     digits = max(sum(map(str.isdecimal, part)) for part in mantissa.split("/"))
-    # 4300 is the default limit, used where it is off or the interpreter has none.
-    if digits + shift > (getattr(sys, "get_int_max_str_digits", int)() or 4300):
+    if digits + shift > limit:
         raise ValueError(f"number {text!r} has too many digits")
-    return Fraction(text)
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"number {text!r} has a zero denominator") from None
 
 
 class CandidateSet:
@@ -160,11 +170,9 @@ def _tokenize(text: str, offset: int = 0) -> list[_Token]:
     ]
 
 
-# The bulk step reads plain lines: an optional weight of the form _WEIGHT and
-# its ":", then candidate names joined by ">" and "=" with no space between
-# them; no cutoff "/" and no "#".  Space may stand only at either end and
-# around the weight's ":".
-_WEIGHT = re.compile(r"[0-9]+(?:/[0-9]+)?")
+# The bulk step reads plain lines: an optional weight and its ":", then names
+# joined by ">" and "=" with no space between them; no cutoff "/" and no "#".
+# Space may stand only at either end and around the weight's ":".
 _GT, _EQ, _NL = b">=\n"
 # Distinct line texts parsed together; bounds the block's temporaries.
 _BLOCK = 2048
@@ -186,7 +194,7 @@ def parse_ballot_line(text: str, candidates: CandidateSet, line: int = 1) -> Bal
         head = head.strip()
         try:
             weight = read_fraction(head)
-        except (ValueError, ZeroDivisionError):
+        except ValueError:
             raise MalformedSyntax(f"cannot read weight {head!r}", line, 1) from None
         if weight <= 0:
             raise NonPositiveWeight(f"weight {head} is not positive", line, 1)
@@ -361,20 +369,17 @@ class _Weights:
         return i
 
     def of_texts(self, texts: list[str]) -> np.ndarray:
-        """The ids of stripped weight texts, each text read once; -1 marks a
-        weight the tokenizer must read or report: one that is not an ASCII
-        integer or integer ratio, is zero, has a zero denominator, or is
-        longer than ``int`` reads."""
+        """The ids of stripped weight texts, each text read once by
+        ``read_fraction``, as the tokenizer reads it; -1 marks a weight the
+        tokenizer must report: one that ``read_fraction`` refuses or that is
+        not above 0."""
         for text in dict.fromkeys(texts):
-            if text in self._texts:
-                continue
-            weight = Fraction(0)
-            if _WEIGHT.fullmatch(text):
+            if text not in self._texts:
                 try:
-                    weight = Fraction(text)
-                except (ValueError, ZeroDivisionError):
-                    pass
-            self._texts[text] = self.id(weight) if weight > 0 else -1
+                    weight = read_fraction(text)
+                except ValueError:
+                    weight = 0
+                self._texts[text] = self.id(weight) if weight > 0 else -1
         return np.fromiter(map(self._texts.__getitem__, texts), dtype=np.int64, count=len(texts))
 
 
@@ -447,7 +452,7 @@ def _plain_rows(
     A weight id of -1 marks a text left to the tokenizer, whose row and
     count are then undefined: a segment that spells no candidate (an unknown
     or empty name, inner space of any kind, ``/`` or ``:``), a repeated
-    name, or a weight the bulk step does not read.
+    name, or a weight that ``read_fraction`` refuses or that is not above 0.
     """
     m, n = len(texts), names.n
     if not m:

@@ -115,7 +115,7 @@ def _cmd_run(args) -> int:
         return EXIT_PARSE
     try:
         total_voters = None if args.total_voters is None else read_fraction(args.total_voters)
-    except (ValueError, ZeroDivisionError):
+    except ValueError:
         print(f"error: cannot read the voter total {args.total_voters!r}", file=sys.stderr)
         return EXIT_PARSE
     config = RunConfig(

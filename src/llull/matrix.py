@@ -225,8 +225,8 @@ def margins(w: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # CSV serialization: a header row of candidate names, one "V=" line with the
 # voter total, then one row per candidate.  Entries are absolute counts in
-# any Fraction-readable form ("321.5" and "643/2" both work; ``int`` reads
-# each plain integer cell, as Fraction would, and ``read_fraction`` any other).
+# any Fraction-readable form ("321.5" and "643/2" both work), each cell read
+# by ``read_fraction``, the one reader of the input's numbers.
 # The diagonal is written as "*" and read as "*", an empty cell or any zero.
 
 
@@ -238,12 +238,9 @@ def _read_row(cells: list[str], header: tuple[str, ...], x: int, lineno: int) ->
             parsed.append(0)
             continue
         try:
-            value = int(cell)
+            value = read_fraction(cell)
         except ValueError:
-            try:
-                value = read_fraction(cell)
-            except (ValueError, ZeroDivisionError):
-                raise MatrixFormatError(f"cannot read entry {cell!r}", lineno) from None
+            raise MatrixFormatError(f"cannot read entry {cell!r}", lineno) from None
         if j == x and value != 0:
             raise MatrixFormatError(f"diagonal entry {cell!r} is not '*' or 0", lineno)
         if value < 0:
@@ -276,7 +273,7 @@ def read_matrix(text: str, total_voters: Fraction | None = None) -> LlullMatrix:
                 )
             try:
                 total = read_fraction(line.split("=", 1)[1].strip())
-            except (ValueError, ZeroDivisionError):
+            except ValueError:
                 raise MatrixFormatError("cannot read the voter total", lineno) from None
             total_line = lineno
             continue

@@ -64,6 +64,24 @@ class IntermediateMargins:
         tied exactly when they share a block."""
         return (0, *(i + 1 for i, m in enumerate(self.superdiagonal) if m))
 
+    @cached_property
+    def block_variables(self) -> tuple[np.ndarray, np.ndarray, int]:
+        """The size of each block, the variable of each pair of blocks as a
+        block by block index array, and the number d of variables.
+
+        The pairs A < B come first, in ``combinations`` order, then the inner
+        variable of each block of two or more positions, in order; entry
+        [A, A] is the inner variable of A, or d for a block of one."""
+        sizes = np.diff([*self.blocks, len(self.msigma)])
+        k = sizes.size
+        rows, cols = np.triu_indices(k, 1)
+        multi = np.flatnonzero(sizes > 1)
+        d = rows.size + multi.size
+        variable = np.full((k, k), d, dtype=np.intp)
+        variable[rows, cols] = variable[cols, rows] = np.arange(rows.size)
+        variable[multi, multi] = np.arange(rows.size, d)
+        return sizes, variable, d
+
 
 def intermediate_margins(vm: VariantMargins, xi: AdmissibleOrder) -> IntermediateMargins:
     seq = np.array(xi.sequence, dtype=np.intp)
@@ -73,23 +91,6 @@ def intermediate_margins(vm: VariantMargins, xi: AdmissibleOrder) -> Intermediat
     rect = np.minimum.accumulate(rect[:, ::-1], axis=1)[:, ::-1]
     upper = np.triu(rect, 1)
     return IntermediateMargins(xi, upper - upper.T, vm.den)
-
-
-def _block_variables(sizes: np.ndarray) -> tuple[np.ndarray, int]:
-    """The variable of each pair of blocks of the given sizes, as a block by
-    block index array, and the number d of variables.
-
-    The pairs A < B come first, in ``combinations`` order, then the inner
-    variable of each block of two or more positions, in order; entry
-    [A, A] is the inner variable of A, or d for a block of one."""
-    k = sizes.size
-    rows, cols = np.triu_indices(k, 1)
-    multi = np.flatnonzero(sizes > 1)
-    d = rows.size + multi.size
-    variable = np.full((k, k), d, dtype=np.intp)
-    variable[rows, cols] = variable[cols, rows] = np.arange(rows.size)
-    variable[multi, multi] = np.arange(rows.size, d)
-    return variable, d
 
 
 def turnout_qp(t: np.ndarray, im: IntermediateMargins) -> QpProblem:
@@ -118,9 +119,7 @@ def turnout_qp(t: np.ndarray, im: IntermediateMargins) -> QpProblem:
     """
     seq = np.array(im.order.sequence, dtype=np.intp)
     n, starts, den = len(seq), im.blocks, im.den
-    sizes = np.diff([*starts, n])
-    variable, d = _block_variables(sizes)
-    k = sizes.size
+    sizes, variable, d = im.block_variables
     # Each variable's number of pairs and sum of t over them.
     pairs = np.outer(sizes, sizes)
     np.fill_diagonal(pairs, sizes * (sizes - 1) // 2)
@@ -135,11 +134,10 @@ def turnout_qp(t: np.ndarray, im: IntermediateMargins) -> QpProblem:
     center = [total / (den * w) for total, w in zip(totals, weights)]
     # Each block's margin to the next one, as a float.
     margins = [im.superdiagonal[start - 1] / den for start in starts[1:]]
-    n_pairs = k * (k - 1) // 2
+    n_pairs = len(starts) * (len(starts) - 1) // 2
     bounds: list[tuple[float | None, float | None]] = [(None, None)] * n_pairs
     bounds += [(0.0, 1.0)] * (d - n_pairs)
-    at = np.arange(k - 1)
-    for v, m in zip(variable[at, at + 1].tolist(), margins):
+    for v, m in zip(np.diagonal(variable, 1).tolist(), margins):
         bounds[v] = (m, 1.0)
     upper, lower = variable[:-1], variable[1:]
     keep = (upper != d) & (lower != d)  # by block, then Z
@@ -161,10 +159,8 @@ class ProjectedTurnouts:
 def project_turnouts(t: np.ndarray, im: IntermediateMargins) -> ProjectedTurnouts:
     """Solve the block program of ``turnout_qp`` and give each position pair
     its block pair's value, 0 on the diagonal."""
-    n, starts = len(im.order.sequence), im.blocks
     solution = solve_active_set(turnout_qp(t, im))
-    sizes = np.diff([*starts, n])
-    variable, d = _block_variables(sizes)
+    sizes, variable, d = im.block_variables
     block = np.repeat(np.arange(sizes.size), sizes)
     index = variable[np.ix_(block, block)]
     np.fill_diagonal(index, d)

@@ -24,7 +24,10 @@ def pcs_text() -> str:
     return (FIXTURES / "pcs2006.ballots").read_text()
 
 
-def run_cli(*args: str):
+def run_cli(*args: str, env: dict[str, str] | None = None):
+    """``python -m llull.cli`` with ``args``, in the repository root, with
+    ``env`` added to the environment."""
+    import os
     import subprocess
 
     return subprocess.run(
@@ -32,6 +35,7 @@ def run_cli(*args: str):
         capture_output=True,
         text=True,
         cwd=Path(__file__).parent.parent,
+        env=None if env is None else {**os.environ, **env},
     )
 
 

@@ -208,6 +208,9 @@ class TestPlainLines:
             ("2:a", Ballot(((0,),), None, Fraction(2))),
             ("1/2: a", Ballot(((0,),), None, Fraction(1, 2))),
             ("06/4 :c>b=a", Ballot(((2,), (0, 1)), None, Fraction(3, 2))),
+            ("1_0: a", Ballot(((0,),), None, Fraction(10))),
+            ("\u0663: a", Ballot(((0,),), None, Fraction(3))),
+            ("2.5: a", Ballot(((0,),), None, Fraction(5, 2))),
         ],
     )
     def test_plain_lines_take_the_fast_path(self, text, ballot):
@@ -217,13 +220,25 @@ class TestPlainLines:
     @pytest.mark.parametrize(
         "text",
         ["0: a", "00:a", "a>z", "a>b>a", "a=a", "a>", "=a", "a>>b", "a > b", "a>b/",
-         "/a", "a#b", "1_0: a", "\u0663: a", "1/0: a", "0/3: a", "1/2/3: a", "1 /2: a",
-         "2.5: a", "", "3:",
+         "/a", "a#b", "1/0: a", "0/3: a", "1/2/3: a", "", "3:",
          pytest.param("1" * 5000 + ": a", id="5000-digit-weight"),
          pytest.param("1/" + "1" * 5000 + ": a", id="5000-digit-denominator")],
     )
     def test_other_lines_are_left_to_the_tokenizer(self, text):
         assert bulk_row(text, ABC) is None
+
+    @pytest.mark.parametrize(
+        "text", ["1 /2: a", "1e3: a", "-2.5e-1: a", "+.5: c", "\uff11: b", "\u00b2: a"]
+    )
+    def test_a_weight_reads_as_the_tokenizer_reads_it(self, text):
+        # "1 /2" reads as 1/2 where Fraction takes space around "/" (Python
+        # 3.12 on) and is refused before, in bulk as by the tokenizer.
+        try:
+            ballot = parse_ballot_line(text, ABC, 1)
+        except BallotError:
+            assert bulk_row(text, ABC) is None
+        else:
+            assert bulk_row(text, ABC) == (*_rank_row(ballot, 3), ballot.weight)
 
     @pytest.mark.parametrize(
         "text, names",
@@ -613,9 +628,10 @@ class TestBallotFile:
         assert read_cands == cands
         assert expanded(table) == expanded(BallotTable.from_ballots(ballots, cands))
         assert table.ballots() == ballots
-        # Both paths are taken: four kinds are left to the tokenizer.
+        # Both paths are taken: three kinds are left to the tokenizer, and
+        # the decimal weight is read in bulk.
         _, _, ids = _plain_rows(list(table.kinds), _NameTable(cands.names), _Weights())
-        assert np.count_nonzero(ids < 0) == 4
+        assert np.count_nonzero(ids < 0) == 3
 
     def test_repeated_lines_share_one_ballot(self):
         cands, table = read_ballot_file("a>b\n2: b\na>b # again\na>b\n")

@@ -1,3 +1,4 @@
+import contextlib
 import functools
 import json
 import subprocess
@@ -6,16 +7,59 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import FIXTURES, run_cli
 from llull import cli, closures, ordering, pipeline, projection, verify
-from llull.ballots import Listed, Unlisted
+from llull.ballots import (
+    CandidateSet,
+    Listed,
+    Unlisted,
+    _NameTable,
+    _plain_rows,
+    _Weights,
+    parse_ballot_line,
+)
 from llull.closures import Variant
 from llull.cli import EXIT_NOT_ADMISSIBLE, EXIT_NUMERICAL, EXIT_PARSE, EXIT_VERIFY, main
+from llull.errors import MalformedSyntax, MatrixFormatError, NonPositiveWeight
 from llull.matrix import read_matrix, write_matrix
 from llull.projection import project_details, turnout_qp
 from llull.qp import kkt_residual
 from llull.rates import RateFormula
+
+
+@contextlib.contextmanager
+def int_digit_limit(limit):
+    """Python's integer-string limit set to ``limit`` (0 turns it off) and
+    restored after; the test skips where the interpreter has no limit."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this interpreter has no integer-string limit")
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(before)
+
+
+# Every site that reads a number from the input, with the error it reports.
+# A weighted plain line is read in bulk, one with inner space by the tokenizer.
+READING_SITES = pytest.mark.parametrize(
+    "text, flags, message",
+    [
+        ("a,b\nV=2\n*,{}\n0,*\n", ["--matrix"], "{path}: line 3: cannot read entry '{}'"),
+        ("a,b\nV={}\n*,0\n0,*\n", ["--matrix"], "{path}: line 2: cannot read the voter total"),
+        ("a>b\n{}: b>a\n", [], "{path}: line 2, column 1: cannot read weight '{}'"),
+        ("a>b\n", ["--total-voters", "{}"], "cannot read the voter total '{}'"),
+        ("a>b\n{}: b > a\n", [], "{path}: line 2, column 1: cannot read weight '{}'"),
+    ],
+    ids=["matrix-cell", "matrix-total", "ballot-weight", "total-voters-option",
+         "tokenizer-weight"],
+)
+LONG_INTEGER = "9" * 5000
+LONG_EXPONENT = "1e" + "9" * 5000
 
 
 class TestHostileNumbers:
@@ -24,16 +68,7 @@ class TestHostileNumbers:
     site keeps its own error and exits 2, quickly and without a traceback."""
 
     @pytest.mark.parametrize("number", ["1e5000", "1e-5000", "1e999999999"])
-    @pytest.mark.parametrize(
-        "text, flags, message",
-        [
-            ("a,b\nV=2\n*,{}\n0,*\n", ["--matrix"], "{path}: line 3: cannot read entry '{}'"),
-            ("a,b\nV={}\n*,0\n0,*\n", ["--matrix"], "{path}: line 2: cannot read the voter total"),
-            ("a>b\n{}: b>a\n", [], "{path}: line 2, column 1: cannot read weight '{}'"),
-            ("a>b\n", ["--total-voters", "{}"], "cannot read the voter total '{}'"),
-        ],
-        ids=["matrix-cell", "matrix-total", "ballot-weight", "total-voters-option"],
-    )
+    @READING_SITES
     def test_refused_where_read(self, tmp_path, capsys, number, text, flags, message):
         f = tmp_path / "input"
         f.write_text(text.format(number))
@@ -42,6 +77,32 @@ class TestHostileNumbers:
         out, err = capsys.readouterr()
         assert out == ""
         assert err == "error: " + message.format(number, path=f) + "\n"
+
+    @pytest.mark.parametrize(
+        "number",
+        [LONG_INTEGER, LONG_INTEGER + "/1", LONG_INTEGER + ".0", LONG_EXPONENT,
+         "1.0e" + "9" * 5000],
+        ids=["integer", "ratio", "decimal", "exponent", "decimal-exponent"],
+    )
+    @READING_SITES
+    def test_refused_where_read_with_the_limit_off(
+        self, tmp_path, capsys, number, text, flags, message
+    ):
+        # Where Python's limit is off, 4300 digits still bound a number:
+        # it could take unbounded time to build.
+        with int_digit_limit(0):
+            self.test_refused_where_read(tmp_path, capsys, number, text, flags, message)
+
+    @pytest.mark.parametrize("number", [LONG_INTEGER, LONG_EXPONENT], ids=["integer", "exponent"])
+    @READING_SITES
+    def test_refused_by_llull_run_with_the_limit_off(self, tmp_path, number, text, flags, message):
+        # The limit turned off for the whole process, as a user may.
+        f = tmp_path / "input"
+        f.write_text(text.format(number))
+        args = [flag.format(number) for flag in flags]
+        r = run_cli("run", *args, str(f), env={"PYTHONINTMAXSTRDIGITS": "0"})
+        assert (r.returncode, r.stdout) == (EXIT_PARSE, "")
+        assert r.stderr == "error: " + message.format(number, path=f) + "\n"
 
     @pytest.mark.parametrize(
         "text, flags",
@@ -64,6 +125,81 @@ class TestHostileNumbers:
         assert err == "error: a number in the report has more digits than Python prints\n"
         assert main(["run", *[flag for flag in flags if flag == "--matrix"], str(f)]) == 0
         assert "ranking: " in capsys.readouterr().out
+
+
+# Decimal digits, ASCII and other (Arabic-Indic, Devanagari, fullwidth), and
+# a superscript digit, which is a digit but not a decimal one.
+NUMBER_CHARS = ["0", "1", "7", "9", "\u0661", "\u0969", "\uff10", "\u00b2", "_"]
+SPACES = st.sampled_from(["", " ", "\t", "\u3000"])
+SIGNS = st.sampled_from(["", "+", "-"])
+AB = CandidateSet("ab")
+
+
+@st.composite
+def number_texts(draw):
+    """Texts in and near every reader's number grammar: an optional sign,
+    a digit run, then a denominator (zero ones among them) or a fraction
+    part and an exponent, between optional spaces.  A digit run is up to 4
+    ASCII digits, or characters of ``NUMBER_CHARS``, sometimes padded with
+    nines to just under, at or over 4300 characters."""
+
+    def run():
+        padding = draw(st.sampled_from([0, 0, 0, 0, 4295, 4299, 4300]))
+        ascii_digits = draw(st.booleans())
+        chars = st.sampled_from("0123456789" if ascii_digits else NUMBER_CHARS)
+        return draw(st.text(chars, min_size=ascii_digits, max_size=4)) + "9" * padding
+
+    parts = [draw(SPACES), draw(SIGNS), run()]
+    tail = draw(st.sampled_from(["", "/", " / ", "."]))
+    if "/" in tail:
+        zero = draw(st.sampled_from(["0", "00", "0_0", None]))
+        parts += [tail, zero if zero is not None else run()]
+    else:
+        parts += [tail, run() if tail else ""]
+        if draw(st.booleans()):
+            parts += [draw(st.sampled_from("eE")), draw(SIGNS), run()]
+    return "".join(parts) + draw(SPACES)
+
+
+def read_at_every_site(text):
+    """``text`` read as a matrix cell, a weight by the tokenizer and a weight
+    in bulk: each a number, None for a refusal, or "negative" for a cell and
+    "not positive" for a tokenizer weight that the site refuses by its sign."""
+    try:
+        cell = read_matrix(f"a,b\n*,{text}\n0,*\n", 10**4400).absolute(0, 1)
+    except MatrixFormatError as exc:
+        cell = "negative" if "negative entry" in str(exc) else None
+    try:
+        weight = parse_ballot_line(f"{text}: a", AB).weight
+    except NonPositiveWeight:
+        weight = "not positive"
+    except MalformedSyntax:
+        weight = None
+    weights = _Weights()
+    _, _, ids = _plain_rows([f"{text}: a"], _NameTable(AB.names), weights)
+    bulk = weights.fractions[ids[0]] if ids[0] >= 0 else None
+    return cell, weight, bulk
+
+
+@pytest.mark.parametrize("limit", [4300, 0], ids=["limit-on", "limit-off"])
+@given(st.one_of(number_texts(), st.text(st.sampled_from(list("0179_+-/.eE \u0661\u00b2")))))
+@example(text="1_0")
+@example(text=" -\u0661/0 ")
+@example(text="9" * 4300)
+@example(text="9" * 4301)
+@example(text="1e" + "9" * 4301)
+@settings(max_examples=200, deadline=None)
+def test_every_site_reads_a_number_alike(limit, text):
+    """A matrix cell, a tokenizer weight and a bulk weight read the same text
+    as the same number, or all refuse it; only the sign rules differ."""
+    with int_digit_limit(limit):
+        cell, weight, bulk = read_at_every_site(text)
+    if weight is None:
+        assert (cell, bulk) == (None, None)
+    elif weight == "not positive":
+        assert (cell == "negative" or cell == 0, bulk) == (True, None)
+    else:
+        assert cell == weight == bulk
 
 
 class TestRunCommand:
