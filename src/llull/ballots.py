@@ -418,7 +418,7 @@ class _NameTable:
         padded = np.concatenate((data, np.zeros(7 * self.words + 1, dtype=np.uint8)))
         # Element i holds the 8 bytes from padded[i] on.
         at = np.ndarray((padded.size - 7,), dtype="<u8", buffer=padded, strides=(1,))
-        packed = [at[starts + 7 * w] & self.masks[np.minimum(lengths - 7 * w, 7)]
+        packed = [at.take(starts + 7 * w) & self.masks.take(np.minimum(lengths - 7 * w, 7))
                   for w in range(self.words)]
         key = lengths.astype(np.uint64) << np.uint64(56) | packed[0]
         for word in packed[1:]:
@@ -428,53 +428,55 @@ class _NameTable:
     def find(self, data: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
         """The candidate each segment ``data[start : start + length]`` spells, or -1."""
         packed, key = self.pack(data, starts, lengths)
-        cand = self.table[key % np.uint64(self.mod)]
-        spells = self.lengths[cand] == lengths
+        cand = self.table.take(key % np.uint64(self.mod))
+        spells = self.lengths.take(cand) == lengths
         for name_word, word in zip(self.packed, packed):
-            spells &= name_word[cand] == word
+            spells &= name_word.take(cand) == word
         return np.where(spells, cand, -1)
 
 
 def _plain_rows(
-    texts: Sequence[str], names: _NameTable, weights: _Weights
+    bodies: Sequence[str], names: _NameTable, weights: _Weights
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Rank rows, group counts and weight ids of the plain lines among
-    ``texts``, read in bulk as one UTF-8 byte array.
+    """Rank rows, group counts and weight ids of the plain lines among the
+    stripped line texts ``bodies``, read in bulk as one UTF-8 byte array.
 
-    Every text is stripped once; a text holding ``:`` is split there in
-    Python, its weight and body kept.  The bodies are joined by newlines and
-    encoded once.  Separators are ASCII and a multi-byte UTF-8 sequence
-    holds only bytes of 0x80 and above, so every ``>``, ``=`` and newline
-    byte ends a name segment; ``_NameTable.find`` resolves all the segments
-    together.  The separator after each name ends its group (``>``),
-    continues it (``=``) or ends its line (newline).
+    The bodies are joined by newlines once.  Only when that text holds a
+    ``:`` is each body holding one split there in Python, its weight and
+    body kept, and the block joined again.  Separators are ASCII and a
+    multi-byte UTF-8 sequence holds only bytes of 0x80 and above, so every
+    ``>``, ``=`` and newline byte ends a name segment; ``_NameTable.find``
+    resolves all the segments together.  The separator after each name ends
+    its group (``>``), continues it (``=``) or ends its line (newline).
 
     A weight id of -1 marks a text left to the tokenizer, whose row and
     count are then undefined: a segment that spells no candidate (an unknown
     or empty name, inner space of any kind, ``/`` or ``:``), a repeated
     name, or a weight that ``read_fraction`` refuses or that is not above 0.
     """
-    m, n = len(texts), names.n
+    m, n = len(bodies), names.n
     if not m:
         return np.empty((0, n), np.int16), np.empty(0, np.int16), np.empty(0, np.int64)
-    bodies = list(map(str.strip, texts))
-    weighted = [i for i, body in enumerate(bodies) if ":" in body]
-    heads = []
-    for i in weighted:
-        head, _, body = bodies[i].partition(":")
-        heads.append(head.rstrip())
-        bodies[i] = body.lstrip()
-    data = np.frombuffer(_utf8("\n".join(bodies) + "\n"), dtype=np.uint8)
+    joined, heads, weighted = "\n".join(bodies), [], []
+    if ":" in joined:
+        bodies = list(bodies)
+        weighted = [i for i, body in enumerate(bodies) if ":" in body]
+        for i in weighted:
+            head, _, body = bodies[i].partition(":")
+            heads.append(head.rstrip())
+            bodies[i] = body.lstrip()
+        joined = "\n".join(bodies)
+    data = np.frombuffer(_utf8(joined + "\n"), dtype=np.uint8)
     ends = np.flatnonzero((data == _GT) | (data == _EQ) | (data == _NL))
     starts = np.concatenate(([0], ends[:-1] + 1))
     cand = names.find(data, starts, ends - starts)
-    seps = data[ends]
+    seps = data.take(ends)
     last, gt = seps == _NL, seps == _GT
     line = np.cumsum(last) - last
     first = np.concatenate(([0], np.flatnonzero(last)[:-1] + 1))
     # A name's group counts the ">" before it on its line.
     before = np.cumsum(gt) - gt
-    group = before - before[first][line]
+    group = before - before.take(first).take(line)
     known = cand >= 0
     placed = np.full((m, n), -1, dtype=np.int16)
     placed[line[known], cand[known]] = group[known]
@@ -550,11 +552,11 @@ def read_ballot_file(text: str) -> tuple[CandidateSet, BallotTable]:
     The first effective line may be ``candidates: a b c`` to fix the name
     order; otherwise names are collected in order of first appearance.
     Each distinct line text, cut at its ``#``, is one kind of the returned
-    table; one ``dict`` pass over the lines numbers them.  Plain lines are
-    read in bulk by ``_plain_rows``, a block of distinct texts at a time;
-    every other line goes through the tokenizer in file order, so the first
-    error raised is the one of the earliest bad line.  A leading byte-order
-    mark is skipped.
+    table unless it strips to nothing.  One ``dict`` pass over the lines
+    numbers them, and one ``str.strip`` per distinct text gives the body
+    that ``_plain_rows`` reads, in bulk, for plain lines; every other line
+    goes through the tokenizer in file order, so the first error raised is
+    the one of the earliest bad line.  A leading byte-order mark is skipped.
     """
     if text.startswith("\ufeff"):
         text = text[1:]  # a byte-order mark
@@ -574,11 +576,10 @@ def read_ballot_file(text: str) -> tuple[CandidateSet, BallotTable]:
     first_of: dict[str, int] = {}
     seen = np.fromiter(map(first_of.setdefault, lines, count()), dtype=np.intp, count=len(lines))
     firsts = np.flatnonzero(seen == np.arange(len(lines)))
-    # Kinds are the texts that are not blank, in order of first appearance.
-    filled = ~np.fromiter(map(str.isspace, first_of), dtype=bool, count=len(first_of))
-    if "" in first_of:  # "".isspace() is False
-        filled[np.searchsorted(firsts, first_of[""])] = False
-    texts = list(compress(first_of, filled))
+    # Kinds are the texts that strip to a body, in order of first appearance.
+    bodies = list(map(str.strip, first_of))
+    filled = np.fromiter(map(bool, bodies), dtype=bool, count=len(bodies))
+    texts, bodies = list(compress(first_of, bodies)), list(filter(None, bodies))
     firsts = firsts[filled]
     kind = np.full(len(lines), -1, dtype=np.intp)
     kind[firsts] = np.arange(len(firsts))
@@ -587,7 +588,7 @@ def read_ballot_file(text: str) -> tuple[CandidateSet, BallotTable]:
 
     if candidates is None:
         # Names follow the weight, which may hold a "/" of its own.
-        names = _NAME.findall(_WEIGHT_HEAD.sub("", "\n".join(texts)))
+        names = _NAME.findall(_WEIGHT_HEAD.sub("", "\n".join(bodies)))
         if not names:
             raise MalformedSyntax("no candidates found", 1, 1)
         candidates = CandidateSet(dict.fromkeys(names))
@@ -597,11 +598,10 @@ def read_ballot_file(text: str) -> tuple[CandidateSet, BallotTable]:
     blocks = []
     # One block at least, so that a file without ballots has its empty arrays.
     for start in range(0, len(texts) or 1, _BLOCK):
-        block = texts[start : start + _BLOCK]
-        ranks, groups, ids = _plain_rows(block, name_table, weights)
+        ranks, groups, ids = _plain_rows(bodies[start : start + _BLOCK], name_table, weights)
         left = np.flatnonzero(ids < 0)
         parsed = [
-            parse_ballot_line(block[i], candidates, line)
+            parse_ballot_line(texts[start + i], candidates, line)
             for i, line in zip(left.tolist(), (firsts[start + left] + skip + 1).tolist())
         ]
         ranks[left], groups[left], ids[left] = _ballot_rows(parsed, name_table.n, weights)

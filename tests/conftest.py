@@ -5,8 +5,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 FIXTURES = Path(__file__).parent / "fixtures"
+
+# Many cases for one property, loaded with ``--hypothesis-profile=thorough``;
+# tier-1 runs each property at its own or the default count.
+settings.register_profile("thorough", max_examples=2000)
 
 
 @pytest.fixture(scope="session")

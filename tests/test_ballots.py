@@ -182,9 +182,10 @@ class TestTokenizer:
 
 def bulk_row(text, cands):
     """The bulk step's rank row, group count and weight of one line, or
-    None when it leaves the line to the tokenizer."""
+    None when it leaves the line to the tokenizer.  The step reads the
+    stripped text, as ``read_ballot_file`` hands it over."""
     weights = _Weights()
-    ranks, groups, ids = _plain_rows([text], _NameTable(cands.names), weights)
+    ranks, groups, ids = _plain_rows([text.strip()], _NameTable(cands.names), weights)
     if ids[0] < 0:
         return None
     return ranks[0].tolist(), int(groups[0]), weights.fractions[ids[0]]
@@ -263,9 +264,10 @@ class TestPlainLines:
     def test_a_block_reads_each_line_apart(self):
         # Group indices restart on every line, and a refused line in the
         # middle of a block leaves its neighbours' rows alone.
-        texts = ["a>b=c", "c>z", "b", "3: c=a>b", "a>b>a", "1/2: c>a"]
+        texts = [" a>b=c", "c>z", "b\t", "3: c=a>b", "a>b>a", "\u30001/2: c>a "]
         weights = _Weights()
-        ranks, groups, ids = _plain_rows(texts, _NameTable(ABC.names), weights)
+        bodies = list(map(str.strip, texts))
+        ranks, groups, ids = _plain_rows(bodies, _NameTable(ABC.names), weights)
         assert ids.tolist() == [0, -1, 0, 1, -1, 2]
         assert weights.fractions == [1, 3, Fraction(1, 2)]
         taken = [0, 2, 3, 5]
@@ -573,7 +575,7 @@ class TestBallotFile:
     @pytest.mark.parametrize("header", ["", "candidates: a b\n"])
     @pytest.mark.parametrize("space", ["", "\u3000", " \u00a0\t"])
     def test_lines_of_unicode_space_are_blank(self, header, space):
-        # A line is blank when strip empties it; "".isspace() is False.
+        # A line is blank when strip empties it, the empty line among them.
         lines = ["b", space, f"{space}a{space}>b{space}", "", "\u3000", f"2:{space}b{space}"]
         cands, table = read_ballot_file(header + "\n".join([*lines, space, "b"]) + "\n")
         a, b = cands.index["a"], cands.index["b"]
@@ -581,6 +583,21 @@ class TestBallotFile:
         assert table.ballots() == [
             Ballot(((b,),)), Ballot(((a,), (b,))), Ballot(((b,),), None, Fraction(2)),
             Ballot(((b,),)),
+        ]
+
+    @pytest.mark.parametrize("header", ["", "candidates: b a\n"])
+    def test_an_empty_line_between_ballots_is_blank(self, header):
+        # The empty text first stands after a kind and beside other blank
+        # texts, so that no kind's first line is taken for it.
+        lines = ["a>b", " ", "", "\t", "b", "", "\u3000", "a>b", "2: b>a", "", " "]
+        cands, table = read_ballot_file(header + "\n".join(lines) + "\n")
+        assert cands.names == (("b", "a") if header else ("a", "b"))
+        assert table.kinds == ("a>b", "b", "2: b>a")
+        assert table.order.tolist() == [0, 1, 0, 2]
+        a, b = cands.index["a"], cands.index["b"]
+        assert table.ballots() == [
+            Ballot(((a,), (b,))), Ballot(((b,),)), Ballot(((a,), (b,))),
+            Ballot(((b,), (a,)), None, Fraction(2)),
         ]
 
     def test_order_inferred_from_first_appearance(self):
@@ -630,7 +647,8 @@ class TestBallotFile:
         assert table.ballots() == ballots
         # Both paths are taken: three kinds are left to the tokenizer, and
         # the decimal weight is read in bulk.
-        _, _, ids = _plain_rows(list(table.kinds), _NameTable(cands.names), _Weights())
+        bodies = [kind.strip() for kind in table.kinds]
+        _, _, ids = _plain_rows(bodies, _NameTable(cands.names), _Weights())
         assert np.count_nonzero(ids < 0) == 3
 
     def test_repeated_lines_share_one_ballot(self):

@@ -1,13 +1,15 @@
 import contextlib
 import functools
+import io
 import json
 import subprocess
 import sys
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import FIXTURES, run_cli
@@ -22,8 +24,26 @@ from llull.ballots import (
     parse_ballot_line,
 )
 from llull.closures import Variant
-from llull.cli import EXIT_NOT_ADMISSIBLE, EXIT_NUMERICAL, EXIT_PARSE, EXIT_VERIFY, main
-from llull.errors import MalformedSyntax, MatrixFormatError, NonPositiveWeight
+from llull.cli import (
+    EXIT_INFEASIBLE,
+    EXIT_NOT_ADMISSIBLE,
+    EXIT_NUMERICAL,
+    EXIT_OK,
+    EXIT_PARSE,
+    EXIT_VERIFY,
+    main,
+)
+from llull.errors import (
+    BallotError,
+    Infeasible,
+    LawViolation,
+    LlullError,
+    MalformedSyntax,
+    MatrixFormatError,
+    MaxIterations,
+    NonPositiveWeight,
+    NotAdmissible,
+)
 from llull.matrix import read_matrix, write_matrix
 from llull.projection import project_details, turnout_qp
 from llull.qp import kkt_residual
@@ -176,7 +196,7 @@ def read_at_every_site(text):
     except MalformedSyntax:
         weight = None
     weights = _Weights()
-    _, _, ids = _plain_rows([f"{text}: a"], _NameTable(AB.names), weights)
+    _, _, ids = _plain_rows([f"{text}: a".strip()], _NameTable(AB.names), weights)
     bulk = weights.fractions[ids[0]] if ids[0] >= 0 else None
     return cell, weight, bulk
 
@@ -200,6 +220,112 @@ def test_every_site_reads_a_number_alike(limit, text):
         assert (cell == "negative" or cell == 0, bulk) == (True, None)
     else:
         assert cell == weight == bulk
+
+
+# Pieces of ballot lines: names, the grammar's marks, number characters
+# (Arabic-Indic and fullwidth digits among them), spaces of several kinds,
+# and "\r" and "\x85", which end a line.
+BALLOT_PIECES = ["a", "b", "c", "ab", ">", "=", "/", ":", "#", "0", "1", "2", "9", ".", "_",
+                 "e", "\u0663", "\uff12", " ", "\t", "\u3000", "\u00a0", "\r", "\x85"]
+# Matrix cells: integers, ratios, decimals, exponents, negatives, a zero
+# denominator and junk.
+MATRIX_CELLS = st.one_of(
+    st.integers(0, 12).map(str),
+    st.sampled_from(["*", "1/2", "7/3", "0.5", "2.25", "1e1", "1e-1", "-1", "-1/2", "2/0",
+                     "x", "", "1/", "**", " 3 ", "\u0663", "1_0", "nan"]),
+)
+SPACES_OR_NOT = st.sampled_from(["", "", " ", "\u3000"])
+
+
+@st.composite
+def ballot_files(draw):
+    """A few short lines of ballot pieces, after a ``candidates:`` line or not."""
+    line = st.lists(st.sampled_from(BALLOT_PIECES), max_size=10).map("".join)
+    header = draw(st.sampled_from(["", "", "candidates: a b c\n", "candidates: b a\n"]))
+    return header + "\n".join(draw(st.lists(line, max_size=6))) + draw(st.sampled_from(["", "\n"]))
+
+
+@st.composite
+def matrix_files(draw):
+    """A CSV of 1-4 candidates: a header, maybe a ``V=`` line, and about as
+    many rows, each maybe labelled, of mostly numeric cells around a
+    mostly ``*`` diagonal."""
+    n = draw(st.integers(1, 4))
+    names = list("abcd"[:n])
+    lines = [",".join(names)]
+    if draw(st.booleans()):
+        total = draw(st.one_of(st.integers(0, 30).map(str), MATRIX_CELLS))
+        lines.insert(draw(st.integers(0, 1)), f"V={total}")
+    for i in range(max(0, n + draw(st.sampled_from([0, 0, 0, 1, -1])))):
+        cells = [draw(st.sampled_from(["*", "*", "*", "0"])) if i == j else draw(MATRIX_CELLS)
+                 for j in range(n)]
+        label = [names[i % n]] if draw(st.booleans()) else []
+        lines.append(",".join(label + [draw(SPACES_OR_NOT) + c for c in cells]))
+    return "\n".join(lines) + "\n"
+
+
+@st.composite
+def run_flags(draw):
+    """A variant, both ballot rules, a rate formula, an output mode and
+    maybe a voter total."""
+    flags = ["--variant", draw(st.sampled_from([v.value for v in Variant])),
+             "--listed-vs-unlisted", draw(st.sampled_from([v.value for v in Listed])),
+             "--unlisted-pair", draw(st.sampled_from([v.value for v in Unlisted])),
+             "--formula", draw(st.sampled_from([f.value for f in RateFormula]))]
+    flags += draw(st.sampled_from([[], ["--json"], ["--intermediates"], ["--json", "--intermediates"]]))
+    if draw(st.integers(0, 3)) == 0:
+        flags += ["--total-voters", draw(st.sampled_from(["1", "12", "7/2", "1e2", "0", "-3"]))]
+    return flags
+
+
+# The exit status ``llull.cli`` documents for each error class; the first
+# class that matches decides.
+DOCUMENTED_STATUS = [
+    ((BallotError, MatrixFormatError), EXIT_PARSE),
+    (Infeasible, EXIT_INFEASIBLE),
+    (NotAdmissible, EXIT_NOT_ADMISSIBLE),
+    ((MaxIterations, LawViolation), EXIT_NUMERICAL),
+    (LlullError, EXIT_PARSE),
+]
+
+
+@pytest.fixture(scope="module")
+def fuzz_input(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "input"
+
+
+@given(st.one_of(ballot_files().map(lambda t: (t, [])),
+                 matrix_files().map(lambda t: (t, ["--matrix"]))),
+       run_flags())
+@example(case=("a,b\n*,0\n2/0,*\n", ["--matrix"]), flags=[])
+@example(case=("2/0: a>b\n", []), flags=[])
+@settings(deadline=None)
+def test_no_input_ends_in_a_traceback(fuzz_input, case, flags):
+    """``llull run`` on a short random input exits 0, or with the status
+    documented for the class of the error it raised; any other exception
+    escapes ``main`` and fails the test."""
+    text, input_flags = case
+    fuzz_input.write_bytes(text.encode("utf-8"))
+    raised = []
+
+    def recorded(text, config):
+        try:
+            return pipeline.run(text, config)
+        except LlullError as exc:
+            raised.append(exc)
+            raise
+
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.object(cli, "run", recorded), contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err):
+        status = main(["run", str(fuzz_input), *input_flags, *flags])
+    outcome = type(raised[0]).__name__ if raised else f"exit {status}"
+    event(f"{'matrix' if input_flags else 'ballots'}: {outcome}")
+    if raised:
+        expected = next(code for kinds, code in DOCUMENTED_STATUS if isinstance(raised[0], kinds))
+        assert (status, out.getvalue()) == (expected, ""), err.getvalue()
+    else:
+        assert (status, err.getvalue()) == (EXIT_OK, "")
 
 
 class TestRunCommand:
