@@ -155,9 +155,9 @@ class _Token(NamedTuple):
     column: int  # 1-based
 
 
-_NAME_PATTERN = r"[^\s>=/:#]+"
-_TOKEN = re.compile(rf"[>=/:]|{_NAME_PATTERN}")
-_NAME = re.compile(_NAME_PATTERN)
+_TOKEN = re.compile(r"[>=/:]|[^\s>=/:#]+")
+# Punctuation to spaces, so that ``str.split`` finds ``_TOKEN``'s names in text without "#".
+_UNPUNCTUATE = str.maketrans(">=/:", "    ")
 _WORD = re.compile(r"\S+")
 _PUNCTUATION = frozenset(">=/:")
 
@@ -588,7 +588,7 @@ def read_ballot_file(text: str) -> tuple[CandidateSet, BallotTable]:
 
     if candidates is None:
         # Names follow the weight, which may hold a "/" of its own.
-        names = _NAME.findall(_WEIGHT_HEAD.sub("", "\n".join(bodies)))
+        names = _WEIGHT_HEAD.sub("", "\n".join(bodies)).translate(_UNPUNCTUATE).split()
         if not names:
             raise MalformedSyntax("no candidates found", 1, 1)
         candidates = CandidateSet(dict.fromkeys(names))

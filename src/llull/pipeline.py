@@ -4,8 +4,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
+from functools import partial
 from json.encoder import encode_basestring_ascii as _string
+from typing import Callable
 
 import numpy as np
 
@@ -87,74 +88,72 @@ def render_text(result: TallyResult) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _block(items: list[str], pad: str, brackets: str = "[]") -> str:
-    """Encoded items in brackets, one to a line, as ``json.dumps`` lays them
-    out with ``indent=2`` when the block opens at indent ``pad``."""
-    if not items:
-        return brackets
-    inner = ",\n" + pad + "  "
-    return brackets[0] + inner[1:] + inner.join(items) + "\n" + pad + brackets[1]
+def _layout(value, pad: str = "") -> str:
+    """Dicts and lists over encoded JSON texts, opening at indent ``pad``, laid
+    out as ``json.dumps(value, sort_keys=True, indent=2)`` lays out what they encode."""
+    if isinstance(value, str):
+        return value
+    if not value:
+        return "{}" if isinstance(value, dict) else "[]"
+    inner = pad + "  "
+    sep = ",\n" + inner
+    if isinstance(value, dict):
+        items = [f"{_string(k)}: {_layout(value[k], inner)}" for k in sorted(value)]
+        return "{\n" + inner + sep.join(items) + "\n" + pad + "}"
+    try:
+        body = sep.join(value)  # a list of texts
+    except TypeError:
+        body = sep.join([_layout(item, inner) for item in value])
+    return "[\n" + inner + body + "\n" + pad + "]"
 
 
-def _object(fields: dict[str, str], pad: str) -> str:
-    """A JSON object of encoded values, its keys sorted as ``sort_keys`` sorts."""
-    return _block([f"{_string(k)}: {fields[k]}" for k in sorted(fields)], pad, "{}")
+def _texts(values: np.ndarray, encode: Callable[[np.ndarray], list[str]]) -> list:
+    """``values`` as nested lists of JSON texts; ``encode`` maps the sorted
+    distinct values to their texts, so each is encoded once."""
+    distinct, at = np.unique(values, return_inverse=True)
+    return np.array(encode(distinct), dtype=object)[at.reshape(values.shape)].tolist()
 
 
-def _grid(rows: list[list[str]], pad: str) -> str:
-    return _block([_block(row, pad + "  ") for row in rows], pad)
+def _float_texts(bits: np.ndarray) -> list[str]:
+    """Floats, given by their int64 bits so -0.0 keeps its sign, as JSON writes finite ones."""
+    return list(map(float.__repr__, bits.view(np.float64).tolist()))
 
 
-def _float_grid(a: np.ndarray, pad: str) -> str:
-    """Floats as ``repr`` writes them, as JSON does for the report's finite
-    floats, each distinct nonzero one rendered once.  Zeros are rendered
-    cell by cell: 0.0 and -0.0 are one key, and -0.0 keeps its sign."""
-    rows = a.tolist()
-    text = {x: float.__repr__(x) for x in set(chain.from_iterable(rows)) if x}
-    return _grid([[text[x] if x else float.__repr__(x) for x in row] for row in rows], pad)
+def _fraction_texts(p: np.ndarray, den: int) -> list[str]:
+    """Numerators over ``den``, int64 or Python ints, as quoted Fraction strings."""
+    g = np.gcd(p, den)  # positive, so the sign stays on the numerator
+    pairs = zip((p // g).tolist(), (den // g).tolist())
+    return [f'"{p}"' if q == 1 else f'"{p}/{q}"' for p, q in pairs]
 
 
-def _numerator_grid(w: np.ndarray, den: int, pad: str) -> str:
-    """Numerators over ``den`` as the quoted strings of their Fractions,
-    each distinct one rendered once; the diagonal holds 0."""
-    distinct, at = np.unique(w, return_inverse=True)
-    g = np.gcd(distinct, den)  # positive, so the sign stays on the numerator
-    pairs = zip((distinct // g).tolist(), (den // g).tolist())
-    text = np.array([f'"{p}"' if q == 1 else f'"{p}/{q}"' for p, q in pairs], dtype=object)
-    return _grid(text[at.reshape(w.shape)].tolist(), pad)
-
-
-def _config_json(config: RunConfig) -> str:
+def _config_json(config: RunConfig) -> dict:
     total = config.total_voters
-    fields = {
+    return {
         "variant": _string(config.variant.value),
         "listed_vs_unlisted": _string(config.rules.listed_vs_unlisted.value),
         "unlisted_pair": _string(config.rules.unlisted_pair.value),
         "total_voters": "null" if total is None else f'"{total}"',
         "formula": _string(config.formula.value),
     }
-    return _object(fields, "  ")
 
 
-def _intermediates_json(details: ProjectionDetails, quoted: list[str]) -> str:
+def _intermediates_json(details: ProjectionDetails, quoted: list[str]) -> dict:
     seq = details.xi.sequence
-    den = details.den
-    vbar = details.scores.vbar
-    pad = "    "
-    fields = {
-        "v": _numerator_grid(details.matrix.w, details.matrix.den, pad),
-        "t": _numerator_grid(details.t, den, pad),
-        "vstar": _numerator_grid(details.scores.vstar, den, pad),
-        "vbar": "null" if vbar is None else _numerator_grid(vbar, den, pad),
-        "m": _numerator_grid(details.vm.m, den, pad),
-        "copeland": _block([f'"{Fraction(r, 2)}"' for r in details.xi.copeland], pad),
-        "xi": _block([quoted[x] for x in seq], pad),
-        "msigma": _numerator_grid(details.im.msigma, den, pad),
-        "tausigma": _float_grid(details.pt.tsigma, pad),
-        "gamma": _float_grid(details.intervals, pad),
-        "pi": _float_grid(details.pm.pi[np.ix_(seq, seq)], pad),
+    exact = partial(_fraction_texts, den=details.den)
+    halves = partial(_fraction_texts, den=2)  # the Copeland ranks' denominator
+    return {
+        "v": _texts(details.matrix.w, partial(_fraction_texts, den=details.matrix.den)),
+        "t": _texts(details.t, exact),
+        "vstar": _texts(details.scores.vstar, exact),
+        "vbar": "null" if details.scores.vbar is None else _texts(details.scores.vbar, exact),
+        "m": _texts(details.vm.m, exact),
+        "copeland": _texts(np.array(details.xi.copeland, dtype=np.int64), halves),
+        "xi": [quoted[x] for x in seq],
+        "msigma": _texts(details.im.msigma, exact),
+        "tausigma": _texts(details.pt.tsigma.view(np.int64), _float_texts),
+        "gamma": _texts(details.intervals.view(np.int64), _float_texts),
+        "pi": _texts(details.pm.pi[np.ix_(seq, seq)].view(np.int64), _float_texts),
     }
-    return _object(fields, "  ")
 
 
 def render_json(result: TallyResult, config: RunConfig) -> str:
@@ -163,22 +162,22 @@ def render_json(result: TallyResult, config: RunConfig) -> str:
     more digits than ``str`` of an int may print."""
     names = result.candidates.names
     quoted = [_string(name) for name in names]
-    rates = result.rates.rates
+    rates = np.array(result.rates.rates)
     try:
-        fields = {
+        report = {
             "schema": "1",
             "config": _config_json(config),
-            "candidates": _block(quoted, "  "),
+            "candidates": quoted,
             "total_voters": f'"{result.details.matrix.total}"',
-            "rates": _object(dict(zip(names, map(float.__repr__, rates))), "  "),
-            "ranking": _grid([[quoted[x] for x in group] for group in result.ranking.groups], "  "),
+            "rates": dict(zip(names, _texts(rates.view(np.int64), _float_texts))),
+            "ranking": [[quoted[x] for x in group] for group in result.ranking.groups],
         }
         if config.intermediates:
-            fields["intermediates"] = _intermediates_json(result.details, quoted)
+            report["intermediates"] = _intermediates_json(result.details, quoted)
     except ValueError:
         # The only ValueError here is str() of an int over the digit limit.
         raise NumberTooLong("a number in the report has more digits than Python prints") from None
-    return _object(fields, "") + "\n"
+    return _layout(report) + "\n"
 
 
 def parse_variant(text: str) -> Variant:

@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -7,7 +8,9 @@ from hypothesis import strategies as st
 
 from conftest import FIXTURES
 from llull.ballots import (
-    _NAME,
+    _PUNCTUATION,
+    _TOKEN,
+    _UNPUNCTUATE,
     Ballot,
     BallotTable,
     CandidateSet,
@@ -391,7 +394,8 @@ def read_line_by_line(text):
         names = {}
         for _, line in lines:
             head, colon, tail = line.split("#", 1)[0].partition(":")
-            names.update(dict.fromkeys(_NAME.findall(tail if colon else head)))
+            tokens = _tokenize(tail if colon else head)
+            names.update(dict.fromkeys(t.text for t in tokens if t.kind == "name"))
         if not names:
             raise MalformedSyntax("no candidates found", 1, 1)
         cands = CandidateSet(names)
@@ -627,6 +631,14 @@ class TestBallotFile:
         text = "b>a # c\n2: d>b\n/e>a\n1/2: a/>f\n"
         cands, _ = read_ballot_file(text)
         assert cands.names == ("b", "a", "d", "e", "f")
+
+    def test_names_split_where_the_tokenizer_ends_a_name(self):
+        # Without a header, names are the words of the bodies once the
+        # punctuation is blanked.  Every code point but "#", which is cut
+        # with its comment, stands here between two name letters.
+        text = "x".join(chr(c) for c in range(sys.maxunicode + 1) if chr(c) != "#")
+        names = [token for token in _TOKEN.findall(text) if token not in _PUNCTUATION]
+        assert text.translate(_UNPUNCTUATE).split() == names
 
     def test_long_names_read_as_the_tokenizer_reads_them(self):
         text = (FIXTURES / "long_names.ballots").read_text(encoding="utf-8")

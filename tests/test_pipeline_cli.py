@@ -5,6 +5,7 @@ import json
 import subprocess
 import sys
 from collections import Counter
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -654,8 +655,45 @@ class TestRunCommand:
 def test_float_grid_writes_each_float_as_json_does():
     # Distinct floats are written once each; both zeros keep their sign.
     grid = np.array([[0.0, -0.0, 0.1], [0.1, 1 / 3, -0.0], [0.0, 1 / 3, 2.5e-17]])
-    assert pipeline._float_grid(grid, "") == json.dumps(grid.tolist(), indent=2)
-    assert pipeline._float_grid(grid, "").count("-0.0") == 2
+    text = pipeline._layout(pipeline._texts(grid.view(np.int64), pipeline._float_texts))
+    assert text == json.dumps(grid.tolist(), indent=2)
+    assert text.count("-0.0") == 2
+
+
+@pytest.mark.parametrize("dtype", [np.int64, object])
+def test_fraction_texts_read_as_fractions(dtype):
+    # Past 2**62 the numerators are Python ints in an object array.
+    big = 2**62 if dtype is object else 1
+    w = np.array(
+        [[0, -6 * big, 4 * big + 3], [-(big * 9), 0, 10 * big], [4 * big + 3, -3, 0]],
+        dtype=dtype,
+    )
+    texts = pipeline._texts(w, functools.partial(pipeline._fraction_texts, den=6))
+    assert [[json.loads(t) for t in row] for row in texts] == [
+        [str(Fraction(p, 6)) for p in row] for row in w.tolist()
+    ]
+
+
+def encoded_leaves(value):
+    """``value`` with each leaf replaced by its JSON text."""
+    if isinstance(value, dict):
+        return {key: encoded_leaves(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [encoded_leaves(item) for item in value]
+    return json.dumps(value)
+
+
+json_keys = st.text(st.sampled_from('"\\/\n\t\x00\u00e9\u5019\U0001f600') | st.characters())
+json_values = st.recursive(
+    st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.integers(), st.text()),
+    lambda items: st.lists(items, max_size=4) | st.dictionaries(json_keys, items, max_size=4),
+    max_leaves=20,
+)
+
+
+@given(json_values)
+def test_layout_lays_out_as_json_dumps(value):
+    assert pipeline._layout(encoded_leaves(value)) == json.dumps(value, sort_keys=True, indent=2)
 
 
 class TestVerifyCommand:
