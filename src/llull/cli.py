@@ -40,6 +40,17 @@ SUITES = (
     "continuity", "duplication-renaming", "paths", "qp-agreement",
 )
 
+# The exit status and message prefix of each error a tally ends in, the
+# first class that matches deciding; "{input}" is the input file's path.
+RUN_ERRORS = (
+    ((BallotError, MatrixFormatError), EXIT_PARSE, "{input}: "),
+    (Infeasible, EXIT_INFEASIBLE, ""),
+    (NotAdmissible, EXIT_NOT_ADMISSIBLE, ""),
+    (MaxIterations, EXIT_NUMERICAL, "turnout program failed to converge: "),
+    (LawViolation, EXIT_NUMERICAL, "projection check failed: "),
+    (LlullError, EXIT_PARSE, ""),
+)
+
 
 def nonnegative_int(text: str) -> int:
     """An argparse type; argparse names it in the error for a bad value."""
@@ -129,24 +140,10 @@ def _cmd_run(args) -> int:
     )
     try:
         sys.stdout.write(run(text, config))
-    except (BallotError, MatrixFormatError) as exc:
-        print(f"error: {args.input}: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except Infeasible as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
-    except NotAdmissible as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NOT_ADMISSIBLE
-    except MaxIterations as exc:
-        print(f"error: turnout program failed to converge: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except LawViolation as exc:
-        print(f"error: projection check failed: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
     except LlullError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+        status, prefix = next(row[1:] for row in RUN_ERRORS if isinstance(exc, row[0]))
+        print(f"error: {prefix.format(input=args.input)}{exc}", file=sys.stderr)
+        return status
     return EXIT_OK
 
 

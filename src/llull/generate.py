@@ -63,18 +63,19 @@ class ProfileGenerator:
         keep = n
         if rng.random() < self.truncation and n > 1:
             keep = rng.randint(1, n - 1)
-        items = items[:keep]
-        groups: list[list[int]] = []
-        for c in items:
-            if groups and rng.random() < self.tie:
-                groups[-1].append(c)
-            else:
-                groups.append([c])
-        return Ballot(
-            tuple(tuple(sorted(g)) for g in groups),
-            None,
-            rng.choice(WEIGHT_CHOICES),
-        )
+        return Ballot(tie_groups(rng, items[:keep], self.tie), None, rng.choice(WEIGHT_CHOICES))
+
+
+def tie_groups(rng: random.Random, items: list[int], tie: float) -> tuple[tuple[int, ...], ...]:
+    """``items`` in order as sorted groups: each item after the first joins
+    the group before it with probability ``tie``."""
+    groups: list[list[int]] = []
+    for c in items:
+        if groups and rng.random() < tie:
+            groups[-1].append(c)
+        else:
+            groups.append([c])
+    return tuple(tuple(sorted(g)) for g in groups)
 
 
 def random_matrix(rng: random.Random, n: int, denominator: int = 12) -> LlullMatrix:

@@ -1,9 +1,11 @@
 """Property checks for the tally's proved guarantees.
 
 Each check builds or receives a profile, runs the pipeline, and raises
-``VerificationFailure`` with a replayable dump when a guarantee is broken.
-The suite runner turns those into per-case pass/fail records; everything is
-deterministic given a seed.
+``VerificationFailure`` with the failing input when a guarantee is broken.
+The checks compare exact inputs as integer numerators over the matrix's
+common denominator.  The suite runner turns failures into per-case
+pass/fail records with a replay of the input; everything is deterministic
+given a seed.
 """
 
 from __future__ import annotations
@@ -13,10 +15,12 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import combinations, permutations
 
+import numpy as np
+
 from .ballots import Ballot, CandidateSet, InterpretationRules, Unlisted, serialize_ballot_file
 from .closures import Variant, maxmin_closure_grid, minmax_closure_grid
 from .errors import LlullError, NotAdmissible
-from .generate import ProfileGenerator, candidate_names, random_matrix
+from .generate import ProfileGenerator, candidate_names, random_matrix, tie_groups
 from .matrix import LlullMatrix, aggregate, write_matrix
 from .ordering import enumerate_admissible_orders
 from .pipeline import tally
@@ -34,27 +38,43 @@ RATE_TOL = 1e-9
 
 
 class VerificationFailure(LlullError):
-    """A proved property failed on a concrete profile."""
+    """A proved property failed on a concrete input.
 
-    def __init__(self, message: str, replay: str = ""):
+    ``replay`` is written from the input: a matrix as a CSV, a
+    ``(candidates, ballots)`` pair as a ballot file, a ``QpProblem`` as
+    JSON, and text as given.
+    """
+
+    def __init__(self, message: str, subject=""):
         super().__init__(message)
-        self.replay = replay
+        if isinstance(subject, LlullMatrix):
+            subject = write_matrix(subject)
+        elif isinstance(subject, QpProblem):
+            subject = problem_to_json(subject)
+        elif not isinstance(subject, str):
+            subject = serialize_ballot_file(*subject)
+        self.replay = subject
 
 
 def _rates(matrix: LlullMatrix, variant: Variant = Variant.MAIN) -> tuple[float, ...]:
     return tally(matrix, variant).rates.rates
 
 
+def _matrix(candidates: CandidateSet, ballots: list[Ballot]) -> LlullMatrix:
+    return aggregate(ballots, InterpretationRules(), candidates)
+
+
 # ---------------------------------------------------------------------------
 # Brute-force path closures, used as the oracle for the Floyd-Warshall route.
 
 
-def oracle_paths(matrix: LlullMatrix) -> tuple[list[list[Fraction]], list[list[Fraction]]]:
-    """Max-min and min-max closures by enumerating all simple paths."""
+def oracle_paths(matrix: LlullMatrix) -> tuple[list[list[int]], list[list[int]]]:
+    """Max-min and min-max closures by enumerating all simple paths, as
+    numerators over ``matrix.den``."""
     n = matrix.n
-    v = matrix.scores
-    best = [[Fraction(0)] * n for _ in range(n)]
-    worst = [[Fraction(0)] * n for _ in range(n)]
+    v = matrix.w.tolist()
+    best = [[0] * n for _ in range(n)]
+    worst = [[0] * n for _ in range(n)]
 
     def walk(x: int, y: int):
         others = [z for z in range(n) if z not in (x, y)]
@@ -76,14 +96,10 @@ def oracle_paths(matrix: LlullMatrix) -> tuple[list[list[Fraction]], list[list[F
 
 
 def check_paths(matrix: LlullMatrix) -> None:
-    w, den = matrix.w, matrix.den
-    closures = (maxmin_closure_grid(w), minmax_closure_grid(w, den))
+    closures = (maxmin_closure_grid(matrix.w), minmax_closure_grid(matrix.w, matrix.den))
     for name, got, want in zip(("max-min", "min-max"), closures, oracle_paths(matrix)):
-        # An entry times den equals the numerator it scales to.
-        if got.tolist() != [[x * den for x in row] for row in want]:
-            raise VerificationFailure(
-                f"{name} closure disagrees with path enumeration", write_matrix(matrix)
-            )
+        if got.tolist() != want:
+            raise VerificationFailure(f"{name} closure disagrees with path enumeration", matrix)
 
 
 # ---------------------------------------------------------------------------
@@ -93,7 +109,7 @@ def check_paths(matrix: LlullMatrix) -> None:
 def check_single_choice(candidates: CandidateSet, ballots: list[Ballot]) -> None:
     """Single-choice voting: rates are affine in the vote fractions and the
     projection leaves the scores unchanged."""
-    matrix = aggregate(ballots, InterpretationRules(), candidates)
+    matrix = _matrix(candidates, ballots)
     n = matrix.n
     shares = [Fraction(0)] * n
     for ballot in ballots:
@@ -108,15 +124,14 @@ def check_single_choice(candidates: CandidateSet, ballots: list[Ballot]) -> None
             raise VerificationFailure(
                 f"single-choice rate of {candidates.names[x]} is "
                 f"{result.rates.rates[x]}, expected {float(expected)}",
-                serialize_ballot_file(candidates, ballots),
+                (candidates, ballots),
             )
-    for x in range(n):
-        for y in range(n):
-            if x != y and abs(result.details.pm.pi[x][y] - float(matrix.scores[x][y])) > RATE_TOL:
-                raise VerificationFailure(
-                    "single-choice projection moved the scores",
-                    serialize_ballot_file(candidates, ballots),
-                )
+    # A Python int quotient is rounded once, as the float of the score.
+    w, den, pi = matrix.w.tolist(), matrix.den, result.details.pm.pi
+    if any(abs(pi[x][y] - w[x][y] / den) > RATE_TOL for x, y in permutations(range(n), 2)):
+        raise VerificationFailure(
+            "single-choice projection moved the scores", (candidates, ballots)
+        )
 
 
 def check_order_independence(matrix: LlullMatrix, variant: Variant = Variant.MAIN) -> int:
@@ -134,8 +149,7 @@ def check_order_independence(matrix: LlullMatrix, variant: Variant = Variant.MAI
         drift = max(abs(a - b) for a, b in zip(rates, reference_rates))
         if drift > RATE_TOL:
             raise VerificationFailure(
-                f"rates move by {drift} under order {order.sequence}",
-                write_matrix(matrix),
+                f"rates move by {drift} under order {order.sequence}", matrix
             )
         seq = list(order.sequence)
         grid_drift = float(abs(pm.pi[seq][:, seq] - reference_grid).max())
@@ -143,7 +157,7 @@ def check_order_independence(matrix: LlullMatrix, variant: Variant = Variant.MAI
             raise VerificationFailure(
                 f"position-indexed scores move by {grid_drift} under order "
                 f"{order.sequence}",
-                write_matrix(matrix),
+                matrix,
             )
     return count
 
@@ -175,8 +189,7 @@ def check_idempotence(matrix: LlullMatrix, variant: Variant = Variant.MAIN) -> N
     drift = float(abs(first.pm.pi - again.pm.pi).max())
     if drift > RATE_TOL:
         raise VerificationFailure(
-            f"projection is not idempotent: scores move by {drift}",
-            write_matrix(matrix),
+            f"projection is not idempotent: scores move by {drift}", matrix
         )
 
 
@@ -187,15 +200,23 @@ def _bipartitions(n: int):
             yield xs, [y for y in range(n) if y not in xs]
 
 
-def check_condorcet_smith(matrix: LlullMatrix) -> int:
+def check_condorcet_smith(matrix: LlullMatrix) -> tuple[int, str]:
     """Every pairwise-majority partition must be respected by the rates.
 
-    Scans all bipartitions; returns how many qualified.
+    Scans all bipartitions and returns how many qualified, with notes on
+    the partitions that win by margins yet are not separated by the rates.
+    The margin form of the majority principle is deliberately not enforced
+    (only the absolute-majority form is guaranteed), so a note never fails
+    a case.
     """
     rates = _rates(matrix)
-    qualified = 0
+    # Python lists, so that a bipartition stops at its first failing pair;
+    # 2 * w cannot overflow, as int64 numerators stay below 2**62.
+    majority = (2 * matrix.w > matrix.den).tolist()
+    wins = (matrix.w > matrix.w.T).tolist()
+    qualified, notes = 0, []
     for xs, ys in _bipartitions(matrix.n):
-        if all(matrix.scores[x][y] > Fraction(1, 2) for x in xs for y in ys):
+        if all(majority[x][y] for x in xs for y in ys):
             qualified += 1
             for x in xs:
                 for y in ys:
@@ -203,39 +224,25 @@ def check_condorcet_smith(matrix: LlullMatrix) -> int:
                         raise VerificationFailure(
                             f"majority set {sorted(xs)} does not rank above "
                             f"{sorted(ys)}: r={rates[x]} vs {rates[y]}",
-                            write_matrix(matrix),
+                            matrix,
                         )
-    return qualified
-
-
-def margin_form_notes(matrix: LlullMatrix) -> str:
-    """Report partitions winning by margins yet not separated by the rates.
-
-    The margin form of the majority principle is deliberately not enforced
-    (only the absolute-majority form is guaranteed), so these observations
-    are informational and never fail a case.
-    """
-    rates = _rates(matrix)
-    v = matrix.scores
-    noted = []
-    for xs, ys in _bipartitions(matrix.n):
-        if all(v[x][y] > v[y][x] for x in xs for y in ys) and any(
+        if all(wins[x][y] for x in xs for y in ys) and any(
             rates[x] >= rates[y] - RATE_TOL for x in xs for y in ys
         ):
-            noted.append(f"margin-form majority {list(xs)} not separated")
-    return "; ".join(noted)
+            notes.append(f"margin-form majority {list(xs)} not separated")
+    return qualified, "; ".join(notes)
 
 
 def check_clone_consistency(matrix: LlullMatrix, clones: frozenset[int]) -> None:
     """A set treated identically from outside stays together and contracts."""
-    n = matrix.n
-    v = matrix.scores
-    outsiders = [x for x in range(n) if x not in clones]
-    witness = min(clones)
-    for a in clones:
-        for x in outsiders:
-            if v[a][x] != v[witness][x] or v[x][a] != v[x][witness]:
-                raise ValueError("clone set is not autonomous for the matrix")
+    w = matrix.w
+    outsiders = [x for x in range(matrix.n) if x not in clones]
+    members = sorted(clones)
+    witness = members[0]
+    # Each clone's row and column against the outsiders, first the witness's.
+    for grid in (w[np.ix_(members, outsiders)], w[np.ix_(outsiders, members)].T):
+        if (grid != grid[0]).any():
+            raise ValueError("clone set is not autonomous for the matrix")
 
     rates = _rates(matrix)
     for x in outsiders:
@@ -243,13 +250,13 @@ def check_clone_consistency(matrix: LlullMatrix, clones: frozenset[int]) -> None
         above = [rates[x] <= rates[a] + RATE_TOL for a in clones]
         if any(below) and not all(below) or any(above) and not all(above):
             raise VerificationFailure(
-                f"candidate {x} separates the clone set {sorted(clones)}",
-                write_matrix(matrix),
+                f"candidate {x} separates the clone set {members}", matrix
             )
 
     kept = outsiders + [witness]
-    names = candidate_names(len(kept))
-    quotient = LlullMatrix.from_scores(names, [[v[p][q] for q in kept] for p in kept], matrix.total)
+    quotient = LlullMatrix.lowest_terms(
+        candidate_names(len(kept)), w[np.ix_(kept, kept)], matrix.den, matrix.total
+    )
     qrates = _rates(quotient)
     pos = {c: i for i, c in enumerate(kept)}
 
@@ -264,8 +271,7 @@ def check_clone_consistency(matrix: LlullMatrix, clones: frozenset[int]) -> None
                 continue
             if rel(rates[p], rates[q]) != rel(qrates[pos[p]], qrates[pos[q]]):
                 raise VerificationFailure(
-                    f"contraction changes the relation between {p} and {q}",
-                    write_matrix(matrix),
+                    f"contraction changes the relation between {p} and {q}", matrix
                 )
 
 
@@ -294,16 +300,14 @@ def check_monotonicity(
             after[favored] <= after[y] + RATE_TOL
         ):
             raise VerificationFailure(
-                f"candidate {favored} fell behind {y} after being favored",
-                write_matrix(matrix),
+                f"candidate {favored} fell behind {y} after being favored", matrix
             )
     if all(before[favored] < before[y] - RATE_TOL for y in range(n) if y != favored):
         if not all(
             after[favored] < after[y] + RATE_TOL for y in range(n) if y != favored
         ):
             raise VerificationFailure(
-                f"strict winner {favored} lost the win after being favored",
-                write_matrix(matrix),
+                f"strict winner {favored} lost the win after being favored", matrix
             )
 
 
@@ -312,55 +316,45 @@ def check_decomposition(
 ) -> None:
     """Unanimous top sets split the election into independent pieces."""
     n = len(candidates)
-    matrix = aggregate(ballots, InterpretationRules(), candidates)
-    for x in top:
-        for y in range(n):
-            if y not in top and matrix.scores[x][y] != 1:
-                raise ValueError("top set is not unanimously preferred")
-    result = tally(matrix)
-    rates = result.rates.rates
+    matrix = _matrix(candidates, ballots)
+    unanimous = matrix.w == matrix.den
+    keep = sorted(top)
+    if not unanimous[np.ix_(keep, [y for y in range(n) if y not in top])].all():
+        raise ValueError("top set is not unanimously preferred")
+    rates = _rates(matrix)
 
     k = len(top)
     head_sum = sum(rates[x] for x in top)
     if abs(head_sum - k * (k + 1) / 2) > RATE_TOL * max(1, k):
         raise VerificationFailure(
-            f"top-set rates sum to {head_sum}, expected {k * (k + 1) / 2}",
-            serialize_ballot_file(candidates, ballots),
+            f"top-set rates sum to {head_sum}, expected {k * (k + 1) / 2}", (candidates, ballots)
         )
 
     if k > 1:
-        keep = sorted(top)
-        sub_names = candidate_names(k)
         remap = {c: i for i, c in enumerate(keep)}
         sub_ballots = []
         for ballot in ballots:
-            groups = []
-            for group in ballot.groups:
-                kept = tuple(sorted(remap[c] for c in group if c in top))
-                if kept:
-                    groups.append(kept)
-            sub_ballots.append(Ballot(tuple(groups), None, ballot.weight))
-        sub = tally(aggregate(sub_ballots, InterpretationRules(), sub_names))
+            groups = [tuple(sorted(remap[c] for c in group if c in top)) for group in ballot.groups]
+            cutoff = ballot.approval_cutoff
+            if cutoff is not None:  # counted in the groups that keep a member
+                cutoff = sum(map(bool, groups[:cutoff]))
+            sub_ballots.append(Ballot(tuple(filter(None, groups)), cutoff, ballot.weight))
+        sub_rates = _rates(_matrix(candidate_names(k), sub_ballots))
         for c in keep:
-            if abs(rates[c] - sub.rates.rates[remap[c]]) > RATE_TOL:
+            if abs(rates[c] - sub_rates[remap[c]]) > RATE_TOL:
                 raise VerificationFailure(
                     f"restricted election changes the rate of {candidates.names[c]}",
-                    serialize_ballot_file(candidates, ballots),
+                    (candidates, ballots),
                 )
 
-    for x in range(n):
-        unanimous_first = all(
-            matrix.scores[x][y] == 1 for y in range(n) if y != x
-        )
+    for x, unanimous_first in enumerate(unanimous.sum(axis=1) == n - 1):
         if unanimous_first and abs(rates[x] - 1) > RATE_TOL:
             raise VerificationFailure(
-                f"unanimous first {candidates.names[x]} has rate {rates[x]}",
-                serialize_ballot_file(candidates, ballots),
+                f"unanimous first {candidates.names[x]} has rate {rates[x]}", (candidates, ballots)
             )
         if not unanimous_first and rates[x] < 1 + RATE_TOL:
             raise VerificationFailure(
-                f"{candidates.names[x]} reached rate 1 without unanimity",
-                serialize_ballot_file(candidates, ballots),
+                f"{candidates.names[x]} reached rate 1 without unanimity", (candidates, ballots)
             )
 
 
@@ -396,19 +390,17 @@ def check_approval_agreement(candidates: CandidateSet, ballots: list[Ballot]) ->
         u: aggregate(ballots, InterpretationRules(unlisted_pair=u), candidates) for u in Unlisted
     }
     for unlisted, matrix in readings.items():
-        v = matrix.scores
         for x, y in permutations(range(n), 2):
-            if (v[x][y] - v[y][x]) * matrix.total != approvals[x] - approvals[y]:
+            if matrix.absolute(x, y) - matrix.absolute(y, x) != approvals[x] - approvals[y]:
                 raise VerificationFailure(
                     f"margin identity fails for ({x}, {y}) with silent pairs {unlisted.value}",
-                    serialize_ballot_file(candidates, ballots),
+                    (candidates, ballots),
                 )
     matrix = readings[Unlisted.NO_INFO]  # the default rules
     for x, y in permutations(range(n), 2):
-        if matrix.scores[x][y] * matrix.total != only[x][y] + both[x][y] / 2:
+        if matrix.absolute(x, y) != only[x][y] + both[x][y] / 2:
             raise VerificationFailure(
-                "aggregation disagrees with the direct approval counts",
-                serialize_ballot_file(candidates, ballots),
+                "aggregation disagrees with the direct approval counts", (candidates, ballots)
             )
     rates = _rates(matrix, Variant.MARGIN_BASED)
     for x, y in permutations(range(n), 2):
@@ -416,7 +408,7 @@ def check_approval_agreement(candidates: CandidateSet, ballots: list[Ballot]) ->
             raise VerificationFailure(
                 f"margin-based ranking of ({candidates.names[x]}, "
                 f"{candidates.names[y]}) disagrees with approval scores",
-                serialize_ballot_file(candidates, ballots),
+                (candidates, ballots),
             )
 
 
@@ -440,34 +432,26 @@ def check_continuity(
     for small, large in zip(drifts[1:], drifts[:-1]):
         if small > large + RATE_TOL:
             raise VerificationFailure(
-                f"rate drift grew from {large} to {small} as the perturbation shrank",
-                write_matrix(matrix),
+                f"rate drift grew from {large} to {small} as the perturbation shrank", matrix
             )
     if drifts[-1] > 1e-3:
         raise VerificationFailure(
-            f"rate drift {drifts[-1]} did not vanish with the perturbation",
-            write_matrix(matrix),
+            f"rate drift {drifts[-1]} did not vanish with the perturbation", matrix
         )
     still = _rates(perturbed(Fraction(0)))
     if tuple(still) != tuple(base):
-        raise VerificationFailure("zero perturbation changed the rates",
-                                  write_matrix(matrix))
+        raise VerificationFailure("zero perturbation changed the rates", matrix)
 
 
 def check_duplication_renaming(
     candidates: CandidateSet, ballots: list[Ballot], copies: int, mapping: tuple[int, ...]
 ) -> None:
     """Copying every ballot or renaming every candidate cannot move rates."""
-    matrix = aggregate(ballots, InterpretationRules(), candidates)
-    base = _rates(matrix)
-
-    duplicated = aggregate(
-        [b for b in ballots for _ in range(copies)], InterpretationRules(), candidates
-    )
+    base = _rates(_matrix(candidates, ballots))
+    duplicated = _matrix(candidates, [b for b in ballots for _ in range(copies)])
     if _rates(duplicated) != base:
         raise VerificationFailure(
-            f"{copies} copies of every ballot changed the rates",
-            serialize_ballot_file(candidates, ballots),
+            f"{copies} copies of every ballot changed the rates", (candidates, ballots)
         )
 
     renamed_ballots = [
@@ -478,14 +462,13 @@ def check_duplication_renaming(
         )
         for b in ballots
     ]
-    renamed = aggregate(renamed_ballots, InterpretationRules(), candidates)
-    permuted = _rates(renamed)
+    permuted = _rates(_matrix(candidates, renamed_ballots))
     for x in range(len(candidates)):
         if abs(permuted[mapping[x]] - base[x]) > RATE_TOL:
             raise VerificationFailure(
                 f"renaming moved the rate of candidate {x} by "
                 f"{abs(permuted[mapping[x]] - base[x])}",
-                serialize_ballot_file(candidates, ballots),
+                (candidates, ballots),
             )
 
 
@@ -494,15 +477,12 @@ def check_qp_agreement(problem: QpProblem) -> None:
     primal = solve_active_set(problem)
     residual = kkt_residual(problem, primal)
     if residual > 1e-8:
-        raise VerificationFailure(
-            f"KKT residual {residual} too large", problem_to_json(problem)
-        )
+        raise VerificationFailure(f"KKT residual {residual} too large", problem)
     oracle = solve_dykstra(problem)
     gap = max(abs(a - b) for a, b in zip(primal.point, oracle.point))
     if gap > 1e-6:
         raise VerificationFailure(
-            f"active-set and alternating projections disagree by {gap}",
-            problem_to_json(problem),
+            f"active-set and alternating projections disagree by {gap}", problem
         )
 
 
@@ -522,9 +502,7 @@ def _case_single_choice(rng: random.Random) -> None:
 
 def _case_order_independence(rng: random.Random) -> None:
     gen = ProfileGenerator(n_candidates=(3, 5), n_ballots=(2, 10), seed="oi")
-    candidates, ballots = _regen(gen, rng)
-    matrix = aggregate(ballots, InterpretationRules(), candidates)
-    check_order_independence(matrix)
+    check_order_independence(_matrix(*_regen(gen, rng)))
 
 
 def _regen(gen: ProfileGenerator, rng: random.Random):
@@ -575,11 +553,12 @@ def _case_condorcet_smith(rng: random.Random) -> None:
         rng.shuffle(listing)
         listing = listing[: rng.randint(1, n)]
         ballots.append(Ballot(tuple((c,) for c in listing)))
-    matrix = aggregate(ballots, InterpretationRules(), candidates)
-    if check_condorcet_smith(matrix) == 0:
-        raise VerificationFailure("constructed majority partition did not qualify",
-                                  serialize_ballot_file(candidates, ballots))
-    return margin_form_notes(matrix) or None
+    qualified, notes = check_condorcet_smith(_matrix(candidates, ballots))
+    if qualified == 0:
+        raise VerificationFailure(
+            "constructed majority partition did not qualify", (candidates, ballots)
+        )
+    return notes or None
 
 
 def _case_clone_consistency(rng: random.Random) -> None:
@@ -639,22 +618,12 @@ def _case_decomposition(rng: random.Random) -> None:
     for _ in range(rng.randint(2, 10)):
         perm_top = top[:]
         rng.shuffle(perm_top)
-        groups = _tie_up(perm_top, rng)
+        groups = tie_groups(rng, perm_top, 0.25)
         perm_rest = rest[:]
         rng.shuffle(perm_rest)
-        groups += _tie_up(perm_rest[: rng.randint(0, len(perm_rest))], rng)
-        ballots.append(Ballot(tuple(groups), None, Fraction(rng.randint(1, 2))))
+        groups += tie_groups(rng, perm_rest[: rng.randint(0, len(perm_rest))], 0.25)
+        ballots.append(Ballot(groups, None, Fraction(rng.randint(1, 2))))
     check_decomposition(candidates, ballots, frozenset(top))
-
-
-def _tie_up(items: list[int], rng: random.Random) -> list[tuple[int, ...]]:
-    groups: list[list[int]] = []
-    for c in items:
-        if groups and rng.random() < 0.25:
-            groups[-1].append(c)
-        else:
-            groups.append([c])
-    return [tuple(sorted(g)) for g in groups]
 
 
 def _case_approval_agreement(rng: random.Random) -> None:
@@ -815,32 +784,22 @@ SUITES = {
 }
 
 
-def _fixture_applies(suite: str, candidates: CandidateSet, ballots: list[Ballot]) -> bool:
-    """Whether ``suite`` checks a ballot file given as an extra case.
-
-    Approval agreement covers approval ballots only, every group approved;
-    two suites enumerate orders or paths, too slow past six candidates.
-    """
-    if suite == "approval-agreement":
-        return all(b.approval_cutoff == len(b.groups) for b in ballots)
-    if suite in ("order-independence", "paths"):
-        return len(candidates) <= 6
-    return suite in ("condorcet-smith", "idempotence")
-
-
-def _fixture_case(suite: str, candidates: CandidateSet, ballots: list[Ballot]) -> None:
-    if suite == "approval-agreement":
-        check_approval_agreement(candidates, ballots)
-        return
-    matrix = aggregate(ballots, InterpretationRules(), candidates)
-    if suite == "order-independence":
-        check_order_independence(matrix)
-    elif suite == "condorcet-smith":
-        check_condorcet_smith(matrix)
-    elif suite == "idempotence":
-        check_idempotence(matrix)
-    else:
-        check_paths(matrix)
+# The suites that check a ballot file given as an extra case: whether the
+# file applies, and the check, whose name each lambda looks up when the case
+# runs.  Two suites enumerate orders or paths, too slow past six candidates;
+# approval agreement covers approval ballots only, every group approved.
+FIXTURE_CHECKS = {
+    "order-independence": (
+        lambda c, b: len(c) <= 6, lambda c, b: check_order_independence(_matrix(c, b))
+    ),
+    "idempotence": (lambda c, b: True, lambda c, b: check_idempotence(_matrix(c, b))),
+    "condorcet-smith": (lambda c, b: True, lambda c, b: check_condorcet_smith(_matrix(c, b))),
+    "approval-agreement": (
+        lambda c, b: all(x.approval_cutoff == len(x.groups) for x in b),
+        lambda c, b: check_approval_agreement(c, b),
+    ),
+    "paths": (lambda c, b: len(c) <= 6, lambda c, b: check_paths(_matrix(c, b))),
+}
 
 
 def run_suite(
@@ -853,13 +812,15 @@ def run_suite(
         raise ValueError(f"unknown suite {name!r}")
     builder = SUITES[name]
     runs: list[int | str] = list(range(cases))
-    if fixture is not None and _fixture_applies(name, *fixture):
+    applies, fixture_check = FIXTURE_CHECKS.get(name, (None, None))
+    if fixture is not None and applies is not None and applies(*fixture):
         runs.insert(0, "fixture")
     outcomes: list[CaseOutcome] = []
     for case in runs:
         try:
             if case == "fixture":
-                note = _fixture_case(name, *fixture)
+                fixture_check(*fixture)  # a note is printed for generated cases only
+                note = None
             else:
                 note = builder(random.Random(f"{seed}:{name}:{case}"))
             outcomes.append(CaseOutcome(name, case, True, note or ""))

@@ -1,14 +1,19 @@
+import hashlib
+import json
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
+from conftest import FIXTURES
 from llull import verify
 from llull.ballots import Ballot, CandidateSet, InterpretationRules, Unlisted, read_ballot_file
 from llull.closures import Variant
 from llull.generate import ProfileGenerator, candidate_names, random_matrix
-from llull.matrix import LlullMatrix, aggregate
+from llull.matrix import LlullMatrix, aggregate, read_matrix
 from llull.pipeline import tally
+from llull.qp import QpProblem, QpSolution
 from llull.verify import (
     SUITES,
     VerificationFailure,
@@ -69,7 +74,8 @@ class TestChecks:
         cands, ballots = read_ballot_file(royal_text)
         matrix = aggregate(ballots, RULES, cands)
         star, _ = oracle_paths(matrix)
-        assert star[0][3] * matrix.total == 4  # the strengthened a-over-d score
+        # The strengthened a-over-d score, as a numerator over the matrix's den.
+        assert Fraction(star[0][3], matrix.den) * matrix.total == 4
         check_paths(matrix)
 
     def test_condorcet_smith_flags_a_constructed_violation(self):
@@ -79,7 +85,7 @@ class TestChecks:
             "candidates: a b c\na>b>c\na>c>b\nb>a>c\na>b>c\nc>a>b\n"
         )
         matrix = aggregate(ballots, RULES, cands)
-        assert check_condorcet_smith(matrix) >= 1
+        assert check_condorcet_smith(matrix)[0] >= 1
 
     def test_clone_consistency_rejects_non_autonomous_input(self):
         rng = random.Random(5)
@@ -103,6 +109,21 @@ class TestChecks:
             "candidates: a b c d\na=b>c>d\nb>a>d\na>b>c\n"
         )
         check_decomposition(cands, table.ballots(), frozenset({0, 1}))
+
+    @pytest.mark.parametrize(
+        "text, top",
+        [
+            ("candidates: a b c\na>b/>c\nb>a>c\n", {0, 1}),
+            ("candidates: a b c\na>b/>c\na>b>c\n", {0, 1}),
+            ("candidates: a b c d\na>b/>c>d\nb>a>d>c\n", {0, 1}),
+            ("candidates: a b c\n/a>b>c\na/>b>c\n", {0, 1}),
+        ],
+    )
+    def test_decomposition_keeps_approval_cutoffs(self, text, top):
+        # The first profile's rates are (1.75, 1.25, 3) and so are those
+        # of the restricted file "a>b/", "b>a"; without its cutoff it ties.
+        cands, table = read_ballot_file(text)
+        check_decomposition(cands, table.ballots(), frozenset(top))
 
     def test_unanimous_first_gets_rate_one(self):
         cands, table = read_ballot_file("candidates: a b c\na>b>c\na>c\na\n")
@@ -215,3 +236,117 @@ class TestSuiteRunner:
         report = run_suite("idempotence", 1, seed=0, fixture=(cands, table.ballots()))
         assert [o.case for o in report.failures] == ["fixture", 0]
         assert report.failures[0].detail == "ZeroDivisionError: synthetic"
+
+
+def reversed_rates(real):
+    """``tally`` with every result's rates in reverse candidate order."""
+
+    def tally(matrix, *args):
+        result = real(matrix, *args)
+        return replace(result, rates=replace(result.rates, rates=result.rates.rates[::-1]))
+
+    return tally
+
+
+def outcome_rows(reports):
+    return [(o.suite, o.case, o.passed, o.detail, o.replay) for r in reports for o in r.outcomes]
+
+
+class TestOutcomePin:
+    def test_outcomes_details_and_replays_are_pinned(self, monkeypatch):
+        # Seeds 0-2, each ballot fixture as the only case, and one run whose
+        # tally reverses the rates, where seven suites fail with replays.
+        reports = [report for seed in range(3) for report in run_all(10, seed)]
+        for path in sorted(FIXTURES.glob("*.ballots")):
+            cands, table = read_ballot_file(path.read_text())
+            reports += run_all(0, 0, (cands, table.ballots()))
+        monkeypatch.setattr(verify, "tally", reversed_rates(verify.tally))
+        faulted = run_all(20, 0)
+        assert sum(not r.passed for r in faulted) == 7
+        rows = outcome_rows(reports + faulted)
+        assert hashlib.sha256(repr(rows).encode()).hexdigest() == (
+            "582388cf68a63eed8d023798fc1f90f5d0cbd70965556c166102c394415ff52c"
+        )
+
+    def test_one_tally_per_condorcet_smith_case(self, monkeypatch):
+        # The check returns the margin-form notes from the tally it checks.
+        calls = []
+        real = verify.tally
+        monkeypatch.setattr(verify, "tally", lambda *args: calls.append(1) or real(*args))
+        assert run_suite("condorcet-smith", 12, seed=0).passed
+        assert len(calls) == 12
+
+
+def problem_from_json(text: str) -> QpProblem:
+    fields = json.loads(text)
+    return QpProblem(
+        tuple(fields["center"]),
+        tuple(map(tuple, fields["bounds"])),
+        tuple(map(tuple, fields["difference_constraints"])),
+        tuple(fields["weights"]),
+    )
+
+
+def read_back(replay: str):
+    """The input a replay was written from: ballots, a program or a matrix."""
+    if replay.startswith("candidates:"):
+        cands, table = read_ballot_file(replay)
+        return cands, table.ballots()
+    if replay.startswith("{"):
+        return problem_from_json(replay)
+    return read_matrix(replay)
+
+
+# The check each suite's cases call.  A failure's replay must read back to
+# the check's input: the ballots with their candidates for BALLOT_CHECKS,
+# else the matrix or the program.
+CHECK_OF = {
+    "single-choice": "check_single_choice",
+    "condorcet-smith": "check_condorcet_smith",
+    "clone-consistency": "check_clone_consistency",
+    "monotonicity": "check_monotonicity",
+    "decomposition": "check_decomposition",
+    "approval-agreement": "check_approval_agreement",
+    "duplication-renaming": "check_duplication_renaming",
+    "paths": "check_paths",
+    "qp-agreement": "check_qp_agreement",
+}
+BALLOT_CHECKS = {"single-choice", "decomposition", "approval-agreement", "duplication-renaming"}
+
+
+def off_by_one(real):
+    return lambda w: real(w) + 1
+
+
+def shifted_dykstra(real):
+    def solve(problem):
+        solution = real(problem)
+        return QpSolution(tuple(x + 1 for x in solution.point), (), solution.iterations)
+
+    return solve
+
+
+class TestReplaysReadBack:
+    @pytest.mark.parametrize(
+        "target, fault, suites",
+        [
+            ("tally", reversed_rates, sorted(CHECK_OF.keys() - {"paths", "qp-agreement"})),
+            ("maxmin_closure_grid", off_by_one, ["paths"]),
+            ("solve_dykstra", shifted_dykstra, ["qp-agreement"]),
+        ],
+    )
+    def test_each_failure_replays_its_input(self, monkeypatch, target, fault, suites):
+        monkeypatch.setattr(verify, target, fault(getattr(verify, target)))
+        for suite in suites:
+            inputs = []
+            real = getattr(verify, CHECK_OF[suite])
+            monkeypatch.setattr(
+                verify, CHECK_OF[suite], lambda *args, real=real: inputs.append(args) or real(*args)
+            )
+            report = run_suite(suite, 20, seed=0)
+            assert len(inputs) == len(report.outcomes)
+            assert report.failures, suite
+            for given, outcome in zip(inputs, report.outcomes):
+                if not outcome.passed:
+                    subject = (given[0], list(given[1])) if suite in BALLOT_CHECKS else given[0]
+                    assert read_back(outcome.replay) == subject, (suite, outcome.case)
