@@ -29,7 +29,7 @@ from .errors import (
     UnknownCandidate,
 )
 
-RESERVED = set(">=/:#")
+RESERVED = set(">=/:#,")
 _MAX_DIGITS = 4300  # Python's default int-string limit, used where it is off or missing
 
 
@@ -588,7 +588,10 @@ def read_ballot_file(text: str) -> tuple[CandidateSet, BallotTable]:
 
     if candidates is None:
         # Names follow the weight, which may hold a "/" of its own.
-        names = _WEIGHT_HEAD.sub("", "\n".join(bodies)).translate(_UNPUNCTUATE).split()
+        spelled = _WEIGHT_HEAD.sub("", "\n".join(bodies)).translate(_UNPUNCTUATE)
+        if "," in spelled:
+            _refuse_comma(texts, (firsts + skip + 1).tolist())
+        names = spelled.split()
         if not names:
             raise MalformedSyntax("no candidates found", 1, 1)
         candidates = CandidateSet(dict.fromkeys(names))
@@ -610,6 +613,17 @@ def read_ballot_file(text: str) -> tuple[CandidateSet, BallotTable]:
     return candidates, BallotTable(
         candidates, tuple(texts), order, ranks, groups, ids, tuple(weights.fractions)
     )
+
+
+def _refuse_comma(texts: list[str], lines: list[int]) -> None:
+    """Raise at the first name of the line texts ``texts``, at file lines
+    ``lines``, that holds a ``,``: the file is most likely a matrix CSV."""
+    for text, line in zip(texts, lines):
+        offset = text.find(":") + 1  # past the weight, if any
+        for token in _tokenize(text[offset:], offset):
+            if "," in token.text:
+                message = f"invalid candidate name {token.text!r}; a matrix CSV needs --matrix"
+                raise MalformedSyntax(message, line, token.column)
 
 
 def _read_candidates_line(body: str, line: int) -> CandidateSet:

@@ -7,6 +7,8 @@ import string
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .ballots import Ballot, CandidateSet
 from .matrix import LlullMatrix
 
@@ -79,13 +81,11 @@ def tie_groups(rng: random.Random, items: list[int], tie: float) -> tuple[tuple[
 
 
 def random_matrix(rng: random.Random, n: int, denominator: int = 12) -> LlullMatrix:
-    """A random member of the admissible score set with small denominators."""
-    candidates = candidate_names(n)
-    scores = [[Fraction(0)] * n for _ in range(n)]
+    """A random member of the admissible score set, over ``denominator``."""
+    w = np.zeros((n, n), dtype=object)
     for x in range(n):
         for y in range(x + 1, n):
             turnout = rng.randint(0, denominator)
             forward = rng.randint(0, turnout)
-            scores[x][y] = Fraction(forward, denominator)
-            scores[y][x] = Fraction(turnout - forward, denominator)
-    return LlullMatrix.from_scores(candidates, scores)
+            w[x, y], w[y, x] = forward, turnout - forward
+    return LlullMatrix.from_absolute(candidate_names(n), w, denominator, total=1)

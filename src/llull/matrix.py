@@ -10,7 +10,6 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from functools import cached_property
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -40,7 +39,8 @@ class LlullMatrix:
     lies in [0, den] and the diagonal is 0.  ``w`` is a read-only int64
     array while ``den`` is below 2**62, so that two numerators add without
     overflow, and an ``object`` array of Python ints above.  ``total`` is
-    the voter denominator V.
+    the voter denominator V.  ``(w, den)`` is the one exact form: a score
+    is ``Fraction(int(w[x, y]), den)``, and ``absolute`` gives it times V.
     """
 
     candidates: CandidateSet
@@ -63,11 +63,6 @@ class LlullMatrix:
     @property
     def n(self) -> int:
         return len(self.candidates)
-
-    @cached_property
-    def scores(self) -> tuple[tuple[Fraction, ...], ...]:
-        """The scores as a grid of Fractions, for oracles and tests."""
-        return tuple(tuple(Fraction(p, self.den) for p in row) for row in self.w.tolist())
 
     def absolute(self, x: int, y: int) -> Fraction:
         return Fraction(int(self.w[x, y]), self.den) * self.total

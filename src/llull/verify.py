@@ -10,10 +10,11 @@ given a seed.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 
 import numpy as np
 
@@ -88,10 +89,8 @@ def oracle_paths(matrix: LlullMatrix) -> tuple[list[list[int]], list[list[int]]]
                 hi = score_hi if hi is None or score_hi < hi else hi
         return lo, hi
 
-    for x in range(n):
-        for y in range(n):
-            if x != y:
-                best[x][y], worst[x][y] = walk(x, y)
+    for x, y in permutations(range(n), 2):
+        best[x][y], worst[x][y] = walk(x, y)
     return best, worst
 
 
@@ -164,19 +163,15 @@ def check_order_independence(matrix: LlullMatrix, variant: Variant = Variant.MAI
 
 def matrix_from_floats(candidates: CandidateSet, grid) -> LlullMatrix:
     """Rationalize a float score grid, absorbing roundoff above turnout 1."""
-    n = len(candidates)
-    scores = [[Fraction(0)] * n for _ in range(n)]
-    for x in range(n):
-        for y in range(n):
-            if x != y:
-                scores[x][y] = max(Fraction(0), min(Fraction(1), Fraction(grid[x][y])))
-    for x in range(n):
-        for y in range(x + 1, n):
-            excess = scores[x][y] + scores[y][x] - 1
-            if excess > 0:  # a few ulps from the float stage
-                scores[x][y] -= excess / 2
-                scores[y][x] -= excess / 2
-    return LlullMatrix.from_scores(candidates, scores)
+    clipped = np.clip(np.asarray(grid, dtype=float), 0.0, 1.0)
+    np.fill_diagonal(clipped, 0.0)
+    ratios = [x.as_integer_ratio() for x in clipped.ravel().tolist()]
+    # Twice the largest power of two, so that every numerator is even and
+    # an excess turnout, a few ulps from the float stage, halves exactly.
+    den = 2 * max(q for _, q in ratios)
+    w = np.array([p * (den // q) for p, q in ratios], dtype=object).reshape(clipped.shape)
+    excess = np.triu(np.maximum(w + w.T - den, 0), 1)
+    return LlullMatrix.from_absolute(candidates, w - (excess + excess.T) // 2, den, total=1)
 
 
 def check_idempotence(matrix: LlullMatrix, variant: Variant = Variant.MAIN) -> None:
@@ -193,43 +188,49 @@ def check_idempotence(matrix: LlullMatrix, variant: Variant = Variant.MAIN) -> N
         )
 
 
-def _bipartitions(n: int):
-    """Every split of the candidates 0..n-1 into two nonempty sides (xs, ys)."""
-    for size in range(1, n):
-        for xs in combinations(range(n), size):
-            yield xs, [y for y in range(n) if y not in xs]
+def _dominant_sets(beats: list[list[bool]]):
+    """Each set that beats every candidate outside it, with that outside,
+    smallest first, under an asymmetric relation ``beats``.  Such sets are
+    nested (a member of one alone would beat a member of the other alone and
+    lose to it): the one of size k holds those that beat n - k others or more."""
+    n = len(beats)
+    outdegree = [sum(row) for row in beats]
+    for k in range(1, n):
+        xs = [x for x in range(n) if outdegree[x] >= n - k]
+        ys = [y for y in range(n) if outdegree[y] < n - k]
+        if len(xs) == k and all(beats[x][y] for x in xs for y in ys):
+            yield xs, ys
 
 
 def check_condorcet_smith(matrix: LlullMatrix) -> tuple[int, str]:
     """Every pairwise-majority partition must be respected by the rates.
 
-    Scans all bipartitions and returns how many qualified, with notes on
-    the partitions that win by margins yet are not separated by the rates.
-    The margin form of the majority principle is deliberately not enforced
-    (only the absolute-majority form is guaranteed), so a note never fails
-    a case.
+    Walks the at most n - 1 sets that win every pair against their
+    complement by a strict majority and returns how many there are, with
+    notes on the sets that win every pair by margin yet are not separated
+    by the rates.  The margin form of the majority principle is
+    deliberately not enforced (only the absolute-majority form is
+    guaranteed), so a note never fails a case.
     """
     rates = _rates(matrix)
-    # Python lists, so that a bipartition stops at its first failing pair;
-    # 2 * w cannot overflow, as int64 numerators stay below 2**62.
+    # Python lists, so that a set stops at its first failing pair; 2 * w
+    # cannot overflow, as int64 numerators stay below 2**62.
     majority = (2 * matrix.w > matrix.den).tolist()
     wins = (matrix.w > matrix.w.T).tolist()
-    qualified, notes = 0, []
-    for xs, ys in _bipartitions(matrix.n):
-        if all(majority[x][y] for x in xs for y in ys):
-            qualified += 1
-            for x in xs:
-                for y in ys:
-                    if not rates[x] < rates[y] - RATE_TOL:
-                        raise VerificationFailure(
-                            f"majority set {sorted(xs)} does not rank above "
-                            f"{sorted(ys)}: r={rates[x]} vs {rates[y]}",
-                            matrix,
-                        )
-        if all(wins[x][y] for x in xs for y in ys) and any(
-            rates[x] >= rates[y] - RATE_TOL for x in xs for y in ys
-        ):
-            notes.append(f"margin-form majority {list(xs)} not separated")
+    qualified = 0
+    for xs, ys in _dominant_sets(majority):
+        qualified += 1
+        for x, y in product(xs, ys):
+            if not rates[x] < rates[y] - RATE_TOL:
+                raise VerificationFailure(
+                    f"majority set {xs} does not rank above {ys}: r={rates[x]} vs {rates[y]}",
+                    matrix,
+                )
+    notes = [
+        f"margin-form majority {xs} not separated"
+        for xs, ys in _dominant_sets(wins)
+        if any(rates[x] >= rates[y] - RATE_TOL for x in xs for y in ys)
+    ]
     return qualified, "; ".join(notes)
 
 
@@ -265,14 +266,11 @@ def check_clone_consistency(matrix: LlullMatrix, clones: frozenset[int]) -> None
             return 0
         return -1 if a < b else 1
 
-    for p in kept:
-        for q in kept:
-            if p == q:
-                continue
-            if rel(rates[p], rates[q]) != rel(qrates[pos[p]], qrates[pos[q]]):
-                raise VerificationFailure(
-                    f"contraction changes the relation between {p} and {q}", matrix
-                )
+    for p, q in permutations(kept, 2):
+        if rel(rates[p], rates[q]) != rel(qrates[pos[p]], qrates[pos[q]]):
+            raise VerificationFailure(
+                f"contraction changes the relation between {p} and {q}", matrix
+            )
 
 
 def check_monotonicity(
@@ -280,17 +278,16 @@ def check_monotonicity(
 ) -> None:
     """Raising a candidate's scores never pushes it behind anyone it beat."""
     n = matrix.n
-    v, w = matrix.scores, perturbed.scores
-    for x in range(n):
-        for y in range(n):
-            if x == y:
-                continue
-            if x == favored and w[x][y] < v[x][y]:
-                raise ValueError("perturbation lowered a favored score")
-            if y == favored and w[x][y] > v[x][y]:
-                raise ValueError("perturbation raised an opposing score")
-            if favored not in (x, y) and w[x][y] != v[x][y]:
-                raise ValueError("perturbation touched an unrelated pair")
+    # Cross-multiplied numerators, Python ints as ``tolist`` gives them.
+    v = [[p * perturbed.den for p in row] for row in matrix.w.tolist()]
+    w = [[p * matrix.den for p in row] for row in perturbed.w.tolist()]
+    for x, y in permutations(range(n), 2):
+        if x == favored and w[x][y] < v[x][y]:
+            raise ValueError("perturbation lowered a favored score")
+        if y == favored and w[x][y] > v[x][y]:
+            raise ValueError("perturbation raised an opposing score")
+        if favored not in (x, y) and w[x][y] != v[x][y]:
+            raise ValueError("perturbation touched an unrelated pair")
     before = _rates(matrix)
     after = _rates(perturbed)
     for y in range(n):
@@ -412,17 +409,19 @@ def check_approval_agreement(candidates: CandidateSet, ballots: list[Ballot]) ->
             )
 
 
-def check_continuity(
-    matrix: LlullMatrix, direction: dict[tuple[int, int], Fraction]
-) -> None:
-    """Shrinking a perturbation shrinks the rate movement toward zero."""
+def check_continuity(matrix: LlullMatrix, direction: dict[tuple[int, int], int]) -> None:
+    """Shrinking a perturbation shrinks the rate movement toward zero.
+    Each step of ``direction`` is a numerator over ``matrix.den``."""
     base = _rates(matrix)
 
     def perturbed(scale: Fraction) -> LlullMatrix:
-        scores = [list(row) for row in matrix.scores]
+        w = matrix.w.astype(object) * scale.denominator
         for (x, y), step in direction.items():
-            scores[x][y] += step * scale
-        return LlullMatrix.from_scores(matrix.candidates, scores, matrix.total)
+            w[x, y] += step * scale.numerator
+        relative = LlullMatrix.from_absolute(
+            matrix.candidates, w, matrix.den * scale.denominator, total=1
+        )
+        return replace(relative, total=matrix.total)
 
     drifts = []
     for exponent in range(2, 7):
@@ -566,24 +565,16 @@ def _case_clone_consistency(rng: random.Random) -> None:
     k = rng.randint(2, 3)
     base = random_matrix(rng, base_n)
     cloned = base_n - 1  # expand the last base candidate into k clones
-    n = base_n - 1 + k
-    clones = frozenset(range(base_n - 1, n))
-    scores = [[Fraction(0)] * n for _ in range(n)]
-    for x in range(base_n - 1):
-        for y in range(base_n - 1):
-            scores[x][y] = base.scores[x][y]
-    for a in clones:
-        for x in range(base_n - 1):
-            scores[a][x] = base.scores[cloned][x]
-            scores[x][a] = base.scores[x][cloned]
-    for a in clones:
-        for b in clones:
-            if a < b:
-                turnout = rng.randint(0, 12)
-                forward = rng.randint(0, turnout)
-                scores[a][b] = Fraction(forward, 12)
-                scores[b][a] = Fraction(turnout - forward, 12)
-    matrix = LlullMatrix.from_scores(candidate_names(n), scores)
+    clones = frozenset(range(cloned, cloned + k))
+    # Numerators over 12, which the base denominator divides; each clone
+    # takes the base row and column of the cloned candidate.
+    of = [*range(cloned), *[cloned] * k]
+    w = base.w[np.ix_(of, of)] * (12 // base.den)
+    for a, b in combinations(sorted(clones), 2):
+        turnout = rng.randint(0, 12)
+        forward = rng.randint(0, turnout)
+        w[a, b], w[b, a] = forward, turnout - forward
+    matrix = LlullMatrix.from_absolute(candidate_names(len(of)), w, 12, total=1)
     check_clone_consistency(matrix, clones)
 
 
@@ -591,23 +582,20 @@ def _case_monotonicity(rng: random.Random) -> None:
     n = rng.randint(3, 6)
     matrix = random_matrix(rng, n)
     favored = rng.randrange(n)
-    scores = [list(row) for row in matrix.scores]
-    changed = False
+    w, den = matrix.w.tolist(), matrix.den
+    # Steps of h / den come in units of gcd(h, den) / den, as h / den in lowest terms.
     for y in range(n):
         if y == favored:
             continue
-        headroom = 1 - scores[favored][y] - scores[y][favored]
+        headroom = den - w[favored][y] - w[y][favored]
         if rng.random() < 0.6 and headroom > 0:
-            scores[favored][y] += Fraction(rng.randint(1, headroom.numerator),
-                                           headroom.denominator)
-            changed = True
-        if rng.random() < 0.4 and scores[y][favored] > 0:
-            drop = scores[y][favored]
-            scores[y][favored] -= Fraction(rng.randint(1, drop.numerator),
-                                           drop.denominator)
-            changed = True
+            g = math.gcd(headroom, den)
+            w[favored][y] += g * rng.randint(1, headroom // g)
+        if rng.random() < 0.4 and w[y][favored] > 0:
+            g = math.gcd(w[y][favored], den)
+            w[y][favored] -= g * rng.randint(1, w[y][favored] // g)
     # A case that changed nothing is the trivial equality check.
-    perturbed = LlullMatrix.from_scores(matrix.candidates, scores, matrix.total)
+    perturbed = LlullMatrix.from_absolute(matrix.candidates, np.array(w), den, total=1)
     check_monotonicity(matrix, favored, perturbed)
 
 
@@ -635,23 +623,23 @@ def _case_approval_agreement(rng: random.Random) -> None:
 def _case_continuity(rng: random.Random) -> None:
     n = rng.randint(3, 5)
     matrix = random_matrix(rng, n)
-    scores = [list(row) for row in matrix.scores]
+    w = matrix.w.copy()
     x, y = rng.sample(range(n), 2)
-    tied = min(scores[x][y], scores[y][x])
-    scores[x][y] = scores[y][x] = tied  # an exact tie the order can flip over
-    matrix = LlullMatrix.from_scores(matrix.candidates, scores, matrix.total)
-    direction: dict[tuple[int, int], Fraction] = {}
+    w[x, y] = w[y, x] = min(w[x, y], w[y, x])  # an exact tie the order can flip over
+    matrix = LlullMatrix.from_absolute(matrix.candidates, w, matrix.den, total=1)
+    w, den = matrix.w.tolist(), matrix.den
+    direction: dict[tuple[int, int], int] = {}
     wanted = rng.randint(1, 4)
     pairs = [(p, q) for p in range(n) for q in range(n) if p != q]
     rng.shuffle(pairs)
     for p, q in pairs:
         if len(direction) == wanted:
             break
-        headroom = 1 - matrix.scores[p][q] - matrix.scores[q][p]
+        headroom = den - w[p][q] - w[q][p]
         if headroom > 0:
             direction[(p, q)] = headroom
-        elif matrix.scores[p][q] > 0:
-            direction[(p, q)] = -matrix.scores[p][q]
+        elif w[p][q] > 0:
+            direction[(p, q)] = -w[p][q]
     check_continuity(matrix, direction)
 
 

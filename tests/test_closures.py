@@ -60,17 +60,21 @@ def maxmin_closure_loop(v):
     return tuple(tuple(row) for row in w)
 
 
+def maxmin_loop_of(matrix):
+    """``maxmin_closure_loop`` of a matrix's numerators, as Fractions."""
+    star = maxmin_closure_loop(matrix.w.tolist())
+    return tuple(tuple(Fraction(p, matrix.den) for p in row) for row in star)
+
+
 def minmax_closure_loop(matrix):
     """Reference for ``minmax_closure_grid``: the loop closure of the complemented
-    transpose, complemented and transposed back."""
-    n = matrix.n
-    v = matrix.scores
-    dual = tuple(
-        tuple(1 - v[j][i] if i != j else Fraction(0) for j in range(n)) for i in range(n)
-    )
+    transpose, complemented and transposed back, as Fractions."""
+    n, den = matrix.n, matrix.den
+    w = matrix.w.tolist()
+    dual = tuple(tuple(den - w[j][i] if i != j else 0 for j in range(n)) for i in range(n))
     dual_star = maxmin_closure_loop(dual)
     return tuple(
-        tuple(1 - dual_star[j][i] if i != j else Fraction(0) for j in range(n))
+        tuple(Fraction(den - dual_star[j][i], den) if i != j else Fraction(0) for j in range(n))
         for i in range(n)
     )
 
@@ -101,7 +105,7 @@ def assert_same_grid(got, expected):
 def enumerate_paths(matrix):
     """Independent oracle: literal max-over-paths-of-min and its dual."""
     n = matrix.n
-    v = matrix.scores
+    v = fractions(matrix.w, matrix.den)
     best = [[Fraction(0)] * n for _ in range(n)]
     worst = [[Fraction(0)] * n for _ in range(n)]
     for x in range(n):
@@ -144,8 +148,8 @@ class TestMaxMin:
 
     def test_two_candidates_closure_is_identity(self):
         m = grid_matrix([[0, Fraction(1, 3)], [Fraction(1, 2), 0]])
-        assert maxmin_closure(m.w, m.den) == m.scores
-        assert minmax_closure(m) == m.scores
+        assert maxmin_closure(m.w, m.den) == fractions(m.w, m.den)
+        assert minmax_closure(m) == fractions(m.w, m.den)
 
     @pytest.mark.parametrize("seed", range(12))
     def test_random_matches_path_enumeration(self, seed):
@@ -165,7 +169,7 @@ class TestMaxMin:
         for x in range(royal.n):
             for y in range(royal.n):
                 if x != y:
-                    assert star[x][y] >= royal.scores[x][y]
+                    assert star[x][y] >= Fraction(int(royal.w[x, y]), royal.den)
                     assert 0 <= star[x][y] <= 1
 
     @pytest.mark.parametrize("seed", range(6))
@@ -229,12 +233,9 @@ class TestVariantMargins:
 
     def test_margin_based_margins_are_margins_of_completion(self, royal):
         completed = margin_completion(royal)
-        assert all(
-            completed.scores[x][y] + completed.scores[y][x] == 1
-            for x in range(royal.n)
-            for y in range(royal.n)
-            if x != y
-        )
+        turnouts = completed.w + completed.w.T
+        np.fill_diagonal(turnouts, completed.den)
+        assert (turnouts == completed.den).all()
         direct = project_details(royal, Variant.MARGIN_BASED).vm
         via_completion = margins_of(completed, Variant.MAIN)
         assert direct.den == via_completion.den
@@ -284,7 +285,7 @@ class TestIntegerKernel:
         for denominator in (1, 2, 12, 97, 1000):
             matrix = random_matrix(rng, n, denominator)
             star = maxmin_closure(matrix.w, matrix.den)
-            assert_same_grid(star, maxmin_closure_loop(matrix.scores))
+            assert_same_grid(star, maxmin_loop_of(matrix))
             assert_same_grid(minmax_closure(matrix), minmax_closure_loop(matrix))
 
     @pytest.mark.parametrize("seed", range(6))
@@ -292,14 +293,14 @@ class TestIntegerKernel:
         rng = random.Random(800 + seed)
         completed = margin_completion(random_matrix(rng, rng.randint(3, 9)))
         star = maxmin_closure(completed.w, completed.den)
-        assert_same_grid(star, maxmin_closure_loop(completed.scores))
+        assert_same_grid(star, maxmin_loop_of(completed))
         assert_same_grid(minmax_closure(completed), minmax_closure_loop(completed))
 
     @pytest.mark.parametrize("seed", range(6))
     def test_closures_of_closures(self, seed):
         rng = random.Random(900 + seed)
         matrix = random_matrix(rng, rng.randint(3, 9))
-        star = maxmin_closure_loop(matrix.scores)
+        star = maxmin_loop_of(matrix)
         bar = minmax_closure_loop(matrix)
         # a min-max closure has row pairs summing above one: a bare grid
         for grid in (star, bar):
@@ -322,7 +323,7 @@ class TestIntegerKernel:
             matrix = random_matrix(rng, n, denominator)
             assert matrix.w.dtype == object
             star = maxmin_closure(matrix.w, matrix.den)
-            assert_same_grid(star, maxmin_closure_loop(matrix.scores))
+            assert_same_grid(star, maxmin_loop_of(matrix))
             assert_same_grid(minmax_closure(matrix), minmax_closure_loop(matrix))
         scores = [[Fraction(0)] * n for _ in range(n)]
         for x in range(n):
@@ -333,5 +334,5 @@ class TestIntegerKernel:
         matrix = grid_matrix(scores)
         assert matrix.w.dtype == object
         star = maxmin_closure(matrix.w, matrix.den)
-        assert_same_grid(star, maxmin_closure_loop(matrix.scores))
+        assert_same_grid(star, maxmin_loop_of(matrix))
         assert_same_grid(minmax_closure(matrix), minmax_closure_loop(matrix))

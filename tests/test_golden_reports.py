@@ -109,7 +109,6 @@ def test_no_fraction_grid_between_parse_and_report(monkeypatch, name, variant):
     def refuse(*args):
         raise AssertionError("a Fraction grid was built on the tally path")
 
-    monkeypatch.setattr(LlullMatrix, "scores", property(refuse))
     monkeypatch.setattr(LlullMatrix, "from_scores", classmethod(refuse))
     assert [run(text, config) for config in configs] == want
 

@@ -2,6 +2,7 @@ import contextlib
 import functools
 import io
 import json
+import random
 import subprocess
 import sys
 from collections import Counter
@@ -23,6 +24,7 @@ from llull.ballots import (
     _plain_rows,
     _Weights,
     parse_ballot_line,
+    read_ballot_file,
 )
 from llull.closures import Variant
 from llull.cli import (
@@ -223,10 +225,10 @@ def test_every_site_reads_a_number_alike(limit, text):
         assert cell == weight == bulk
 
 
-# Pieces of ballot lines: names, the grammar's marks, number characters
-# (Arabic-Indic and fullwidth digits among them), spaces of several kinds,
-# and "\r" and "\x85", which end a line.
-BALLOT_PIECES = ["a", "b", "c", "ab", ">", "=", "/", ":", "#", "0", "1", "2", "9", ".", "_",
+# Pieces of ballot lines: names, the grammar's marks, the reserved ",",
+# number characters (Arabic-Indic and fullwidth digits among them), spaces
+# of several kinds, and "\r" and "\x85", which end a line.
+BALLOT_PIECES = ["a", "b", "c", "ab", ">", "=", "/", ":", "#", ",", "0", "1", "2", "9", ".", "_",
                  "e", "\u0663", "\uff12", " ", "\t", "\u3000", "\u00a0", "\r", "\x85"]
 # Matrix cells: integers, ratios, decimals, exponents, negatives, a zero
 # denominator and junk.
@@ -300,6 +302,7 @@ def fuzz_input(tmp_path_factory):
        run_flags())
 @example(case=("a,b\n*,0\n2/0,*\n", ["--matrix"]), flags=[])
 @example(case=("2/0: a>b\n", []), flags=[])
+@example(case=("a,b\n*,0\n1,*\n", []), flags=[])
 @settings(deadline=None)
 def test_no_input_ends_in_a_traceback(fuzz_input, case, flags):
     """``llull run`` on a short random input exits 0, or with the status
@@ -557,6 +560,37 @@ class TestRunCommand:
         assert r.returncode == EXIT_PARSE
         assert "line 2" in r.stderr
 
+    def test_a_matrix_read_as_ballots_exits_at_its_header(self):
+        r = run_cli("run", "tests/fixtures/debian2006.csv")
+        assert r.returncode == EXIT_PARSE
+        assert r.stdout == ""
+        assert r.stderr == (
+            "error: tests/fixtures/debian2006.csv: line 3, column 1: invalid candidate "
+            "name '1,2,3,4,5,6,7,8'; a matrix CSV needs --matrix\n"
+        )
+
+    @pytest.mark.parametrize(
+        "text, position, name",
+        [
+            ("a>b\n2: x,y > a\n", "line 2, column 4", "x,y"),
+            ("# a comment\n\na>b\n  b>a,\n", "line 4, column 5", "a,"),
+            ("1/2: ,\n", "line 1, column 6", ","),
+        ],
+    )
+    def test_a_comma_in_a_collected_name_is_placed(self, tmp_path, text, position, name):
+        # "," is reserved in names, so a headerless file that holds one in
+        # a name is refused where that name stands.
+        f = tmp_path / "comma.ballots"
+        f.write_text(text)
+        with pytest.raises(MalformedSyntax) as err:
+            read_ballot_file(text)
+        assert str(err.value) == (
+            f"{position}: invalid candidate name {name!r}; a matrix CSV needs --matrix"
+        )
+        r = run_cli("run", str(f))
+        assert (r.returncode, r.stdout) == (EXIT_PARSE, "")
+        assert r.stderr == f"error: {f}: {err.value}\n"
+
     def test_missing_file_exit_code(self):
         assert run_cli("run", "no-such-file").returncode == EXIT_PARSE
 
@@ -761,6 +795,20 @@ class TestVerifyCommand:
         assert r.returncode == 0, r.stdout + r.stderr
         assert r.stderr == ""
         assert "FAILED" not in r.stdout
+
+    def test_condorcet_smith_checks_a_thirty_candidate_file(self, tmp_path):
+        # 2**30 - 2 bipartitions; the check walks at most 29 nested sets.
+        rng = random.Random(30)
+        names = [f"c{i}" for i in range(30)]
+        lines = ["candidates: " + " ".join(names)]
+        for _ in range(30):
+            rng.shuffle(names)
+            lines.append(">".join(names[: rng.randint(1, 30)]))
+        path = tmp_path / "thirty.ballots"
+        path.write_text("\n".join(lines) + "\n")
+        r = run_cli("verify", "--suite", "condorcet-smith", "--cases", "0", "--input", str(path))
+        assert r.returncode == 0, r.stdout + r.stderr
+        assert r.stdout.splitlines()[0] == "condorcet-smith: 1 cases, ok"
 
     def test_a_suite_the_file_does_not_apply_to_is_skipped(self):
         r = run_cli("verify", "--suite", "all", "--cases", "0",

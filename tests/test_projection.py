@@ -435,7 +435,7 @@ class TestProjectOperator:
             for y in range(4):
                 if x != y:
                     assert pm.pi[x][y] == pytest.approx(
-                        float(matrix.scores[x][y]), abs=1e-12
+                        float(Fraction(int(matrix.w[x, y]), matrix.den)), abs=1e-12
                     )
 
     def test_structured_matrices_are_fixed_points(self):
@@ -465,7 +465,7 @@ class TestProjectOperator:
             for x in range(n):
                 for y in range(n):
                     if x != y:
-                        assert pm.pi[x][y] == float(matrix.scores[x][y])
+                        assert pm.pi[x][y] == float(Fraction(int(matrix.w[x, y]), matrix.den))
 
     def test_margin_based_runs_on_completed_matrix(self, royal):
         matrix, _ = royal

@@ -3,6 +3,7 @@ import json
 import random
 from dataclasses import replace
 from fractions import Fraction
+from itertools import combinations, product
 
 import pytest
 
@@ -96,11 +97,11 @@ class TestChecks:
     def test_monotonicity_rejects_malformed_perturbation(self):
         rng = random.Random(6)
         matrix = random_matrix(rng, 3)
-        scores = [list(r) for r in matrix.scores]
-        scores[0][1], scores[1][0] = scores[1][0], scores[0][1]
-        if scores[0][1] == scores[1][0]:
-            scores[0][1] += Fraction(1, 12)
-        other = LlullMatrix.from_scores(matrix.candidates, scores, matrix.total)
+        w = matrix.w.copy()
+        w[0, 1], w[1, 0] = w[1, 0], w[0, 1]
+        if w[0, 1] == w[1, 0]:
+            w[0, 1] += 1
+        other = LlullMatrix.from_absolute(matrix.candidates, w, matrix.den, total=1)
         with pytest.raises(ValueError):
             check_monotonicity(matrix, 2, other)
 
@@ -134,11 +135,65 @@ class TestChecks:
     def test_continuity_on_a_tied_profile(self):
         rng = random.Random(7)
         matrix = random_matrix(rng, 4)
-        check_continuity(matrix, {(0, 1): Fraction(1, 3)})
+        check_continuity(matrix, {(0, 1): matrix.den // 3})  # a step of 1/3
 
     def test_duplication_renaming_on_royal(self, royal_text):
         cands, table = read_ballot_file(royal_text)
         check_duplication_renaming(cands, table.ballots(), 3, (5, 4, 3, 2, 1, 0))
+
+
+def _bipartitions(n: int):
+    """Every split of the candidates 0..n-1 into two nonempty sides (xs, ys)."""
+    for size in range(1, n):
+        for xs in combinations(range(n), size):
+            yield list(xs), [y for y in range(n) if y not in xs]
+
+
+def relation(n: int, states) -> list[list[bool]]:
+    """The asymmetric relation in which each pair x < y, in order, has
+    state 1 (x beats y), -1 (y beats x) or 0 (neither)."""
+    beats = [[False] * n for _ in range(n)]
+    for (x, y), state in zip(combinations(range(n), 2), states):
+        if state > 0:
+            beats[x][y] = True
+        elif state < 0:
+            beats[y][x] = True
+    return beats
+
+
+class TestDominantSets:
+    """``_dominant_sets`` yields what a scan of every bipartition finds."""
+
+    @staticmethod
+    def scanned(beats):
+        n = len(beats)
+        return [(xs, ys) for xs, ys in _bipartitions(n)
+                if all(beats[x][y] for x in xs for y in ys)]
+
+    @pytest.mark.parametrize("n", range(1, 5))
+    def test_every_asymmetric_relation_up_to_four(self, n):
+        for states in product((1, -1, 0), repeat=n * (n - 1) // 2):
+            beats = relation(n, states)
+            assert list(verify._dominant_sets(beats)) == self.scanned(beats)
+
+    @pytest.mark.parametrize("n", range(5, 9))
+    def test_random_relations_up_to_eight(self, n):
+        rng = random.Random(n)
+        for _ in range(200):
+            # Mostly decided pairs, so that sets beating their complement occur.
+            states = rng.choices((1, -1, 0), weights=(4, 4, 1), k=n * (n - 1) // 2)
+            beats = relation(n, states)
+            assert list(verify._dominant_sets(beats)) == self.scanned(beats)
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_both_relations_of_random_matrices(self, n):
+        # Strict majority and margin wins, as check_condorcet_smith reads them.
+        rng = random.Random(100 + n)
+        for _ in range(50):
+            matrix = random_matrix(rng, n, rng.choice([2, 3, 12]))
+            w, den = matrix.w, matrix.den
+            for beats in ((2 * w > den).tolist(), (w > w.T).tolist()):
+                assert list(verify._dominant_sets(beats)) == self.scanned(beats)
 
 
 class TestApprovalAgreement:
@@ -169,9 +224,9 @@ class TestApprovalAgreement:
             matrix = real(ballots, rules, candidates)
             if rules.unlisted_pair is not Unlisted.TIED:
                 return matrix
-            v = [list(row) for row in matrix.scores]
-            v[0][1], v[1][0] = v[1][0], v[0][1]
-            return LlullMatrix.from_scores(candidates, v, matrix.total)
+            w = matrix.w.copy()
+            w[0, 1], w[1, 0] = w[1, 0], w[0, 1]
+            return LlullMatrix.lowest_terms(candidates, w, matrix.den, matrix.total)
 
         monkeypatch.setattr(verify, "aggregate", swap_a_and_b_when_tied)
         with pytest.raises(VerificationFailure, match=r"\(0, 1\) with silent pairs tied"):
