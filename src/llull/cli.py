@@ -1,14 +1,16 @@
 """Command-line interface: tally an election or run the property suites.
 
-Exit codes: 0 success, 2 input could not be parsed, 3 the turnout program
-was infeasible, 4 the candidate order was not admissible, 5 a verification
-suite reported failures, 6 the floating-point step failed: the turnout solver
-hit its iteration cap, or the projected intervals or scores broke a law.
+Exit codes: 0 success, 1 standard output was closed before the output was
+written, 2 input could not be parsed, 3 the turnout program was infeasible,
+4 the candidate order was not admissible, 5 a verification suite reported
+failures, 6 the floating-point step failed: the turnout solver hit its
+iteration cap, or the projected intervals or scores broke a law.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
@@ -27,6 +29,7 @@ from .pipeline import RunConfig, parse_variant, run
 from .rates import RateFormula
 
 EXIT_OK = 0
+EXIT_CLOSED_OUTPUT = 1
 EXIT_PARSE = 2
 EXIT_INFEASIBLE = 3
 EXIT_NOT_ADMISSIBLE = 4
@@ -187,11 +190,17 @@ def _cmd_verify(args) -> int:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "run":
-        return _cmd_run(args)
-    if args.cases == 0 and args.input is None:
+    if args.command == "verify" and args.cases == 0 and args.input is None:
         parser.error("argument --cases: 0 runs no case without --input")
-    return _cmd_verify(args)
+    try:
+        status = _cmd_run(args) if args.command == "run" else _cmd_verify(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader of stdout is gone.  Point stdout at devnull, so that the
+        # interpreter's final flush of what is left cannot raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_CLOSED_OUTPUT
+    return status
 
 
 if __name__ == "__main__":

@@ -9,12 +9,13 @@ solvers are provided:
 * ``solve_active_set``: a dual active-set iteration.  Every row is
   e_i - e_j or a bound on one variable, so a linearly independent working
   set is a forest over the variables and a zero node.  The equality rows
-  enter first, in one pass, by the closed form of the projection onto them.
-  Then the most violated inequality enters at a time, dropping the blocking
-  row with the smallest ratio along the way (ties need no rule; see
-  ``solve_active_set``).  A step moves x by one constant per tree and
-  changes multipliers along tree paths of the two trees that hold the ends
-  of the entering row: a few to a few hundred nodes, kept in Python lists.
+  enter first, in row order, by the same dual step as every other row, and
+  never leave.  Then the most violated inequality enters at a time,
+  dropping the blocking row with the smallest ratio along the way (ties
+  need no rule; see ``solve_active_set``).  A step moves x by one constant
+  per tree and changes multipliers along tree paths of the two trees that
+  hold the ends of the entering row: a few to a few hundred nodes, kept in
+  Python lists.
   Weights enter through each tree's total and subtree weights, where an
   unweighted solve reads node counts.
   An unbounded dual step certifies infeasibility (``Infeasible``) and a
@@ -249,67 +250,6 @@ class _Forest:
         self.paths = paths
         return znorm2, shifts, rows, r
 
-    def span(self, eq: np.ndarray, x: np.ndarray, mults: list[float]) -> None:
-        """Link the equality rows ``eq`` into this forest of single nodes, move
-        x from the center onto them and set their multipliers, in one pass.
-
-        Union-find in row order links, and marks working, the rows that
-        steps one at a time would; a dependent row must hold at the new x.  A
-        component's tree is rooted at its largest node (the zero node when it
-        holds it) and takes its id.  Offsets add up ``sign * rhs`` down the
-        tree; x is the offsets in the zero node's tree and the offsets plus
-        the weighted mean of ``center - offset`` elsewhere.  A row's
-        multiplier is its sign as a flow times the subtree sum of
-        w·(x - center).
-        """
-        rows = self.rows
-        up = list(range(self.zero + 1))  # union-find links, each to a larger node
-        def root(v: int) -> int:
-            while up[v] != v:
-                up[v] = v = up[up[v]]
-            return v
-        edges: dict[int, list] = {}  # node -> (neighbour, row, its sign as a flow, rhs)
-        dependent: list[int] = []
-        ends = (a[eq].tolist() for a in (rows.i, rows.j, rows.sign, rows.rhs))
-        for r, i, j, s, b in zip(eq.tolist(), *ends):
-            low, high = sorted((root(i), root(j)))
-            if low == high:
-                dependent.append(r)
-                continue
-            up[low] = high
-            edges.setdefault(i, []).append((j, r, 0.0 - s, b))
-            edges.setdefault(j, []).append((i, r, s, b))
-        for top in sorted(v for v in edges if up[v] == v):
-            order = [(top, 0, -1, 0, 0.0)]  # node, parent position, row, sign, offset
-            stack = [(u, 0, *e) for u, *e in edges[top]]
-            while stack:  # depth first, so subtrees come out contiguous
-                v, p, r, s, b = stack.pop()
-                stack.extend((u, len(order), *e) for u, *e in edges[v] if e[0] != r)
-                order.append((v, p, r, s, order[p][4] + s * b))
-            nodes, parent, row, sign, offset = map(list, zip(*order))
-            center, point, spread = x[nodes], np.array(offset), 0.0
-            weight = [self.weight[v] for v in nodes]
-            w = np.array(weight)
-            if top != self.zero:
-                total = math.fsum(weight)
-                point += math.fsum((w * (center - point)).tolist()) / total
-                # w·(x - center) sums to that mean's rounding: spread it by weight.
-                spread = (w * (point - center)).sum() / total
-            x[nodes] = point
-            size, below = [1] * len(nodes), (w * (point - center) - w * spread).tolist()
-            for q in range(len(nodes) - 1, 0, -1):
-                size[parent[q]] += size[q]
-                weight[parent[q]] += weight[q]
-                below[parent[q]] += below[q]
-            self.working[row[1:]] = True
-            for r, s, g in zip(row[1:], sign[1:], below[1:]):
-                mults[r] = s * g
-            self.trees[top] = [nodes, size, row, sign, weight]
-            for v in nodes:
-                self.tree[v] = top
-        if np.abs(rows.slacks(x)[dependent]).max(initial=0.0) > max(_TOL, 1e-9):
-            raise Infeasible("inconsistent equality constraints")
-
     def link(self, row: int, i: int, j: int, sign: float) -> None:
         """Add row ``sign (e_i - e_j)``, whose ends lie in different trees,
         right after ``direction(i, j, sign)``: the tree of one end is
@@ -376,9 +316,13 @@ def solve_active_set(problem: QpProblem) -> QpSolution:
     bounded dual step, ``MaxIterations`` past the defensive cap of
     max(100, 10 r**2) steps for r constraint rows.
 
-    The working rows form a forest (``_Forest``).  The equality rows go in
-    first, in one pass (``_Forest.span``), and count one step each, linked
-    or dependent.  Two rules choose the rows of the dual steps:
+    The working rows form a forest (``_Forest``).  The equality rows enter
+    first, in row order, by the same step as an inequality.  Their
+    multipliers are unrestricted, so none blocks or leaves.  An equality row
+    whose ends already share a tree is dependent: it must hold within
+    max(_TOL, 1e-9), or the equalities are inconsistent (``Infeasible``).
+    Every equality row counts one step, linked or dependent.  Then two rules
+    choose the rows of the dual steps:
 
     * the most violated inequality enters: the lowest index among
       float-equal slacks.  Rows whose slacks tie exactly in rationals (tie
@@ -398,19 +342,20 @@ def solve_active_set(problem: QpProblem) -> QpSolution:
     x, max_iter = _padded(problem.center, d), max(100, 10 * n_rows**2)
     forest, ineq = _Forest(d, rows, problem.weights), (~rows.eq).tolist()
     mults = [0.0] * n_rows  # inequality ones kept >= 0
+    iterations = 0
     # Dual steps never drop equality rows, so no later step disturbs them.
-    eq = np.flatnonzero(rows.eq)
-    forest.span(eq, x, mults)
-    iterations = eq.size
+    equalities = iter(np.flatnonzero(rows.eq).tolist())
     # Row r reads x[a[r]] - x[b[r]] >= forest.floor[r], its sign taken in.
     a, b = np.where(rows.sign > 0, rows.i, rows.j), np.where(rows.sign > 0, rows.j, rows.i)
     while n_rows:
-        slacks = x[a]
-        slacks -= x[b]
-        slacks -= forest.floor
-        target = int(slacks.argmin())
-        if not slacks[target] < -_TOL:
-            break
+        target = next(equalities, -1)
+        if target < 0:
+            slacks = x[a]
+            slacks -= x[b]
+            slacks -= forest.floor
+            target = int(slacks.argmin())
+            if not slacks[target] < -_TOL:
+                break
         # Bring the row to zero slack, dropping blocking rows along the way.
         i, j = rows.i.item(target), rows.j.item(target)
         sign, rhs = rows.sign.item(target), rows.rhs.item(target)
@@ -421,6 +366,10 @@ def solve_active_set(problem: QpProblem) -> QpSolution:
                 raise MaxIterations(f"no convergence within {max_iter} active-set steps")
             znorm2, shifts, tree_rows, r = forest.direction(i, j, sign)
             slack = sign * (x.item(i) - x.item(j)) - rhs
+            if not (znorm2 or ineq[target]):  # a dependent equality row
+                if abs(slack) > max(_TOL, 1e-9):
+                    raise Infeasible("inconsistent equality constraints")
+                break
             # Longest step before some inequality multiplier turns negative.
             t_dual, drop = math.inf, -1
             for row, flow in zip(tree_rows, r):

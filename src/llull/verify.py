@@ -607,10 +607,12 @@ def _case_decomposition(rng: random.Random) -> None:
         perm_top = top[:]
         rng.shuffle(perm_top)
         groups = tie_groups(rng, perm_top, 0.25)
+        # An approval cutoff among the top groups leaves the top set unanimous.
+        cutoff = rng.randint(0, len(groups)) if rng.random() < 0.3 else None
         perm_rest = rest[:]
         rng.shuffle(perm_rest)
         groups += tie_groups(rng, perm_rest[: rng.randint(0, len(perm_rest))], 0.25)
-        ballots.append(Ballot(groups, None, Fraction(rng.randint(1, 2))))
+        ballots.append(Ballot(groups, cutoff, Fraction(rng.randint(1, 2))))
     check_decomposition(candidates, ballots, frozenset(top))
 
 

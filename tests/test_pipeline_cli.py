@@ -2,6 +2,7 @@ import contextlib
 import functools
 import io
 import json
+import os
 import random
 import subprocess
 import sys
@@ -28,6 +29,7 @@ from llull.ballots import (
 )
 from llull.closures import Variant
 from llull.cli import (
+    EXIT_CLOSED_OUTPUT,
     EXIT_INFEASIBLE,
     EXIT_NOT_ADMISSIBLE,
     EXIT_NUMERICAL,
@@ -330,6 +332,32 @@ def test_no_input_ends_in_a_traceback(fuzz_input, case, flags):
         assert (status, out.getvalue()) == (expected, ""), err.getvalue()
     else:
         assert (status, err.getvalue()) == (EXIT_OK, "")
+
+
+@pytest.mark.parametrize(
+    "args",
+    [("run", "tests/fixtures/royal1652.ballots"), ("verify", "--suite", "paths", "--cases", "5")],
+    ids=["run", "verify"],
+)
+@pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
+def test_closed_output_exits_one_without_a_traceback(args, unbuffered):
+    # The reader of stdout is closed before the command writes, so its
+    # first unbuffered write, or the flush of a buffered one, breaks the pipe.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        r = subprocess.run(
+            [sys.executable, "-m", "llull.cli", *args],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+            cwd=FIXTURES.parent.parent,
+            env={**os.environ, "PYTHONUNBUFFERED": unbuffered},
+        )
+    finally:
+        os.close(write_end)
+    assert "Traceback" not in r.stderr and "BrokenPipeError" not in r.stderr, r.stderr
+    assert r.returncode == EXIT_CLOSED_OUTPUT == 1
 
 
 class TestRunCommand:
@@ -673,6 +701,22 @@ class TestRunCommand:
         code = cli_mod.main(["run", "tests/fixtures/royal1652.ballots"])
         assert code == EXIT_NUMERICAL
         assert "interval range law fails" in capsys.readouterr().err
+
+        def lifted_first_pair(problem):
+            # Variable 0 is the first block pair's turnout, at its bound 1.0:
+            # the intervals keep their range and overlap laws, and only the
+            # check of the projected scores sees the point leave the set.
+            solution = solve(problem)
+            point = (solution.point[0] + 1e-4, *solution.point[1:])
+            return QpSolution(point, solution.active_set, solution.iterations)
+
+        monkeypatch.setattr(projection_mod, "solve_active_set", lifted_first_pair)
+        code = cli_mod.main(["run", "tests/fixtures/royal1652.ballots"])
+        assert code == EXIT_NUMERICAL
+        assert capsys.readouterr().err == (
+            "error: projection check failed: admissibility law fails: "
+            "projected scores left the admissible set\n"
+        )
 
     def test_wide_matrix_that_broke_least_squares(self):
         # A 20-candidate matrix on which a solver built on SVD least squares

@@ -10,12 +10,13 @@ from itertools import accumulate, combinations
 import numpy as np
 import pytest
 
+from conftest import FIXTURES
 from llull import verify
 from llull.ballots import InterpretationRules, read_ballot_file
 from llull.closures import Variant, indirect_scores, margin_completion, variant_margins
 from llull.errors import Infeasible
 from llull.generate import ProfileGenerator, random_matrix
-from llull.matrix import aggregate, turnouts
+from llull.matrix import aggregate, read_matrix, turnouts
 from llull.ordering import AdmissibleOrder, admissible_order
 from llull.projection import (
     IntermediateMargins,
@@ -353,19 +354,19 @@ class TestActiveSet:
 # rows, then sha256 prefixes of the active set's repr and of the float.hex of
 # the point and of the multipliers).
 TRAJECTORIES = [
-    (20, "main", 213, 182, "4c5a9dacb95aeb0e", "f2890a5459749da3", "fd77117c3ddda62a"),
+    (20, "main", 213, 182, "bbcc1c0ab3382090", "311e0db028802845", "7c6b4758c0ac1a35"),
     (20, "codual", 245, 173, "7af557dc7ac1bf35", "ead468a23157934f", "5930f86530a10197"),
-    (20, "balanced", 294, 188, "86a394bb4be31a52", "ff9cc606e39d8e01", "d6b0503962dfef22"),
-    (20, "margin-based", 126, 111, "c0f6dfaf81b2dbb0", "50cd2b6bcef95172", "128287cd3eed0f21"),
-    (30, "main", 560, 427, "0174cc5d9b31896d", "cc678b17b8fe38fd", "2a8e4474fed08c57"),
-    (30, "codual", 543, 431, "da739124759877d4", "7413900e15c783dc", "08850ecbcb3a0014"),
-    (30, "balanced", 786, 434, "b8176a8e2dbe1ee7", "7932e46a34dbbba5", "d72616402479c790"),
-    (30, "margin-based", 56, 55, "350878a12873444a", "1f72c9067c6a697b", "335caadb7a89b4e0"),
-    (50, "main", 1679, 1213, "e7c23d1fbc756516", "6b4b853b4fdf3606", "06d378c0b6bb71cc"),
-    (50, "codual", 1633, 1221, "523888ba620e083b", "e6e3cf8fed4e82ab", "b7144cff728248ca"),
-    (50, "balanced", 2259, 1224, "f3d6d3592fe56e77", "d86cb08e468c3644", "28bd3aa59ea93354"),
-    (50, "margin-based", 480, 444, "1e9390849bff6505", "abc95cc3f00a099e", "b736dba55fe2a5bb"),
-    (80, "main", 4545, 3147, "e1022bdf144aa02b", "360510c9126cd9b3", "0419f95d787ef291"),
+    (20, "balanced", 294, 188, "c3c002c6f72fa7c6", "cc5a2f748081f549", "789eb34044544ff8"),
+    (20, "margin-based", 126, 111, "c0f6dfaf81b2dbb0", "50cd2b6bcef95172", "1590d1a70f7beb09"),
+    (30, "main", 560, 427, "c40219d9795ff933", "1a3eed92c8e2477e", "296d411c08c8dfd0"),
+    (30, "codual", 539, 431, "d80061ad2ff682bf", "b509287731cb11d6", "83a100760b39b9ae"),
+    (30, "balanced", 786, 434, "7db0195cd14bfd20", "b2ae46e1c4a02ea2", "d7005556cebd1e88"),
+    (30, "margin-based", 56, 55, "350878a12873444a", "1f72c9067c6a697b", "7f2e782b6c63cca7"),
+    (50, "main", 1671, 1213, "c69df05f87ac7dc6", "8c4db870e02dc79a", "90119f9d250796a5"),
+    (50, "codual", 1627, 1221, "d3f5f75dccb74b9c", "a8f8f8d2d639a044", "b41f7221e87dd354"),
+    (50, "balanced", 2259, 1224, "f3d6d3592fe56e77", "387a52ded8a54470", "76ddfc160a3a4127"),
+    (50, "margin-based", 480, 444, "1e9390849bff6505", "abc95cc3f00a099e", "f8e62b63e9beee3d"),
+    (80, "main", 4555, 3147, "b9f29c5ce46ccde3", "466e1f7110b0f580", "8dc383f03b9821cc"),
 ]
 
 
@@ -590,6 +591,12 @@ class TestLayoutAfterEveryStep:
             solve_active_set(random_feasible_problem(random.Random(seed)))
         assert checked.count("link") > 150 and checked.count("cut") >= 5
 
+    def test_equality_dense_problems(self, checked):
+        # The equality rows enter by ``link`` too.
+        for seed in range(40):
+            solve_active_set(equality_dense_problem(random.Random(seed)))
+        assert checked.count("link") > 150
+
     def test_weighted_problems(self, checked):
         # Integer weights keep every subtree weight exact.
         for seed in range(50):
@@ -615,8 +622,9 @@ def first_spanning_rows(problem: QpProblem) -> list[int]:
 
 
 class TestEqualityInstall:
-    """The equality rows enter in one pass, as the projection onto their
-    affine set: one tree per component of their graph."""
+    """The equality rows enter first, one dual step each in row order, and
+    reach the projection onto their affine set: one tree per component of
+    their graph."""
 
     @staticmethod
     def solve(problem: QpProblem) -> QpSolution:
@@ -687,24 +695,21 @@ class TestEqualityInstall:
         oracle = solve_dykstra(problem)
         assert max(abs(a - b) for a, b in zip(solution.point, oracle.point)) <= 1e-6
 
-    def test_trees_after_the_install(self):
-        # The programs close cycles and reach the zero node, and the forest
-        # holds exactly the rows that close no cycle, in a valid layout.
-        dependent = zero_trees = 0
+    def test_linked_rows_close_no_cycle(self):
+        # The programs close cycles and reach the zero node, and the working
+        # set holds exactly the equality rows that close no cycle with the
+        # equality rows before them.
+        dependent = through_zero = 0
         for seed in range(40):
             problem = equality_dense_problem(random.Random(seed))
-            rows = problem.rows
-            eq = np.flatnonzero(rows.eq)
-            d = len(problem.center)
-            forest = _Forest(d, rows)
-            forest.span(eq, _padded(problem.center, d), [0.0] * len(rows))
-            linked = np.flatnonzero(forest.working).tolist()
+            rows, d = problem.rows, len(problem.center)
+            active = np.array(self.solve(problem).active_set, dtype=np.intp)
+            linked = active[rows.eq[active]].tolist()
             assert linked == first_spanning_rows(problem)
-            assert_layout(forest, rows)
-            dependent += eq.size - len(linked)
-            zero_trees += forest.trees[d] is not None
+            dependent += rows.eq.sum() - len(linked)
+            through_zero += (rows.j[linked] == d).any()
         assert dependent > 40
-        assert zero_trees > 10
+        assert through_zero > 10
 
 
 def with_weights(problem: QpProblem, rng: random.Random) -> QpProblem:
@@ -757,13 +762,13 @@ class TestWeights:
         assert solution.multipliers == pytest.approx((0.75,), abs=1e-15)
         assert kkt_residual(problem, solution) <= 1e-15
 
-    def test_span_takes_the_weighted_mean(self):
+    def test_equality_takes_the_weighted_mean(self):
         # x0 = x1 from the centers 0 and 4 under weights 1 and 3 meet at 3,
         # and the equality's multiplier is 1 (3 - 0).
         problem = QpProblem((0.0, 4.0), (), ((0, 1, 0.0, 0.0),), (1.0, 3.0))
         assert solve_active_set(problem) == QpSolution((3.0, 3.0), (0,), 1, (3.0,))
 
-    def test_span_weighs_the_multipliers_of_the_zero_nodes_tree(self):
+    def test_equality_multipliers_weigh_the_zero_nodes_tree(self):
         # x0 = 0.5 and x1 = x0 + 0.25 fix the point; stationarity at x1 reads
         # 2 (0.75 - 0) = 1.5 for the difference row, and at x0
         # 4 (0.5 - 2) = -6 = bound multiplier - 1.5.
@@ -856,6 +861,42 @@ class TestBlockProgram:
         ballots = {20: 2000, 30: 1000, 50: 500, 80: 300}[n]
         t, im = tally_stages(profile_matrix(n, ballots), variant)
         self.assert_expands_to_the_pair_solution(t, im)
+
+    @staticmethod
+    def count_unanimous_bounds(matrix, variant: Variant) -> int:
+        """The number of equality rows of the tally's block program; each
+        must be the bound [1, 1] of a superdiagonal block pair whose margin
+        numerator is den."""
+        t, im = tally_stages(matrix, variant)
+        problem = turnout_qp(t, im)
+        rows, d = problem.rows, len(problem.center)
+        _, variable, _ = im.block_variables
+        pairs = np.diagonal(variable, 1).tolist()
+        margin = dict(zip(pairs, (im.superdiagonal[s - 1] for s in im.blocks[1:])))
+        eq = np.flatnonzero(rows.eq).tolist()
+        for k, j, rhs in zip(rows.i[eq].tolist(), rows.j[eq].tolist(), rows.rhs[eq].tolist()):
+            assert (j, rhs, problem.bounds[k]) == (d, 1.0, (1.0, 1.0))
+            assert margin[k] == im.den
+        return len(eq)
+
+    def test_equality_rows_are_unanimous_block_margins(self, monkeypatch):
+        # The only equality rows a tally hands the solver.  The fixtures
+        # have none, nor do these random matrices; every decomposition case
+        # has some, since its top set is unanimously preferred.
+        texts = [path.read_text() for path in sorted(FIXTURES.glob("*.ballots"))]
+        matrices = [read_matrix(path.read_text()) for path in sorted(FIXTURES.glob("*.csv"))]
+        matrices += [aggregate(b, InterpretationRules(), c) for c, b in map(read_ballot_file, texts)]
+        assert len(matrices) == 7
+        count = self.count_unanimous_bounds
+        assert sum(count(m, variant) for m in matrices for variant in Variant) == 0
+        randoms = [random_matrix(random.Random(seed), 3 + seed % 6) for seed in range(200)]
+        assert sum(count(m, variant) for m in randoms for variant in Variant) == 0
+        cases = []
+        monkeypatch.setattr(verify, "check_decomposition", lambda c, b, top: cases.append((c, b)))
+        for case in range(50):  # the cases of `llull verify --suite decomposition --seed 0`
+            verify._case_decomposition(random.Random(f"0:decomposition:{case}"))
+        unanimous = [count(verify._matrix(c, b), variant) for c, b in cases for variant in Variant]
+        assert min(unanimous) > 0
 
     def test_random_matrices(self):
         tied = 0

@@ -126,6 +126,22 @@ class TestChecks:
         cands, table = read_ballot_file(text)
         check_decomposition(cands, table.ballots(), frozenset(top))
 
+    def test_decomposition_cases_draw_cutoffs_among_the_top_groups(self, monkeypatch):
+        # So the suite runs the cutoff branch of check_decomposition; a check
+        # that dropped the cutoffs failed 57 of 200 cases at seed 0.
+        cases = []
+        monkeypatch.setattr(verify, "check_decomposition", lambda *case: cases.append(case))
+        for case in range(50):
+            verify._case_decomposition(random.Random(f"0:decomposition:{case}"))
+        cutoffs = 0
+        for _, ballots, top in cases:
+            for ballot in ballots:
+                if ballot.approval_cutoff is not None:
+                    cutoffs += 1
+                    above = ballot.groups[: ballot.approval_cutoff]
+                    assert all(set(group) <= top for group in above)
+        assert cutoffs > 50
+
     def test_unanimous_first_gets_rate_one(self):
         cands, table = read_ballot_file("candidates: a b c\na>b>c\na>c\na\n")
         result = tally(aggregate(table, RULES, cands))
@@ -320,7 +336,7 @@ class TestOutcomePin:
         assert sum(not r.passed for r in faulted) == 7
         rows = outcome_rows(reports + faulted)
         assert hashlib.sha256(repr(rows).encode()).hexdigest() == (
-            "582388cf68a63eed8d023798fc1f90f5d0cbd70965556c166102c394415ff52c"
+            "3d32566c073b62b037d1da76d145cf524c917bfd169424ce430e2037ac4e4443"
         )
 
     def test_one_tally_per_condorcet_smith_case(self, monkeypatch):
